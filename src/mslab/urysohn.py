@@ -4,8 +4,13 @@ The Approximant grows a finite rational metric space until every grid
 Katetov function over every small subset of the previous generation is
 realized by an actual point (the finite-scale one-point extension
 property). Distances are kept internally as integers on a common 1/denom
-grid, so saturation rounds stay fast; the exact Fraction view is
-materialized on demand.
+grid, in one square numpy matrix whose dtype is the smallest that holds the
+scaled diameter bound (uint8 for the default grids, `object` holding Python
+ints past uint64, so huge denominators stay exact). A saturation round
+writes each new point's row and column in place into spare capacity that
+doubles when full and never exceeds the round's point budget. Readers take
+values out as Python ints, one `tolist` or fancy index per call; the exact
+Fraction view is materialized on demand.
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -24,10 +29,15 @@ exactly, and keeps the displacement d(z_i, z'_i) = d(x, y).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from math import ceil
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -60,17 +70,22 @@ class RealizationRecord:
     point: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Approximant:
     """A growing finite metric space on the 1/denom grid.
 
-    `rows` is the symmetric scaled-integer distance matrix; `round_sizes`
-    records the point count after each completed saturation round (entry 0
-    is the seed size), so older generations are index prefixes.
+    `matrix` is the symmetric n x n distance matrix scaled by `denom`, a
+    numpy array of dtype `np.min_scalar_type(bound_scaled)`: every entry
+    lies in [0, bound_scaled], so the dtype holds it, and it is `object`
+    (Python ints) once the bound passes uint64. After a saturation round it
+    is a view into a buffer of at most the round's `budget` points.
+    `round_sizes` records the point count after each completed saturation
+    round (entry 0 is the seed size), so older generations are index
+    prefixes. Equality is identity: compare `matrix.tolist()` for values.
     """
 
     labels: list[str]
-    rows: list[list[int]]
+    matrix: np.ndarray
     denom: int
     bound_scaled: int
     subset_bound: int
@@ -80,6 +95,8 @@ class Approximant:
 
     @classmethod
     def from_space(cls, space: MetricSpace, denom: int, subset_bound: int) -> "Approximant":
+        if denom < 1:
+            raise PreconditionError(f"approximant denominator must be >= 1, got {denom}")
         scale = common_denominator(
             itertools.chain((space.diam_bound,), itertools.chain.from_iterable(space.d))
         )
@@ -87,26 +104,32 @@ class Approximant:
             raise DenominatorMismatchError(
                 f"approximant denominator {denom} not divisible by the seed's denominator {scale}"
             )
-        rows = [[int(v * denom) for v in row] for row in space.d]
+        # every denominator divides denom, so each scaled value is exact
+        rows = [[v.numerator * (denom // v.denominator) for v in row] for row in space.d]
+        bound = space.diam_bound
+        bound_scaled = bound.numerator * (denom // bound.denominator)
+        if rows and not (min(map(min, rows)) >= 0 and max(map(max, rows)) <= bound_scaled):
+            raise PreconditionError(f"seed distances must lie in [0, {bound}]")
+        n = space.n_points
         return cls(
             labels=list(space.labels),
-            rows=rows,
+            matrix=np.array(rows, dtype=np.min_scalar_type(bound_scaled)).reshape(n, n),
             denom=denom,
-            bound_scaled=int(space.diam_bound * denom),
+            bound_scaled=bound_scaled,
             subset_bound=subset_bound,
-            round_sizes=[space.n_points],
+            round_sizes=[n],
         )
 
     @property
     def n_points(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
 
     @property
     def diam_bound(self) -> Fraction:
         return Fraction(self.bound_scaled, self.denom)
 
     def dist(self, i: int, j: int) -> Fraction:
-        return Fraction(self.rows[i][j], self.denom)
+        return Fraction(self.matrix.item(i, j), self.denom)
 
     def snapshot(self, round_index: int) -> range:
         """Point indices present after the given completed round."""
@@ -115,30 +138,24 @@ class Approximant:
     def as_metric_space(self) -> MetricSpace:
         return MetricSpace(
             tuple(self.labels),
-            tuple(tuple(Fraction(v, self.denom) for v in row) for row in self.rows),
+            tuple(tuple(Fraction(v, self.denom) for v in row) for row in self.matrix.tolist()),
             self.diam_bound,
         )
 
-    @property
-    def space(self) -> MetricSpace:
-        return self.as_metric_space()
-
     def restrict_space(self, indices: Sequence[int]) -> MetricSpace:
         idx = list(indices)
+        sub = self.matrix.take(idx, 0).take(idx, 1).tolist()
         return MetricSpace(
             tuple(self.labels[i] for i in idx),
-            tuple(tuple(Fraction(self.rows[i][j], self.denom) for j in idx) for i in idx),
+            tuple(tuple(Fraction(v, self.denom) for v in row) for row in sub),
             self.diam_bound,
         )
 
     def copy(self) -> "Approximant":
-        return Approximant(
+        return replace(
+            self,
             labels=list(self.labels),
-            rows=[row[:] for row in self.rows],
-            denom=self.denom,
-            bound_scaled=self.bound_scaled,
-            subset_bound=self.subset_bound,
-            rounds=self.rounds,
+            matrix=self.matrix.copy(),
             round_sizes=list(self.round_sizes),
             log=list(self.log),
         )
@@ -155,6 +172,38 @@ def _subsets_lex(points: Sequence[int], max_size: int):
     return subs
 
 
+class _Realizations:
+    """The realization lookup: per anchor point, scaled value -> the points
+    at that distance from it. A profile over a subset of the anchors is
+    realized when the buckets of its values share a point."""
+
+    def __init__(self, anchors: Sequence[int], rows: np.ndarray, factor: int = 1):
+        # rows[i] holds the distances from anchors[i] to every point, on a
+        # grid `factor` times coarser than the values looked up
+        self._by_anchor: dict[int, defaultdict[int, set[int]]] = {}
+        for s, row in zip(anchors, rows):
+            order = np.argsort(row, kind="stable")
+            values, starts = np.unique(row[order], return_index=True)
+            per: defaultdict[int, set[int]] = defaultdict(set)
+            for v, points in zip(values.tolist(), np.split(order, starts[1:])):
+                per[v * factor] = set(points.tolist())
+            self._by_anchor[s] = per
+
+    def add(self, point: int, values: Sequence[int]):
+        """Index a new point by its distances to the anchors, in anchor order."""
+        for per, v in zip(self._by_anchor.values(), values):
+            per[v].add(point)
+
+    def realized(self, subset: Sequence[int], values: Sequence[int]) -> bool:
+        buckets = [self._by_anchor[s].get(v) for s, v in zip(subset, values)]
+        if not all(buckets):
+            return False
+        *rest, last = buckets
+        # isdisjoint stops at the first shared point; a realized profile would
+        # otherwise build a whole intersection only to test it for emptiness
+        return not rest or not reduce(operator.and_, rest).isdisjoint(last)
+
+
 def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     """One saturation round.
 
@@ -166,59 +215,46 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     reproducible bit for bit.
     """
     out = a.copy()
-    n0 = out.n_points
-    rows = out.rows
+    n0 = n = out.n_points
+    buf = out.matrix
     bound = out.bound_scaled
     label_set = set(out.labels)
-
-    # value -> points index, one dict per step-start anchor
-    index: list[dict[int, set[int]]] = []
-    for s in range(n0):
-        per: dict[int, set[int]] = {}
-        for p in range(out.n_points):
-            per.setdefault(rows[s][p], set()).add(p)
-        index.append(per)
+    start = buf.tolist()  # distances among step-start points never change
+    lookup = _Realizations(range(n0), buf)
 
     round_no = out.rounds + 1
     for subset in _subsets_lex(range(n0), out.subset_bound):
-        sub_matrix = [[rows[i][j] for j in subset] for i in subset]
+        sub_matrix = [[start[i][j] for j in subset] for i in subset]
         for values in _grid_profiles(sub_matrix, bound):
-            candidates: set[int] | None = None
-            realizable = True
-            for s, v in zip(subset, values):
-                bucket = index[s].get(v)
-                if not bucket:
-                    realizable = False
-                    break
-                candidates = bucket if candidates is None else candidates & bucket
-                if not candidates:
-                    realizable = False
-                    break
-            if realizable and candidates:
+            if lookup.realized(subset, values):
                 continue
-            if out.n_points + 1 > budget:
+            if n + 1 > budget:
                 raise BudgetExceededError(
                     f"saturation would exceed the {budget}-point budget at round {round_no}"
                 )
-            profile = [
-                min(bound, min(v + rows[s][w] for s, v in zip(subset, values)))
-                for w in range(out.n_points)
-            ]
-            new_index = out.n_points
-            for w, dv in enumerate(profile):
-                rows[w].append(dv)
-            rows.append(profile + [0])
-            base = f"x{new_index}"
+            if n == buf.shape[0]:
+                cap = min(2 * n, budget)
+                grown = np.zeros((cap, cap), dtype=buf.dtype)
+                grown[:n, :n] = buf
+                buf = grown
+            # min(bound, v + d) as v + min(d, bound - v): never above bound,
+            # so the sum cannot wrap in a narrow dtype
+            v = np.array(values, dtype=buf.dtype)[:, None]
+            profile = (np.minimum(buf[list(subset), :n], bound - v) + v).min(axis=0)
+            buf[n, :n] = profile
+            buf[:n, n] = profile
+            base = f"x{n}"
             while base in label_set:
                 base += "'"
             label_set.add(base)
             out.labels.append(base)
-            for s in range(n0):
-                index[s].setdefault(profile[s], set()).add(new_index)
-            out.log.append(RealizationRecord(round_no, subset, tuple(values), new_index))
+            lookup.add(n, profile[:n0].tolist())
+            out.log.append(RealizationRecord(round_no, subset, tuple(values), n))
+            n += 1
 
+    out.matrix = buf[:n, :n]
     out.rounds = round_no
-    out.round_sizes.append(out.n_points)
+    out.round_sizes.append(n)
     return out
 
 
@@ -236,7 +272,6 @@ def finite_injectivity_check(
             f"check denominator {denom} not divisible by the approximant's {a.denom}"
         )
     factor = denom // a.denom
-    rows = a.rows
     bound = a.bound_scaled * factor
 
     over = sorted(set(over))
@@ -244,32 +279,19 @@ def finite_injectivity_check(
         if not 0 <= s < a.n_points:
             raise PreconditionError(f"snapshot index {s} out of range")
 
-    index: dict[int, dict[int, set[int]]] = {}
-    for s in over:
-        per: dict[int, set[int]] = {}
-        for p in range(a.n_points):
-            per.setdefault(rows[s][p] * factor, set()).add(p)
-        index[s] = per
+    rows = a.matrix.take(over, 0)
+    lookup = _Realizations(over, rows, factor)
+    among = rows.take(over, 1).tolist()
+    pos = {s: i for i, s in enumerate(over)}
 
     n_subsets = 0
     n_functions = 0
     for subset in _subsets_lex(over, k):
         n_subsets += 1
-        sub_matrix = [[rows[i][j] * factor for j in subset] for i in subset]
+        sub_matrix = [[among[pos[i]][pos[j]] * factor for j in subset] for i in subset]
         for values in _grid_profiles(sub_matrix, bound):
             n_functions += 1
-            candidates: set[int] | None = None
-            found = True
-            for s, v in zip(subset, values):
-                bucket = index[s].get(v)
-                if not bucket:
-                    found = False
-                    break
-                candidates = bucket if candidates is None else candidates & bucket
-                if not candidates:
-                    found = False
-                    break
-            if not (found and candidates):
+            if not lookup.realized(subset, values):
                 return WitnessReport(
                     check="finite-injectivity",
                     params={"k": k, "denom": denom, "snapshot_size": len(over)},
@@ -442,13 +464,15 @@ class BFState:
         dom = [p for p, _ in st.pairs]
         if len(set(dom)) != len(dom):
             raise IndexClashError("duplicate domain indices in pairs")
-        rows = space.rows
+        rows = space.matrix.take([p for pair in st.pairs for p in pair], 0).tolist()
+        dom_rows, img_rows = rows[::2], rows[1::2]
+        eps_scaled = st.eps * space.denom
         for i, (a, b) in enumerate(st.pairs):
-            if Fraction(rows[a][b], space.denom) > st.eps:
+            if dom_rows[i][b] > eps_scaled:
                 raise PreconditionError(f"pair {i} is {space.dist(a, b)} apart, above eps {st.eps}")
             for j in range(i + 1, len(st.pairs)):
                 c, d2 = st.pairs[j]
-                if rows[a][c] != rows[b][d2]:
+                if dom_rows[i][c] != img_rows[i][d2]:
                     raise PreconditionError(f"pairs {i} and {j} break the isometry condition")
         return st
 
@@ -469,37 +493,32 @@ def _prop53_profile(st: BFState, z: int) -> tuple[list[int], dict[int, Fraction]
     on the images y_i, per-pair min(bound, a_i + d(x_i, y_i)) on the x_i,
     and min(eps, min_i(a_i + d(y_i, z))) on z itself, all closed under
     one-leg paths so the result is always a one-point metric extension.
+    The arithmetic runs on the scaled grid; only eps may fall between grid
+    points, so t0 and the values it reaches may be non-integral.
     """
     if not st.pairs:
         raise EmptyStateError("back-and-forth state has no pairs")
     if z in st.domain:
         raise IndexClashError(f"probe point {z} already in the domain")
     ap = st.space
-    dist = ap.dist
-    bound = ap.diam_bound
-    a = {i: dist(z, xi) for i, (xi, _) in enumerate(st.pairs)}
-    b = {i: dist(z, yi) for i, (_, yi) in enumerate(st.pairs)}
-    e = {i: dist(xi, yi) for i, (xi, yi) in enumerate(st.pairs)}
-    # a distance can never exceed the bound, so the bound joins the min
-    t0 = min(st.eps, bound, min(a[i] + b[i] for i in a))
-    c = {i: min(bound, a[i] + e[i]) for i in a}
-
+    bound = ap.bound_scaled
     keep = sorted(set(st.domain) | set(st.image) | {z})
+    pos = {w: i for i, w in enumerate(keep)}
+    d = ap.matrix.take(keep, 0).take(keep, 1).tolist()
+    dz = d[pos[z]]
+    legs = [(pos[xi], pos[yi]) for xi, yi in st.pairs]
+    a = [dz[xp] for xp, _ in legs]
+    # a distance can never exceed the bound, so the bound joins the min
+    t0 = min(st.eps * ap.denom, bound, min(ai + dz[yp] for ai, (_, yp) in zip(a, legs)))
+    c = [min(bound, ai + d[xp][yp]) for ai, (xp, yp) in zip(a, legs)]
+
     profile: dict[int, Fraction] = {}
-    for w in keep:
-        best = bound
-        for i, (xi, yi) in enumerate(st.pairs):
-            leg_y = a[i] + dist(yi, w)
-            if leg_y < best:
-                best = leg_y
-            leg_x = c[i] + dist(xi, w)
-            if leg_x < best:
-                best = leg_x
-        leg_z = t0 + dist(z, w)
-        if leg_z < best:
-            best = leg_z
-        profile[w] = best
-    return keep, profile, t0
+    for w, wp in pos.items():
+        best = min(bound, t0 + dz[wp])
+        for ai, ci, (xp, yp) in zip(a, c, legs):
+            best = min(best, ai + d[yp][wp], ci + d[xp][wp])
+        profile[w] = Fraction(best, ap.denom)
+    return keep, profile, Fraction(t0, ap.denom)
 
 
 def prop53_extension(st: BFState, z: int) -> tuple[MetricSpace, int]:
@@ -513,7 +532,11 @@ def prop53_extension(st: BFState, z: int) -> tuple[MetricSpace, int]:
         raise MetricFailureError(
             f"transport extension invalid: {verdict.reason} at {verdict.witness}", verdict
         )
-    assert profile[z] == t0 and t0 <= st.eps
+    if profile[z] != t0 or t0 > st.eps:
+        raise MetricFailureError(
+            f"transport extension breaks its contract: d(z', z) = {profile[z]}, "
+            f"t0 = {t0}, eps = {st.eps}"
+        )
     return out, out.n_points - 1
 
 
@@ -526,24 +549,20 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
     """
     keep, profile, _ = _prop53_profile(st, z)
     ap = st.space
-    targets: list[tuple[int, int]] = []
+    targets: list[int] = []
     for w in keep:
         scaled = profile[w] * ap.denom
         if scaled.denominator != 1:
             raise UnsaturatedError(
                 f"profile value {profile[w]} at point {w} is off the 1/{ap.denom} grid"
             )
-        targets.append((w, int(scaled)))
-    rows = ap.rows
-    found = -1
-    for p in range(ap.n_points):
-        row = rows[p]
-        if all(row[w] == v for w, v in targets):
-            found = p
-            break
-    if found < 0:
+        targets.append(int(scaled))
+    hits = np.flatnonzero(
+        (ap.matrix.take(keep, 1) == np.array(targets, dtype=ap.matrix.dtype)).all(axis=1)
+    )
+    if not hits.size:
         raise UnsaturatedError("no existing point realizes the transported profile")
-    return BFState.create(ap, st.pairs + ((z, found),), st.eps)
+    return BFState.create(ap, st.pairs + ((z, int(hits[0])),), st.eps)
 
 
 def injectivity_chain(
