@@ -11,9 +11,16 @@ bounded by the diameter bound: exactly the distance profiles of one-point
 metric extensions of X.
 
 `validate_metric` is the package's universal safety net: a brute-force
-O(n^3) scan over ordered triples. The scan is the contract; the vectorized
-integer path below is an implementation of the same scan, cross-checked in
-the test suite against the naive Fraction loop.
+O(n^3) scan over ordered triples. The scan is the contract; everything
+below implements that same scan on integers, cross-checked in the test
+suite against the naive Fraction loop. The matrix and the bound are first
+rescaled to the grid 1/q, with q the lcm of their distinct denominators,
+as numerator * (q // denominator): exact, and free of Fraction arithmetic.
+Matrices of at least `_NUMPY_MIN_POINTS` points then run every check as
+int64 numpy passes, unless the scaled bound reaches `_INT64_SAFE` (a sum of
+two entries could then overflow) or an entry does not fit in int64. Small
+matrices and that exact fallback run the same checks as loops over Python
+ints, which never overflow.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,7 +49,7 @@ from .rationals import RationalLike, as_fraction, common_denominator
 
 # Matrices at least this large take the vectorized integer path.
 _NUMPY_MIN_POINTS = 48
-# Scaled entries must stay comfortably inside int64 under one addition.
+# The scaled bound must stay comfortably inside int64 under one addition.
 _INT64_SAFE = 2**61
 
 
@@ -73,22 +81,82 @@ class KatetovVerdict:
         return self.ok
 
 
+def _coerce_row(row: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    row = tuple(row)
+    if set(map(type, row)) - {Fraction}:
+        return tuple(map(as_fraction, row))
+    return row
+
+
 def _coerce_matrix(d: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(as_fraction(v) for v in row) for row in d)
+    rows = tuple(map(_coerce_row, d))
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NonSquareError(f"matrix is not square: {len(rows)} rows, row lengths {[len(r) for r in rows]}")
     return rows
 
 
-def _scaled_ints(rows, bound):
-    """Common-denominator integer image of the matrix, or None if unsafe."""
-    scale = common_denominator(itertools.chain((bound,), itertools.chain.from_iterable(rows)))
-    entries = [[int(v * scale) for v in row] for row in rows]
-    top = max((abs(e) for row in entries for e in row), default=0)
-    if max(top, abs(int(bound * scale))) >= _INT64_SAFE:
+def _grid_ints(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> tuple[list[list[int]], int]:
+    """The matrix and the bound as integers on their common grid 1/q."""
+    rows = _coerce_matrix(d)
+    bound = as_fraction(diam_bound)
+    q = lcm(bound.denominator, *{v.denominator for row in rows for v in row})
+    return (
+        [[v.numerator * (q // v.denominator) for v in row] for row in rows],
+        bound.numerator * (q // bound.denominator),
+    )
+
+
+def _int64_matrix(e: list[list[int]], bound: int) -> np.ndarray | None:
+    """The scaled matrix as int64, or None when an entry does not fit or the
+    bound reaches _INT64_SAFE. The triangle scan adds two entries only after
+    every entry has been checked against the bound, so it cannot overflow."""
+    if abs(bound) >= _INT64_SAFE:
         return None
-    return entries, int(bound * scale)
+    try:
+        return np.array(e, dtype=np.int64).reshape(len(e), len(e))
+    except OverflowError:
+        return None
+
+
+def _precondition_scan_int(e: list[list[int]], bound: int) -> MetricVerdict | None:
+    n = len(e)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if e[i][j] != e[j][i]:
+                return MetricVerdict(False, "not-symmetric", (i, j))
+    for i in range(n):
+        if e[i][i] != 0:
+            return MetricVerdict(False, "nonzero-diagonal", (i,))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if e[i][j] <= 0:
+                return MetricVerdict(False, "nonpositive-off-diagonal", (i, j))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if e[i][j] > bound:
+                return MetricVerdict(False, "exceeds-diameter", (i, j))
+    return None
+
+
+def _first_pair(reason: str, bad: np.ndarray) -> MetricVerdict:
+    # bad is masked to the strict upper triangle, where its first True in
+    # row-major order (np.argmax) is the first pair (i, j) in lex order
+    i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    return MetricVerdict(False, reason, (int(i), int(j)))
+
+
+def _precondition_scan_numpy(d: np.ndarray, bound: int) -> MetricVerdict | None:
+    upper = np.triu(np.ones(d.shape, dtype=bool), 1)
+    if (bad := (d != d.T) & upper).any():
+        return _first_pair("not-symmetric", bad)
+    if (diag := np.flatnonzero(np.diagonal(d))).size:
+        return MetricVerdict(False, "nonzero-diagonal", (int(diag[0]),))
+    if (bad := (d <= 0) & upper).any():
+        return _first_pair("nonpositive-off-diagonal", bad)
+    if (bad := (d > bound) & upper).any():
+        return _first_pair("exceeds-diameter", bad)
+    return None
 
 
 def _triangle_scan_int(e: list[list[int]]) -> tuple[int, int, int] | None:
@@ -107,23 +175,17 @@ def _triangle_scan_int(e: list[list[int]]) -> tuple[int, int, int] | None:
     return None
 
 
-def _triangle_scan_numpy(e: list[list[int]]) -> tuple[int, int, int] | None:
-    d = np.array(e, dtype=np.int64)
-    n = d.shape[0]
-    idx = np.arange(n)
-    for i in range(n):
-        # sums[k, j] = d[i,k] + d[k,j]; violation when d[i,j] > min over k
-        sums = d[i][:, None] + d
-        viol = d[i][None, :] > sums  # viol[k, j]
-        viol[i, :] = False
-        viol[:, i] = False
-        viol[idx, idx] = False
-        if viol.any():
-            # first (j, k) in lex order
-            ks, js = np.nonzero(viol)
-            order = np.lexsort((ks, js))
-            j, k = int(js[order[0]]), int(ks[order[0]])
-            return (i, j, k)
+def _triangle_scan_numpy(d: np.ndarray) -> tuple[int, int, int] | None:
+    # Runs after the precondition checks: with a zero diagonal and positive
+    # entries elsewhere, k = i, k = j and j = i can never violate, so row i
+    # violates iff d[i,j] > min over k of d[i,k] + d[k,j] for some j.
+    for i in range(d.shape[0]):
+        sums = d[i][:, None] + d  # sums[k, j] = d[i,k] + d[k,j]
+        if (d[i] > sums.min(axis=0)).any():
+            # viol[j, k]; its first True in row-major order is the first (j, k)
+            viol = d[i][:, None] > sums.T
+            j, k = np.unravel_index(np.argmax(viol), viol.shape)
+            return (i, int(j), int(k))
     return None
 
 
@@ -135,33 +197,16 @@ def validate_metric(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLik
     ordered triples. The first violation in lexicographic index order is
     returned as the witness.
     """
-    rows = _coerce_matrix(d)
-    bound = as_fraction(diam_bound)
-    n = len(rows)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return MetricVerdict(False, "not-symmetric", (i, j))
-    for i in range(n):
-        if rows[i][i] != 0:
-            return MetricVerdict(False, "nonzero-diagonal", (i,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] <= 0:
-                return MetricVerdict(False, "nonpositive-off-diagonal", (i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] > bound:
-                return MetricVerdict(False, "exceeds-diameter", (i, j))
-
-    scaled = _scaled_ints(rows, bound)
-    if scaled is not None:
-        entries, _ = scaled
-        scan = _triangle_scan_numpy if n >= _NUMPY_MIN_POINTS else _triangle_scan_int
-        hit = scan(entries)
+    e, bound = _grid_ints(d, diam_bound)
+    arr = _int64_matrix(e, bound) if len(e) >= _NUMPY_MIN_POINTS else None
+    if arr is None:
+        verdict = _precondition_scan_int(e, bound)
+        hit = _triangle_scan_int(e) if verdict is None else None
     else:
-        hit = _triangle_scan_int([list(row) for row in rows])  # Fractions compare fine
+        verdict = _precondition_scan_numpy(arr, bound)
+        hit = _triangle_scan_numpy(arr) if verdict is None else None
+    if verdict is not None:
+        return verdict
     if hit is not None:
         return MetricVerdict(False, "triangle", hit)
     return MetricVerdict(True)

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     IncompatibleCodesError,
+    MetricFailureError,
     PreconditionError,
     SelfLoopError,
     UndeterminedMembershipError,
@@ -69,9 +70,11 @@ def rado_extension_witness(U: Iterable[int], V: Iterable[int]) -> int:
     top = max(U + V) + 1 if U + V else 0
     w = sum(1 << u for u in U) + (1 << top)
     for u in U:
-        assert rado_adjacent(u, w)
+        if not rado_adjacent(u, w):
+            raise MetricFailureError(f"witness {w} is not adjacent to {u} in U")
     for v in V:
-        assert not rado_adjacent(v, w)
+        if rado_adjacent(v, w):
+            raise MetricFailureError(f"witness {w} is adjacent to {v} in V")
     return w
 
 

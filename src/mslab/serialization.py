@@ -20,10 +20,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .banach import RadialProfile, StepFn1D, StepFn2D
-from .errors import MslabError
+from .errors import MslabError, PreconditionError
 from .metric import KatetovFn, MetricSpace
-from .rationals import format_rational, parse_rational
+from .rationals import ParseMemo, format_rational, parse_rational
 from .urysohn import Approximant, RealizationRecord
 
 
@@ -45,10 +47,11 @@ def space_to_dict(space: MetricSpace) -> dict:
 
 def space_from_dict(data: dict) -> MetricSpace:
     try:
+        parse = ParseMemo()
         return MetricSpace(
             tuple(data["points"]),
-            tuple(tuple(parse_rational(v) for v in row) for row in data["d"]),
-            parse_rational(data["diam"]),
+            tuple(tuple(map(parse.__getitem__, row)) for row in data["d"]),
+            parse[data["diam"]],
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad metric space payload: {exc}") from exc
@@ -96,25 +99,68 @@ def approximant_to_dict(a: Approximant) -> dict:
 
 
 def approximant_from_dict(data: dict) -> Approximant:
+    """Parse an approximant straight onto its 1/denom grid and check that
+    the file is one: a square symmetric matrix with zero diagonal and
+    entries on the grid in [0, diam], non-decreasing `round_sizes` ending
+    at the point count, and log records that index existing points and
+    agree with the matrix."""
     try:
-        space = space_from_dict(data)
-        a = Approximant.from_space(space, int(data["denom"]), int(data["subset_bound"]))
+        denom = int(data["denom"])
+        if denom < 1:
+            raise FormatError(f"approximant denominator must be >= 1, got {denom}")
+
+        def on_grid(q: Fraction) -> int:
+            if denom % q.denominator:
+                raise FormatError(f"{q} is off the 1/{denom} grid")
+            return q.numerator * (denom // q.denominator)
+
+        grid = ParseMemo(on_grid)
+        labels = [str(s) for s in data["points"]]
+        rows = [list(map(grid.__getitem__, row)) for row in data["d"]]
+        n = len(labels)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise FormatError(f"approximant matrix is not {n} x {n}")
+        a = Approximant.from_grid(labels, rows, denom, grid[data["diam"]], int(data["subset_bound"]))
         a.rounds = int(data.get("rounds", 0))
-        a.round_sizes = [int(v) for v in data.get("round_sizes", [space.n_points])]
+        a.round_sizes = [int(v) for v in data.get("round_sizes", [n])]
         a.log = [
             RealizationRecord(
                 round=int(rec["round"]),
                 subset=tuple(int(i) for i in rec["subset"]),
-                values=tuple(
-                    int(parse_rational(v) * a.denom) for v in rec["values"]
-                ),
+                values=tuple(map(grid.__getitem__, rec["values"])),
                 point=int(rec["point"]),
             )
             for rec in data.get("log", [])
         ]
-        return a
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, PreconditionError) as exc:
         raise FormatError(f"bad approximant payload: {exc}") from exc
+    _check_approximant(a)
+    return a
+
+
+def _check_approximant(a: Approximant):
+    m = a.matrix
+    n = a.n_points
+    if (asym := np.argwhere(m != m.T)).size:
+        raise FormatError(f"approximant matrix is not symmetric at {tuple(asym[0].tolist())}")
+    if (diag := np.flatnonzero(m.diagonal())).size:
+        raise FormatError(f"approximant matrix has a nonzero diagonal entry at {diag[0]}")
+    sizes = a.round_sizes
+    if not sizes or sizes[-1] != n or any(x > y for x, y in zip(sizes, sizes[1:])):
+        raise FormatError(f"round_sizes {sizes} must be non-decreasing and end at {n}")
+    if not a.log:
+        return
+    lengths = [len(rec.subset) for rec in a.log]
+    if lengths != [len(rec.values) for rec in a.log]:
+        raise FormatError("a log record has a different number of values than subset points")
+    points = [rec.point for rec in a.log]
+    subsets = [s for rec in a.log for s in rec.subset]
+    for name, idx in (("point", points), ("subset", subsets)):
+        if idx and not (0 <= min(idx) and max(idx) < n):
+            raise FormatError(f"a log record has a {name} index outside 0..{n - 1}")
+    found = m[subsets, np.repeat(points, lengths)].tolist()
+    if found != [v for rec in a.log for v in rec.values]:
+        raise FormatError("a log record's values differ from the matrix at (subset, point)")
 
 
 def stepfn2d_to_dict(f: StepFn2D) -> dict:

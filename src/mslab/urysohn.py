@@ -29,11 +29,8 @@ exactly, and keeps the displacement d(z_i, z'_i) = d(x, y).
 from __future__ import annotations
 
 import itertools
-import operator
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
 from math import ceil
 from typing import Sequence
 
@@ -106,14 +103,31 @@ class Approximant:
             )
         # every denominator divides denom, so each scaled value is exact
         rows = [[v.numerator * (denom // v.denominator) for v in row] for row in space.d]
-        bound = space.diam_bound
-        bound_scaled = bound.numerator * (denom // bound.denominator)
-        if rows and not (min(map(min, rows)) >= 0 and max(map(max, rows)) <= bound_scaled):
-            raise PreconditionError(f"seed distances must lie in [0, {bound}]")
-        n = space.n_points
+        bound_scaled = space.diam_bound.numerator * (denom // space.diam_bound.denominator)
+        return cls.from_grid(space.labels, rows, denom, bound_scaled, subset_bound)
+
+    @classmethod
+    def from_grid(
+        cls,
+        labels: Sequence[str],
+        rows: Sequence[Sequence[int]],
+        denom: int,
+        bound_scaled: int,
+        subset_bound: int,
+    ) -> "Approximant":
+        """A round-0 approximant from a square matrix of distances already
+        scaled by `denom`; each must lie in [0, bound_scaled]."""
+        n = len(labels)
+        # int64 holds every in-range value below 2**63; past that, Python ints
+        try:
+            m = np.array(rows, dtype=np.int64 if bound_scaled < 2**63 else object).reshape(n, n)
+        except OverflowError:
+            m = None
+        if m is None or (n and not (m.min() >= 0 and m.max() <= bound_scaled)):
+            raise PreconditionError(f"seed distances must lie in [0, {Fraction(bound_scaled, denom)}]")
         return cls(
-            labels=list(space.labels),
-            matrix=np.array(rows, dtype=np.min_scalar_type(bound_scaled)).reshape(n, n),
+            labels=list(labels),
+            matrix=m.astype(np.min_scalar_type(bound_scaled)),
             denom=denom,
             bound_scaled=bound_scaled,
             subset_bound=subset_bound,
@@ -136,20 +150,17 @@ class Approximant:
         return range(self.round_sizes[round_index])
 
     def as_metric_space(self) -> MetricSpace:
-        return MetricSpace(
-            tuple(self.labels),
-            tuple(tuple(Fraction(v, self.denom) for v in row) for row in self.matrix.tolist()),
-            self.diam_bound,
-        )
+        return MetricSpace(tuple(self.labels), self._fraction_rows(self.matrix.tolist()), self.diam_bound)
 
     def restrict_space(self, indices: Sequence[int]) -> MetricSpace:
         idx = list(indices)
         sub = self.matrix.take(idx, 0).take(idx, 1).tolist()
-        return MetricSpace(
-            tuple(self.labels[i] for i in idx),
-            tuple(tuple(Fraction(v, self.denom) for v in row) for row in sub),
-            self.diam_bound,
-        )
+        return MetricSpace(tuple(self.labels[i] for i in idx), self._fraction_rows(sub), self.diam_bound)
+
+    def _fraction_rows(self, rows: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
+        """Exact rows, with one shared Fraction per distinct grid value."""
+        fractions = _GridFractions(self.denom)
+        return tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
 
     def copy(self) -> "Approximant":
         return replace(
@@ -159,6 +170,18 @@ class Approximant:
             round_sizes=list(self.round_sizes),
             log=list(self.log),
         )
+
+
+class _GridFractions(dict):
+    """Scaled grid value -> its Fraction on the 1/denom grid, made once."""
+
+    def __init__(self, denom: int):
+        super().__init__()
+        self.denom = denom
+
+    def __missing__(self, v: int) -> Fraction:
+        q = self[v] = Fraction(v, self.denom)
+        return q
 
 
 def _subsets_lex(points: Sequence[int], max_size: int):
@@ -173,35 +196,34 @@ def _subsets_lex(points: Sequence[int], max_size: int):
 
 
 class _Realizations:
-    """The realization lookup: per anchor point, scaled value -> the points
-    at that distance from it. A profile over a subset of the anchors is
-    realized when the buckets of its values share a point."""
+    """The realization lookup: per anchor point, scaled value -> the set of
+    points at that distance from it, as a Python-int bitmask (bit p is
+    point p). A profile over a subset of the anchors is realized when the
+    masks of its values share a bit."""
 
     def __init__(self, anchors: Sequence[int], rows: np.ndarray, factor: int = 1):
         # rows[i] holds the distances from anchors[i] to every point, on a
         # grid `factor` times coarser than the values looked up
-        self._by_anchor: dict[int, defaultdict[int, set[int]]] = {}
+        self._by_anchor: dict[int, dict[int, int]] = {}
         for s, row in zip(anchors, rows):
-            order = np.argsort(row, kind="stable")
-            values, starts = np.unique(row[order], return_index=True)
-            per: defaultdict[int, set[int]] = defaultdict(set)
-            for v, points in zip(values.tolist(), np.split(order, starts[1:])):
-                per[v * factor] = set(points.tolist())
-            self._by_anchor[s] = per
+            self._by_anchor[s] = {
+                v * factor: int.from_bytes(np.packbits(row == v, bitorder="little").tobytes(), "little")
+                for v in np.unique(row).tolist()
+            }
 
     def add(self, point: int, values: Sequence[int]):
         """Index a new point by its distances to the anchors, in anchor order."""
+        bit = 1 << point
         for per, v in zip(self._by_anchor.values(), values):
-            per[v].add(point)
+            per[v] = per.get(v, 0) | bit
 
     def realized(self, subset: Sequence[int], values: Sequence[int]) -> bool:
-        buckets = [self._by_anchor[s].get(v) for s, v in zip(subset, values)]
-        if not all(buckets):
-            return False
-        *rest, last = buckets
-        # isdisjoint stops at the first shared point; a realized profile would
-        # otherwise build a whole intersection only to test it for emptiness
-        return not rest or not reduce(operator.and_, rest).isdisjoint(last)
+        mask = -1
+        for s, v in zip(subset, values):
+            mask &= self._by_anchor[s].get(v, 0)
+            if not mask:
+                return False
+        return True
 
 
 def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mslab import metric
 from mslab import (
     KatetovFn,
     MetricSpace,
@@ -152,6 +153,84 @@ def test_validate_numpy_path_matches_naive():
     rows[10][40] = rows[40][10] = F(9, 4)  # violates bound; then triangle after raise
     v = validate_metric(rows, 3)
     assert (v.reason, v.witness) == naive_validate(rows, 3)
+
+
+def random_unit_metric(rng, n, q):
+    """n points, every distance in [1/2, 1] on the 1/(2q) grid: a metric
+    whatever the draw, since any two legs sum to at least 1."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = F(rng.randint(q, 2 * q), 2 * q)
+    return rows
+
+
+def triangle_only(rng, rows):
+    """Move one pair symmetrically so that only the triangle inequality
+    breaks: down to a small positive value, or up to the bound 2."""
+    n = len(rows)
+    a, b = rng.sample(range(n), 2)
+    rows[a][b] = rows[b][a] = F(1, 16) if rng.random() < 0.5 else F(2)
+
+
+def asymmetric(rng, rows):
+    a, b = rng.sample(range(len(rows)), 2)
+    rows[a][b] += F(1, 7)
+
+
+def nonpositive(rng, rows):
+    a, b = rng.sample(range(len(rows)), 2)
+    rows[a][b] = rows[b][a] = F(rng.randint(-1, 0), 3)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=6, deadline=None)
+def test_validate_numpy_path_matches_naive_on_corruptions(seed):
+    rng = random.Random(seed)
+    n = rng.randint(48, 70)
+    base = random_unit_metric(rng, n, rng.randint(1, 6))
+    assert validate_metric(base, 2).ok
+    for corrupt, reason in ((triangle_only, "triangle"), (asymmetric, "not-symmetric"),
+                            (nonpositive, "nonpositive-off-diagonal")):
+        rows = [list(r) for r in base]
+        corrupt(rng, rows)
+        got = validate_metric(rows, 2)
+        assert got.reason == reason
+        assert (got.reason, got.witness) == naive_validate(rows, 2)
+
+
+# the common denominator of these entries is near 2**62, so the scaled
+# entries pass _INT64_SAFE and the exact Python-int scan must take over
+BIG_Q = 2**62 - 57
+
+
+@pytest.mark.parametrize("n", [12, 48])
+def test_validate_exact_fallback_past_int64(n, monkeypatch):
+    def no_numpy(*args):
+        raise AssertionError("the int64 scan must not run past _INT64_SAFE")
+
+    monkeypatch.setattr(metric, "_triangle_scan_numpy", no_numpy)
+    monkeypatch.setattr(metric, "_precondition_scan_numpy", no_numpy)
+    rng = random.Random(n)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = F(rng.randint(BIG_Q // 2, BIG_Q), BIG_Q)
+    assert BIG_Q > metric._INT64_SAFE
+    assert validate_metric(rows, 1).ok
+    a, b = n // 3, n // 2
+    rows[a][b] = rows[b][a] = F(1, BIG_Q)
+    got = validate_metric(rows, 1)
+    assert got.reason == "triangle"
+    assert (got.reason, got.witness) == naive_validate(rows, 1)
+
+
+def test_validate_entry_past_int64_takes_exact_scan():
+    # a small bound, but one entry that int64 cannot hold
+    rows = random_unit_metric(random.Random(3), 50, 2)
+    rows[5][20] = rows[20][5] = F(2**70)
+    got = validate_metric(rows, 1)
+    assert (got.reason, got.witness) == ("exceeds-diameter", (5, 20)) == naive_validate(rows, 1)
 
 
 # -- cap_metric ----------------------------------------------------------------

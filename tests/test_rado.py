@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from mslab import validate_metric
+from mslab import rado, validate_metric
 from mslab.errors import (
     IncompatibleCodesError,
+    MetricFailureError,
     PreconditionError,
     SelfLoopError,
     UndeterminedMembershipError,
@@ -101,6 +102,21 @@ def test_witness_exhaustive_small():
                     assert w not in set(U) | set(V)
                     assert all(rado_adjacent(u, w) for u in U)
                     assert not any(rado_adjacent(v, w) for v in V)
+
+
+@pytest.mark.parametrize("side,U,V", [("U", [0, 2], [1]), ("V", [0], [1, 3])])
+def test_witness_contract_breach_raises(monkeypatch, side, U, V):
+    # a broken adjacency makes the arithmetic witness wrong on one side; the
+    # check is a raise, so it also fires under python -O
+    real = rado.rado_adjacent
+    flip = set(U) if side == "U" else set(V)
+
+    def broken(i, j):
+        return real(i, j) != (i in flip)
+
+    monkeypatch.setattr(rado, "rado_adjacent", broken)
+    with pytest.raises(MetricFailureError, match=f"in {side}"):
+        rado_extension_witness(U, V)
 
 
 # -- basis codes -------------------------------------------------------------
