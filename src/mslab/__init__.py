@@ -60,7 +60,7 @@ from .rado import (
     rado_metric,
     rado_metric_space,
 )
-from .rationals import Rational, as_fraction, format_rational, parse_rational
+from .rationals import as_fraction, format_rational, parse_rational
 from .report import WitnessReport, canonical_json, report_json
 from .urysohn import (
     Approximant,

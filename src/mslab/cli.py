@@ -17,13 +17,10 @@ from fractions import Fraction
 from . import banach, rado, suite
 from .errors import MslabError
 from .metric import (
-    KatetovFn,
     MetricSpace,
-    elementary_katetov,
     enumerate_katetov,
     extend_by_katetov,
     is_katetov,
-    sup_distance,
     truncate_katetov,
     validate_metric,
 )
@@ -38,7 +35,6 @@ from .serialization import (
     load_katetov,
     load_profile,
     load_space,
-    load_stepfn1d,
     load_stepfn2d,
     space_to_dict,
     _dump_json,
@@ -80,6 +76,22 @@ def _span(text: str) -> range:
         a, _, b = text.partition("..")
         return range(int(a), int(b) + 1)
     return range(int(text))
+
+
+def _at_least(low: int):
+    """An argparse type for integers >= low; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its message
+    return parse
+
+
+_count = _at_least(0)
 
 
 def _vector(text: str) -> tuple[Fraction, ...]:
@@ -187,7 +199,7 @@ def cmd_urysohn(args) -> WitnessReport:
     if sub == "check":
         approx = load_approximant(args.approx)
         over = approx.snapshot(args.round) if args.round is not None else range(approx.n_points)
-        return finite_injectivity_check(approx, over, args.k, args.denom or approx.denom)
+        return finite_injectivity_check(approx, over, args.k, approx.denom if args.denom is None else args.denom)
     if sub == "ma":
         space = load_space(args.space)
         req = MARequest(space, tuple(_indices(args.f)), args.x, args.y, parse_rational(args.delta))
@@ -412,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = ksub.add_parser("enumerate")
     k.add_argument("space")
     k.add_argument("--denom", type=int, required=True)
-    k.add_argument("--limit", type=int, default=None)
+    k.add_argument("--limit", type=_count, default=None)
     k = ksub.add_parser("truncate")
     k.add_argument("fn")
     k.add_argument("--level", required=True, help="truncation level p/q")
@@ -424,12 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--seed-space", default=None)
     u.add_argument("--denom", type=int, default=4)
     u.add_argument("--subset-bound", type=int, default=2)
-    u.add_argument("--rounds", type=int, default=2)
+    u.add_argument("--rounds", type=_count, default=2)
     u.add_argument("--out")
     u = usub.add_parser("check")
     u.add_argument("approx")
     u.add_argument("--round", type=int, default=None)
-    u.add_argument("--k", type=int, required=True)
+    # k = 0 asks about no subset at all, so its vacuous pass is refused here
+    u.add_argument("--k", type=_at_least(1), required=True)
     u.add_argument("--denom", type=int, default=None)
     u = usub.add_parser("ma")
     u.add_argument("space")
@@ -485,17 +498,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u")
     p.add_argument("--v")
     p.add_argument("--z")
-    p.add_argument("--random", type=int, default=0, help="run N random stereographic triples")
+    p.add_argument("--random", type=_count, default=0, help="run N random stereographic triples")
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("lp", help="step-function separation computation")
     p.add_argument("--p", required=True)
-    p.add_argument("--pairings", type=int, default=100)
+    p.add_argument("--pairings", type=_count, default=100)
 
     p = sub.add_parser("disjoint", help="disjoint-support identity")
     p.add_argument("--p", required=True)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--n", type=_at_least(1), default=3)
+    p.add_argument("--trials", type=_count, default=200)
     p.add_argument("--x", default=None, help="step function file (explicit mode)")
     p.add_argument("--part", action="append", default=[], help="part file, repeatable")
 
@@ -518,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = rsub.add_parser("metric")
     r.add_argument("i", type=int, nargs="?", default=0)
     r.add_argument("j", type=int, nargs="?", default=0)
-    r.add_argument("--scan", type=int, default=None, help="instead validate the metric on 0..N-1")
+    r.add_argument("--scan", type=_count, default=None, help="instead validate the metric on 0..N-1")
     r = rsub.add_parser("witness")
     r.add_argument("--u", default="")
     r.add_argument("--v", default="")
@@ -557,9 +570,9 @@ def main(argv=None) -> int:
                   f"({int((time.monotonic() - t0) * 1000)} ms)", file=sys.stderr)
             return code
         report = HANDLERS[args.cmd](args)
-        report.elapsed_ms = int((time.monotonic() - t0) * 1000)
+        elapsed_ms = int((time.monotonic() - t0) * 1000)
         print(report_json(report))
-        print(f"[mslab] {report.check}: {report.verdict} ({report.elapsed_ms} ms)", file=sys.stderr)
+        print(f"[mslab] {report.check}: {report.verdict} ({elapsed_ms} ms)", file=sys.stderr)
         return 0 if report.ok else 1
     except (MslabError, FormatError) as exc:
         print(f"[mslab] error: {exc}", file=sys.stderr)

@@ -25,11 +25,10 @@ ints, which never overflow.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .errors import (
     PreconditionError,
     SpaceMismatchError,
 )
-from .rationals import RationalLike, as_fraction, common_denominator
+from .rationals import RationalLike, as_fraction
 
 # Matrices at least this large take the vectorized integer path.
 _NUMPY_MIN_POINTS = 48
@@ -96,11 +95,14 @@ def _coerce_matrix(d: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction,
     return rows
 
 
-def _grid_ints(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> tuple[list[list[int]], int]:
-    """The matrix and the bound as integers on their common grid 1/q."""
-    rows = _coerce_matrix(d)
-    bound = as_fraction(diam_bound)
-    q = lcm(bound.denominator, *{v.denominator for row in rows for v in row})
+def _common_grid(rows: Sequence[Sequence[Fraction]], bound: Fraction) -> int:
+    """The least common denominator of the entries and the bound."""
+    return lcm(bound.denominator, *{v.denominator for row in rows for v in row})
+
+
+def _on_grid(rows: Sequence[Sequence[Fraction]], bound: Fraction, q: int) -> tuple[list[list[int]], int]:
+    """The matrix and the bound as integers on the grid 1/q, which must be a
+    multiple of every denominator: numerator * (q // denominator), exact."""
     return (
         [[v.numerator * (q // v.denominator) for v in row] for row in rows],
         bound.numerator * (q // bound.denominator),
@@ -197,7 +199,9 @@ def validate_metric(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLik
     ordered triples. The first violation in lexicographic index order is
     returned as the witness.
     """
-    e, bound = _grid_ints(d, diam_bound)
+    rows = _coerce_matrix(d)
+    diam = as_fraction(diam_bound)
+    e, bound = _on_grid(rows, diam, _common_grid(rows, diam))
     arr = _int64_matrix(e, bound) if len(e) >= _NUMPY_MIN_POINTS else None
     if arr is None:
         verdict = _precondition_scan_int(e, bound)
@@ -282,13 +286,6 @@ class MetricSpace:
             self.diam_bound,
         )
 
-    def fresh_label(self, base: str) -> str:
-        label = base
-        used = set(self.labels)
-        while label in used:
-            label += "'"
-        return label
-
     def with_point(self, label: str, profile: Sequence[RationalLike]) -> "MetricSpace":
         """Append one point at the given distances (no validation here)."""
         prof = tuple(as_fraction(v) for v in profile)
@@ -296,7 +293,33 @@ class MetricSpace:
             raise LengthMismatchError(f"profile has {len(prof)} entries for {self.n_points} points")
         rows = [row + (prof[i],) for i, row in enumerate(self.d)]
         rows.append(prof + (Fraction(0),))
-        return MetricSpace(self.labels + (self.fresh_label(label),), tuple(rows), self.diam_bound)
+        return MetricSpace(self.labels + (fresh_label(label, set(self.labels)),), tuple(rows), self.diam_bound)
+
+
+def fresh_label(base: str, used: set[str]) -> str:
+    """`base`, primed until it is not in `used`; the result joins `used`."""
+    while base in used:
+        base += "'"
+    used.add(base)
+    return base
+
+
+def space_grid(space: MetricSpace) -> int:
+    """The common denominator of a space's distances and bound: its grid."""
+    return _common_grid(space.d, space.diam_bound)
+
+
+def scale_space(space: MetricSpace, denom: int) -> tuple[list[list[int]], int]:
+    """The distances and the bound of a space as integers on the 1/denom
+    grid, which must contain the space's own grid."""
+    if denom < 1:
+        raise PreconditionError(f"grid denominator must be >= 1, got {denom}")
+    grid = space_grid(space)
+    if denom % grid != 0:
+        raise DenominatorMismatchError(
+            f"grid denominator {denom} not divisible by the space's denominator {grid}"
+        )
+    return _on_grid(space.d, space.diam_bound, denom)
 
 
 def cap_metric(space: MetricSpace, c: RationalLike) -> MetricSpace:
@@ -370,12 +393,7 @@ def amalgamate(
 
     labels = list(x_space.labels)
     used = set(labels)
-    for j in new_y:
-        label = y_space.labels[j]
-        while label in used:
-            label += "'"
-        used.add(label)
-        labels.append(label)
+    labels += [fresh_label(y_space.labels[j], used) for j in new_y]
 
     n_x = x_space.n_points
     n = n_x + len(new_y)
@@ -507,6 +525,31 @@ def truncate_katetov(fn: KatetovFn, lam: RationalLike, mode: str) -> tuple[Fract
     raise PreconditionError(f"mode must be 'max' or 'min', got {mode!r}")
 
 
+def katetov_interval(
+    d: Sequence[Sequence[int]], values: Sequence[int], bound: int, lo: int = 0
+) -> tuple[int, int]:
+    """The feasible interval [lo, hi] of coordinate k = len(values) of a grid
+    Katetov vector over the integer matrix d, given its values at points
+    0..k-1: Katetov's one-point extension rule
+
+        max(lo, max_i |v_i - d_ik|) <= v_k <= min(bound, min_i (v_i + d_ik)).
+
+    With lo = 0 it is never empty over a valid partial assignment on a
+    metric, so a coordinate-by-coordinate walk never backtracks.
+    """
+    k = len(values)
+    hi = bound
+    for i, v in enumerate(values):
+        dik = d[i][k]
+        gap = abs(v - dik)
+        if gap > lo:
+            lo = gap
+        top = v + dik
+        if top < hi:
+            hi = top
+    return lo, hi
+
+
 def _grid_profiles(d_scaled: list[list[int]], bound_scaled: int) -> Iterator[tuple[int, ...]]:
     """DFS over grid vectors satisfying the Katetov constraints, in
     lexicographic order; all values are integers on the common grid."""
@@ -514,24 +557,18 @@ def _grid_profiles(d_scaled: list[list[int]], bound_scaled: int) -> Iterator[tup
     values: list[int] = []
 
     def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(values)
+        lo, hi = katetov_interval(d_scaled, values, bound_scaled)
+        if k == n - 1:  # the last coordinate completes a profile per value
+            prefix = tuple(values)
+            for v in range(lo, hi + 1):
+                yield prefix + (v,)
             return
-        lo, hi = 0, bound_scaled
-        for i in range(k):
-            dik = d_scaled[i][k]
-            gap = abs(values[i] - dik)
-            if gap > lo:
-                lo = gap
-            top = values[i] + dik
-            if top < hi:
-                hi = top
         for v in range(lo, hi + 1):
             values.append(v)
             yield from rec(k + 1)
             values.pop()
 
-    return rec(0)
+    return rec(0) if n else iter([()])
 
 
 def enumerate_katetov(space: MetricSpace, denom: int) -> Iterator[KatetovFn]:
@@ -541,16 +578,6 @@ def enumerate_katetov(space: MetricSpace, denom: int) -> Iterator[KatetovFn]:
     Requires every matrix entry and the diameter bound to live on that
     grid already.
     """
-    if denom < 1:
-        raise PreconditionError(f"denom must be >= 1, got {denom}")
-    scale = common_denominator(
-        itertools.chain((space.diam_bound,), itertools.chain.from_iterable(space.d))
-    )
-    if denom % scale != 0:
-        raise DenominatorMismatchError(
-            f"grid denominator {denom} not divisible by the space's denominator {scale}"
-        )
-    d_scaled = [[int(v * denom) for v in row] for row in space.d]
-    bound_scaled = int(space.diam_bound * denom)
+    d_scaled, bound_scaled = scale_space(space, denom)
     for profile in _grid_profiles(d_scaled, bound_scaled):
         yield KatetovFn(space, tuple(Fraction(v, denom) for v in profile))

@@ -3,30 +3,28 @@
 Everything here is a pure function of the supplied random.Random, so a
 fixed seed reproduces every battery bit for bit.
 
-Random metric spaces are grown point by point: the feasible interval for
-each new distance, given the distances already chosen, is
-[max_i |v_i - d_ik|, min(bound, min_i (v_i + d_ik))], which is never
-empty over a valid partial assignment, so the growth never backtracks
-and every denominator divides the chosen grid.
+Random metric spaces and random Katetov vectors are grown coordinate by
+coordinate, each value drawn uniformly from the feasible interval of
+`metric.katetov_interval` (the one the exhaustive enumeration walks), so
+the growth never backtracks and every denominator divides the chosen grid.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
-from .metric import MetricSpace
+from .metric import MetricSpace, katetov_interval, scale_space, space_grid
 from .urysohn import MARequest
 
 Rng = random.Random
 
 
-def _grow_scaled_matrix(rng: Rng, n: int, bound_scaled: int, positive: bool = True) -> list[list[int]]:
+def _grow_scaled_matrix(rng: Rng, n: int, bound_scaled: int) -> list[list[int]]:
     rows: list[list[int]] = [[0]]
-    for k in range(1, n):
-        profile = _feasible_profile(rng, rows, bound_scaled, positive=positive)
+    for _ in range(1, n):
+        profile = _feasible_profile(rng, rows, bound_scaled, positive=True)
         for i, v in enumerate(profile):
             rows[i].append(v)
         rows.append(profile + [0])
@@ -36,18 +34,13 @@ def _grow_scaled_matrix(rng: Rng, n: int, bound_scaled: int, positive: bool = Tr
 def _feasible_profile(
     rng: Rng, rows: Sequence[Sequence[int]], bound_scaled: int, positive: bool
 ) -> list[int]:
-    """One new row of distances, coordinate by coordinate."""
+    """A random grid Katetov vector over the matrix `rows` (the distances
+    of one new point), drawn with one rng.randint per coordinate over its
+    feasible interval; `positive` keeps every value at least 1."""
+    floor = 1 if positive else 0
     profile: list[int] = []
-    for k in range(len(rows)):
-        lo, hi = (1 if positive else 0), bound_scaled
-        for i in range(k):
-            dik = rows[i][k]
-            gap = abs(profile[i] - dik)
-            if gap > lo:
-                lo = gap
-            top = profile[i] + dik
-            if top < hi:
-                hi = top
+    for _ in range(len(rows)):
+        lo, hi = katetov_interval(rows, profile, bound_scaled, floor)
         profile.append(rng.randint(lo, hi))
     return profile
 
@@ -72,37 +65,13 @@ def random_metric_space(
     )
 
 
-def space_grid(space: MetricSpace) -> int:
-    """The common denominator of a generated space (its grid)."""
-    out = space.diam_bound.denominator
-    for row in space.d:
-        for v in row:
-            out = out * v.denominator // math.gcd(out, v.denominator)
-    return out
-
-
 def random_katetov_values(
     rng: Rng, space: MetricSpace, denom: int, allow_zero: bool = True
 ) -> tuple[Fraction, ...]:
-    """A random grid Katetov vector over the space, grown coordinate by
-    coordinate through the feasible intervals."""
-    d_scaled = [[int(v * denom) for v in row] for row in space.d]
-    bound_scaled = int(space.diam_bound * denom)
-    values: list[int] = []
-    for k in range(space.n_points):
-        lo, hi = 0, bound_scaled
-        for i in range(k):
-            dik = d_scaled[i][k]
-            gap = abs(values[i] - dik)
-            if gap > lo:
-                lo = gap
-            top = values[i] + dik
-            if top < hi:
-                hi = top
-        if not allow_zero and lo == 0:
-            lo = min(1, hi)
-        values.append(rng.randint(lo, hi))
-    return tuple(Fraction(v, denom) for v in values)
+    """A random Katetov vector over the space on the 1/denom grid, nowhere
+    zero unless allow_zero."""
+    d_scaled, bound_scaled = scale_space(space, denom)
+    return tuple(Fraction(v, denom) for v in _feasible_profile(rng, d_scaled, bound_scaled, not allow_zero))
 
 
 def random_ma_request(rng: Rng, max_points: int = 8, max_denom: int = 24) -> MARequest:

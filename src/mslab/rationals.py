@@ -10,10 +10,7 @@ identity on canonical strings.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Union
-
-Rational = Fraction
+from typing import Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -62,19 +59,3 @@ class ParseMemo(dict):
 
 def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def common_denominator(values: Iterable[Fraction]) -> int:
-    """Least common denominator of a collection of fractions (1 if empty)."""
-    out = 1
-    for v in values:
-        out = lcm(out, v.denominator)
-    return out
-
-
-def fraction_ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)

@@ -38,7 +38,6 @@ class WitnessReport:
     witness: Any = None
     counts: dict = field(default_factory=dict)
     caveat: str | None = None
-    elapsed_ms: int = 0
     result: Any = None  # optional constructive payload (built space, etc.)
 
     def __post_init__(self):

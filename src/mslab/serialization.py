@@ -9,7 +9,6 @@ KatetovFn:     {"space": <inline object or file path>, "values": [...]}
 Approximant:   MetricSpace keys plus {"denom", "subset_bound", "rounds",
                 "round_sizes", "log"}
 StepFn2D:      {"x_breaks": [...], "y_breaks": [...], "values": [[...]]}
-StepFn1D:      {"breaks": [...], "values": [...]}
 RadialProfile: {"breakpoints": [...], "values": [...], "tail_slope": "p/q"}
 """
 
@@ -22,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .banach import RadialProfile, StepFn1D, StepFn2D
+from .banach import RadialProfile, StepFn2D
 from .errors import MslabError, PreconditionError
 from .metric import KatetovFn, MetricSpace
 from .rationals import ParseMemo, format_rational, parse_rational
@@ -77,25 +76,28 @@ def katetov_from_dict(data: dict, base_dir: Path | None = None) -> KatetovFn:
 
 
 def approximant_to_dict(a: Approximant) -> dict:
-    out = space_to_dict(a.as_metric_space())
-    out.update(
-        {
-            "denom": a.denom,
-            "subset_bound": a.subset_bound,
-            "rounds": a.rounds,
-            "round_sizes": list(a.round_sizes),
-            "log": [
-                {
-                    "round": rec.round,
-                    "subset": list(rec.subset),
-                    "values": [format_rational(Fraction(v, a.denom)) for v in rec.values],
-                    "point": rec.point,
-                }
-                for rec in a.log
-            ],
-        }
-    )
-    return out
+    """The MetricSpace keys plus the approximant's own, formatted straight
+    from the scaled matrix with one string per distinct grid value."""
+    values = set(np.unique(a.matrix).tolist()).union(*(rec.values for rec in a.log))
+    text = {v: format_rational(Fraction(v, a.denom)) for v in values}.__getitem__
+    return {
+        "points": list(a.labels),
+        "diam": format_rational(a.diam_bound),
+        "d": [list(map(text, row)) for row in a.matrix.tolist()],
+        "denom": a.denom,
+        "subset_bound": a.subset_bound,
+        "rounds": a.rounds,
+        "round_sizes": list(a.round_sizes),
+        "log": [
+            {
+                "round": rec.round,
+                "subset": list(rec.subset),
+                "values": list(map(text, rec.values)),
+                "point": rec.point,
+            }
+            for rec in a.log
+        ],
+    }
 
 
 def approximant_from_dict(data: dict) -> Approximant:
@@ -163,14 +165,6 @@ def _check_approximant(a: Approximant):
         raise FormatError("a log record's values differ from the matrix at (subset, point)")
 
 
-def stepfn2d_to_dict(f: StepFn2D) -> dict:
-    return {
-        "x_breaks": _rat_list(f.x_breaks),
-        "y_breaks": _rat_list(f.y_breaks),
-        "values": [_rat_list(row) for row in f.values],
-    }
-
-
 def stepfn2d_from_dict(data: dict) -> StepFn2D:
     try:
         return StepFn2D(
@@ -180,28 +174,6 @@ def stepfn2d_from_dict(data: dict) -> StepFn2D:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad 2d step function payload: {exc}") from exc
-
-
-def stepfn1d_to_dict(f: StepFn1D) -> dict:
-    return {"breaks": _rat_list(f.breaks), "values": _rat_list(f.values)}
-
-
-def stepfn1d_from_dict(data: dict) -> StepFn1D:
-    try:
-        return StepFn1D(
-            tuple(parse_rational(v) for v in data["breaks"]),
-            tuple(parse_rational(v) for v in data["values"]),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise FormatError(f"bad 1d step function payload: {exc}") from exc
-
-
-def profile_to_dict(h: RadialProfile) -> dict:
-    return {
-        "breakpoints": _rat_list(h.breakpoints),
-        "values": _rat_list(h.values),
-        "tail_slope": format_rational(h.tail_slope),
-    }
 
 
 def profile_from_dict(data: dict) -> RadialProfile:
@@ -235,37 +207,17 @@ def load_space(path: str | Path) -> MetricSpace:
     return space_from_dict(_load_json(path))
 
 
-def save_space(space: MetricSpace, path: str | Path):
-    _dump_json(space_to_dict(space), path)
-
-
 def load_katetov(path: str | Path) -> KatetovFn:
     return katetov_from_dict(_load_json(path), base_dir=Path(path).parent)
-
-
-def save_katetov(fn: KatetovFn, path: str | Path):
-    _dump_json(katetov_to_dict(fn), path)
 
 
 def load_approximant(path: str | Path) -> Approximant:
     return approximant_from_dict(_load_json(path))
 
 
-def save_approximant(a: Approximant, path: str | Path):
-    _dump_json(approximant_to_dict(a), path)
-
-
 def load_stepfn2d(path: str | Path) -> StepFn2D:
     return stepfn2d_from_dict(_load_json(path))
 
 
-def load_stepfn1d(path: str | Path) -> StepFn1D:
-    return stepfn1d_from_dict(_load_json(path))
-
-
 def load_profile(path: str | Path) -> RadialProfile:
     return profile_from_dict(_load_json(path))
-
-
-def save_profile(h: RadialProfile, path: str | Path):
-    _dump_json(profile_to_dict(h), path)

@@ -49,8 +49,8 @@ from .errors import (
     PreconditionError,
     UnsaturatedError,
 )
-from .metric import MetricSpace, _grid_profiles, cap_metric, validate_metric
-from .rationals import RationalLike, as_fraction, common_denominator
+from .metric import MetricSpace, _grid_profiles, cap_metric, fresh_label, scale_space, validate_metric
+from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
 DEFAULT_BUDGET = 5000
@@ -92,18 +92,7 @@ class Approximant:
 
     @classmethod
     def from_space(cls, space: MetricSpace, denom: int, subset_bound: int) -> "Approximant":
-        if denom < 1:
-            raise PreconditionError(f"approximant denominator must be >= 1, got {denom}")
-        scale = common_denominator(
-            itertools.chain((space.diam_bound,), itertools.chain.from_iterable(space.d))
-        )
-        if denom % scale != 0:
-            raise DenominatorMismatchError(
-                f"approximant denominator {denom} not divisible by the seed's denominator {scale}"
-            )
-        # every denominator divides denom, so each scaled value is exact
-        rows = [[v.numerator * (denom // v.denominator) for v in row] for row in space.d]
-        bound_scaled = space.diam_bound.numerator * (denom // space.diam_bound.denominator)
+        rows, bound_scaled = scale_space(space, denom)
         return cls.from_grid(space.labels, rows, denom, bound_scaled, subset_bound)
 
     @classmethod
@@ -117,6 +106,8 @@ class Approximant:
     ) -> "Approximant":
         """A round-0 approximant from a square matrix of distances already
         scaled by `denom`; each must lie in [0, bound_scaled]."""
+        if subset_bound < 1:
+            raise PreconditionError(f"subset bound must be >= 1, got {subset_bound}")
         n = len(labels)
         # int64 holds every in-range value below 2**63; past that, Python ints
         try:
@@ -147,6 +138,8 @@ class Approximant:
 
     def snapshot(self, round_index: int) -> range:
         """Point indices present after the given completed round."""
+        if not 0 <= round_index < len(self.round_sizes):
+            raise PreconditionError(f"round {round_index} outside 0..{len(self.round_sizes) - 1}")
         return range(self.round_sizes[round_index])
 
     def as_metric_space(self) -> MetricSpace:
@@ -265,11 +258,7 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
             profile = (np.minimum(buf[list(subset), :n], bound - v) + v).min(axis=0)
             buf[n, :n] = profile
             buf[:n, n] = profile
-            base = f"x{n}"
-            while base in label_set:
-                base += "'"
-            label_set.add(base)
-            out.labels.append(base)
+            out.labels.append(fresh_label(f"x{n}", label_set))
             lookup.add(n, profile[:n0].tolist())
             out.log.append(RealizationRecord(round_no, subset, tuple(values), n))
             n += 1
@@ -289,6 +278,8 @@ def finite_injectivity_check(
     The fail witness is the first unrealized (subset, profile) pair in
     lexicographic order.
     """
+    if k < 0 or denom < 1:
+        raise PreconditionError(f"need k >= 0 and denom >= 1, got k={k}, denom={denom}")
     if denom % a.denom != 0:
         raise DenominatorMismatchError(
             f"check denominator {denom} not divisible by the approximant's {a.denom}"
@@ -447,12 +438,7 @@ def uwmt_extension(
 
     labels = list(base.labels)
     used = set(labels)
-    for b in range(1, k + 1):
-        lab = space.labels[zs[b]] + "'"
-        while lab in used:
-            lab += "'"
-        used.add(lab)
-        labels.append(lab)
+    labels += [fresh_label(space.labels[zs[b]] + "'", used) for b in range(1, k + 1)]
 
     out = MetricSpace(tuple(labels), tuple(tuple(r) for r in rows), bound)
     verdict = validate_metric(out.d, out.diam_bound)

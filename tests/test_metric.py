@@ -31,9 +31,11 @@ from mslab.errors import (
     LambdaOutOfRangeError,
     LengthMismatchError,
     NonSquareError,
+    PreconditionError,
     SpaceMismatchError,
 )
-from mslab.randgen import random_katetov_values, random_metric_space, space_grid
+from mslab.metric import space_grid
+from mslab.randgen import random_katetov_values, random_metric_space
 
 F = Fraction
 
@@ -480,3 +482,32 @@ def test_enumerate_count_monotone_in_denominator():
 def test_enumerate_denominator_mismatch():
     with pytest.raises(DenominatorMismatchError):
         list(enumerate_katetov(two_point(F(1, 3)), 2))
+
+
+def test_enumerate_rejects_a_nonpositive_denominator():
+    with pytest.raises(PreconditionError):
+        list(enumerate_katetov(two_point(), 0))
+
+
+# -- the shared feasible interval, from the sampling and the enumerating side ----
+
+
+def test_random_katetov_values_are_among_the_enumerated_functions():
+    rng = random.Random(17)
+    for _ in range(40):
+        space = random_metric_space(rng, max_points=4, max_denom=4)
+        q = space_grid(space)
+        every = {fn.values for fn in enumerate_katetov(space, q)}
+        for allow_zero in (True, False):
+            for _ in range(5):
+                assert random_katetov_values(rng, space, q, allow_zero=allow_zero) in every
+
+
+def test_random_katetov_values_without_zero_never_vanish():
+    rng = random.Random(19)
+    for _ in range(300):
+        space = random_metric_space(rng, max_points=8, max_denom=24)
+        q = space_grid(space)
+        values = random_katetov_values(rng, space, 2 * q, allow_zero=False)
+        assert 0 not in values and is_katetov(values, space).ok
+

@@ -1,16 +1,20 @@
 """Loading files: the per-payload parse memo and the approximant file checks."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from mslab import Approximant, MetricSpace, fraisse_step
 from mslab.cli import main
+from mslab.randgen import random_metric_space
 from mslab.serialization import (
     FormatError,
+    _dump_json,
     approximant_from_dict,
     approximant_to_dict,
+    load_approximant,
     load_space,
     space_to_dict,
 )
@@ -71,6 +75,32 @@ def test_approximant_round_trip(approx_dict):
     assert a.n_points == 18 and a.round_sizes == [2, 6, 18]
     assert approximant_to_dict(a) == approx_dict
     assert a.matrix.tolist() == [[int(F(v) * 2) for v in row] for row in approx_dict["d"]]
+
+
+def saved_bytes(payload, path) -> bytes:
+    _dump_json(payload, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("denom, rounds", [(2, 2), (4, 1), (2**66, 0)])
+def test_approximant_save_load_save_is_byte_identical(tmp_path, denom, rounds):
+    a = Approximant.from_space(three_points(), denom, 2)
+    for _ in range(rounds):
+        a = fraisse_step(a)
+    first = saved_bytes(approximant_to_dict(a), tmp_path / "first.json")
+    again = saved_bytes(approximant_to_dict(load_approximant(tmp_path / "first.json")), tmp_path / "again.json")
+    assert first == again
+    # the grid writer agrees with formatting the exact Fraction view
+    assert json.loads(first)["d"] == [[str(v) for v in row] for row in a.as_metric_space().d]
+
+
+def test_space_save_load_save_is_byte_identical(tmp_path):
+    rng = random.Random(3)
+    for i in range(20):
+        space = random_metric_space(rng, max_points=6, max_denom=24)
+        first = saved_bytes(space_to_dict(space), tmp_path / f"first{i}.json")
+        again = saved_bytes(space_to_dict(load_space(tmp_path / f"first{i}.json")), tmp_path / f"again{i}.json")
+        assert first == again
 
 
 def set_entry(data, i, j, value):

@@ -31,7 +31,8 @@ from mslab.errors import (
     PreconditionBError,
     UnsaturatedError,
 )
-from mslab.randgen import random_ma_request, random_metric_space, space_grid
+from mslab.metric import space_grid
+from mslab.randgen import random_ma_request, random_metric_space
 
 F = Fraction
 

@@ -19,7 +19,8 @@ from mslab import (
     weak_seminorm,
 )
 from mslab.errors import EmptySubsetError, IndexClashError
-from mslab.randgen import random_katetov_values, random_metric_space, space_grid
+from mslab.metric import space_grid
+from mslab.randgen import random_katetov_values, random_metric_space
 from mslab.weak import PROXIMITY_CAVEAT, landmark_gap
 
 F = Fraction
