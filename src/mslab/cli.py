@@ -15,12 +15,14 @@ import time
 from fractions import Fraction
 
 from . import banach, rado, suite
-from .errors import MslabError
+from .errors import MetricFailureError, MslabError
 from .metric import (
+    KatetovFn,
     MetricSpace,
     enumerate_katetov,
     extend_by_katetov,
     is_katetov,
+    require_metric,
     truncate_katetov,
     validate_metric,
 )
@@ -116,6 +118,25 @@ def _built(check: str, params: dict, space: MetricSpace, extra: dict | None = No
     return WitnessReport(check=check, params=params, verdict="pass", result=result)
 
 
+def _metric_from(path: str, space: MetricSpace) -> MetricSpace:
+    """A space read from a file, refused as malformed input (exit 2) unless
+    it is a metric; only `validate` reports a non-metric as a verdict."""
+    try:
+        return require_metric(space, f"{path} does not hold a metric space")
+    except MetricFailureError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _load_space(path: str) -> MetricSpace:
+    return _metric_from(path, load_space(path))
+
+
+def _load_katetov(path: str) -> KatetovFn:
+    fn = load_katetov(path)
+    _metric_from(path, fn.space)
+    return fn
+
+
 def _load_profile_arg(arg: str) -> banach.RadialProfile:
     if arg.startswith("builtin:"):
         name = arg.split(":", 1)[1]
@@ -136,18 +157,18 @@ def cmd_validate(args) -> WitnessReport:
 
 def cmd_katetov(args) -> WitnessReport:
     if args.katetov_cmd == "check":
-        fn_data = load_katetov(args.fn)
+        fn_data = _load_katetov(args.fn)
         verdict = is_katetov(fn_data.values, fn_data.space)
         return _verdict_report("katetov-check", {"points": fn_data.space.n_points}, verdict)
     if args.katetov_cmd == "extend":
-        fn_data = load_katetov(args.fn)
+        fn_data = _load_katetov(args.fn)
         out, idx = extend_by_katetov(fn_data.space, fn_data)
         rep = _built("katetov-extend", {"new_index": idx}, out)
         if args.out:
             _dump_json(space_to_dict(out), args.out)
         return rep
     if args.katetov_cmd == "enumerate":
-        space = load_space(args.space)
+        space = _load_space(args.space)
         fns = []
         total = 0
         for fn in enumerate_katetov(space, args.denom):
@@ -162,7 +183,7 @@ def cmd_katetov(args) -> WitnessReport:
             result={"values": jsonable(fns)},
         )
     if args.katetov_cmd == "truncate":
-        fn_data = load_katetov(args.fn)
+        fn_data = _load_katetov(args.fn)
         vec = truncate_katetov(fn_data, parse_rational(args.level), args.mode)
         still = is_katetov(vec, fn_data.space) if args.mode == "max" else None
         return WitnessReport(
@@ -179,7 +200,7 @@ def cmd_urysohn(args) -> WitnessReport:
     sub = args.urysohn_cmd
     if sub == "build":
         if args.seed_space:
-            seed_space = load_space(args.seed_space)
+            seed_space = _load_space(args.seed_space)
         else:
             half = Fraction(1, 2)
             seed_space = MetricSpace(("a", "b"), ((0, half), (half, 0)), 1)
@@ -201,12 +222,12 @@ def cmd_urysohn(args) -> WitnessReport:
         over = approx.snapshot(args.round) if args.round is not None else range(approx.n_points)
         return finite_injectivity_check(approx, over, args.k, approx.denom if args.denom is None else args.denom)
     if sub == "ma":
-        space = load_space(args.space)
+        space = _load_space(args.space)
         req = MARequest(space, tuple(_indices(args.f)), args.x, args.y, parse_rational(args.delta))
         out, yp = ma_extension(req)
         return _built("urysohn-ma", {"x": args.x, "y": args.y, "delta": req.delta}, out, {"new_index": yp})
     if sub == "uwmt":
-        space = load_space(args.space)
+        space = _load_space(args.space)
         out, primes = uwmt_extension(space, args.x, args.y, _indices(args.z))
         return _built("urysohn-uwmt", {"x": args.x, "y": args.y, "z": _indices(args.z)}, out, {"new_indices": primes})
     if sub in ("prop53", "bf"):
@@ -228,7 +249,7 @@ def cmd_urysohn(args) -> WitnessReport:
         out = injectivity_chain(parse_rational(args.r), parse_rational(args.s), parse_rational(args.diam))
         return _built("urysohn-chain", {"r": parse_rational(args.r), "s": parse_rational(args.s)}, out)
     if sub == "nonproper":
-        space = load_space(args.space)
+        space = _load_space(args.space)
         out, y = nonproper_witness(space, args.x, _indices(args.z), parse_rational(args.level))
         return _built("urysohn-nonproper", {"x": args.x, "lambda": parse_rational(args.level)}, out, {"new_index": y})
     raise FormatError(f"unknown urysohn subcommand {sub!r}")
@@ -237,7 +258,7 @@ def cmd_urysohn(args) -> WitnessReport:
 def cmd_weak(args) -> WitnessReport:
     sub = args.weak_cmd
     if sub == "seminorm":
-        space = load_space(args.space)
+        space = _load_space(args.space)
         sem = weak_seminorm(LandmarkSet(space, tuple(_indices(args.landmarks))))
         return WitnessReport(
             check="weak-seminorm",
@@ -246,13 +267,13 @@ def cmd_weak(args) -> WitnessReport:
             result={"matrix": jsonable([list(row) for row in sem.matrix])},
         )
     if sub == "proximity":
-        space = load_space(args.space)
+        space = _load_space(args.space)
         return proximity_test(
             _indices(args.a), _indices(args.b),
             LandmarkSet(space, tuple(_indices(args.landmarks))), parse_rational(args.eps),
         )
     if sub == "net":
-        space = load_space(args.space)
+        space = _load_space(args.space)
         reps = gromov_net_indices(space, LandmarkSet(space, tuple(_indices(args.landmarks))), parse_rational(args.eps))
         return WitnessReport(
             check="weak-net",
@@ -262,7 +283,7 @@ def cmd_weak(args) -> WitnessReport:
             result={"indices": reps},
         )
     if sub == "restrict":
-        fn_data = load_katetov(args.fn)
+        fn_data = _load_katetov(args.fn)
         out = restrict_katetov(fn_data, _indices(args.subset))
         return WitnessReport(
             check="weak-restrict",

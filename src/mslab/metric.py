@@ -10,25 +10,42 @@ vector xi with
 bounded by the diameter bound: exactly the distance profiles of one-point
 metric extensions of X.
 
+Every space also carries its integer grid (`MetricSpace.grid`): a
+denominator, the distances scaled by it as int rows, and the scaled bound.
+A builder that already holds ints (`MetricSpace.from_grid`) hands its grid
+over as it is, with one Fraction made per distinct grid value, so the
+exact `.d` view costs no Fraction arithmetic. A space built from Fractions
+(files, hand-written matrices) computes its grid on first use, once: the
+least common denominator of its entries and bound. A handed-over grid
+need not be the least one; `space_grid` reduces it by the gcd of its
+entries when asked, and only then. The grid is not a dataclass field, so
+equality, hashing and JSON see the Fractions alone.
+
 `validate_metric` is the package's universal safety net: a brute-force
 O(n^3) scan over ordered triples. The scan is the contract; everything
 below implements that same scan on integers, cross-checked in the test
-suite against the naive Fraction loop. The matrix and the bound are first
-rescaled to the grid 1/q, with q the lcm of their distinct denominators,
-as numerator * (q // denominator): exact, and free of Fraction arithmetic.
-Matrices of at least `_NUMPY_MIN_POINTS` points then run every check as
-int64 numpy passes, unless the scaled bound reaches `_INT64_SAFE` (a sum of
-two entries could then overflow) or an entry does not fit in int64. Small
-matrices and that exact fallback run the same checks as loops over Python
-ints, which never overflow.
+suite against the naive Fraction loop. `validate_metric` rescales the
+matrix and the bound to the grid 1/q, with q the lcm of their distinct
+denominators, as numerator * (q // denominator): exact, and free of
+Fraction arithmetic. `validate_scaled` is the scan itself; a space's own
+grid goes to it directly (`require_metric`), since scaling by a positive
+factor keeps every comparison, hence every verdict and witness. Matrices of
+at least `_NUMPY_MIN_POINTS` points run every check as int64 numpy passes,
+unless the scaled bound reaches `_INT64_SAFE` (a sum of two entries could
+then overflow) or an entry does not fit in int64. Small matrices and that
+exact fallback run the same checks as loops over Python ints, which never
+overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, Sequence
+from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
+from operator import add
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,15 +97,10 @@ class KatetovVerdict:
         return self.ok
 
 
-def _coerce_row(row: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    row = tuple(row)
-    if set(map(type, row)) - {Fraction}:
-        return tuple(map(as_fraction, row))
-    return row
-
-
 def _coerce_matrix(d: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(map(_coerce_row, d))
+    rows = tuple(map(tuple, d))
+    if set(map(type, chain.from_iterable(rows))) - {Fraction}:
+        rows = tuple(tuple(map(as_fraction, row)) for row in rows)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NonSquareError(f"matrix is not square: {len(rows)} rows, row lengths {[len(r) for r in rows]}")
@@ -109,7 +121,7 @@ def _on_grid(rows: Sequence[Sequence[Fraction]], bound: Fraction, q: int) -> tup
     )
 
 
-def _int64_matrix(e: list[list[int]], bound: int) -> np.ndarray | None:
+def _int64_matrix(e: Sequence[Sequence[int]], bound: int) -> np.ndarray | None:
     """The scaled matrix as int64, or None when an entry does not fit or the
     bound reaches _INT64_SAFE. The triangle scan adds two entries only after
     every entry has been checked against the bound, so it cannot overflow."""
@@ -121,7 +133,7 @@ def _int64_matrix(e: list[list[int]], bound: int) -> np.ndarray | None:
         return None
 
 
-def _precondition_scan_int(e: list[list[int]], bound: int) -> MetricVerdict | None:
+def _precondition_scan_int(e: Sequence[Sequence[int]], bound: int) -> MetricVerdict | None:
     n = len(e)
     for i in range(n):
         for j in range(i + 1, n):
@@ -161,19 +173,19 @@ def _precondition_scan_numpy(d: np.ndarray, bound: int) -> MetricVerdict | None:
     return None
 
 
-def _triangle_scan_int(e: list[list[int]]) -> tuple[int, int, int] | None:
+def _triangle_scan_int(e: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    # Runs after the symmetry, diagonal and sign checks. Then k = i and
+    # k = j never violate, and (i, j, k) violates iff (j, i, k) does, so the
+    # first violating triple has i < j, and (i, j) violates iff d[i,j]
+    # exceeds the least d[i,k] + d[j,k]; only then is its first k sought.
     n = len(e)
     for i in range(n):
         ei = e[i]
-        for j in range(n):
-            if j == i:
-                continue
+        for j in range(i + 1, n):
+            ej = e[j]
             dij = ei[j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > ei[k] + e[k][j]:
-                    return (i, j, k)
+            if dij > min(map(add, ei, ej)):
+                return (i, j, next(k for k in range(n) if dij > ei[k] + ej[k]))
     return None
 
 
@@ -201,7 +213,12 @@ def validate_metric(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLik
     """
     rows = _coerce_matrix(d)
     diam = as_fraction(diam_bound)
-    e, bound = _on_grid(rows, diam, _common_grid(rows, diam))
+    return validate_scaled(*_on_grid(rows, diam, _common_grid(rows, diam)))
+
+
+def validate_scaled(e: Sequence[Sequence[int]], bound: int) -> MetricVerdict:
+    """The checks of `validate_metric` on a square matrix and a bound that
+    are already integers on one grid."""
     arr = _int64_matrix(e, bound) if len(e) >= _NUMPY_MIN_POINTS else None
     if arr is None:
         verdict = _precondition_scan_int(e, bound)
@@ -232,23 +249,45 @@ def validate_pseudometric(d: Sequence[Sequence[RationalLike]]) -> MetricVerdict:
         for j in range(i + 1, n):
             if rows[i][j] < 0:
                 return MetricVerdict(False, "nonpositive-off-diagonal", (i, j))
-    hit = _triangle_scan_int([list(row) for row in rows])
+    hit = _triangle_scan_int(rows)
     if hit is not None:
         return MetricVerdict(False, "triangle", hit)
     return MetricVerdict(True)
 
 
+class Grid(NamedTuple):
+    """A space's distances and bound as integers on the 1/denom grid:
+    d[i][j] = rows[i][j] / denom and diam_bound = bound / denom. The rows
+    are shared with whoever built them; never mutate them."""
+
+    denom: int
+    rows: Sequence[Sequence[int]]
+    bound: int
+
+
+class _GridFractions(dict):
+    """Scaled grid value -> its Fraction on the 1/denom grid, made once."""
+
+    def __init__(self, denom: int):
+        super().__init__()
+        self.denom = denom
+
+    def __missing__(self, v: int) -> Fraction:
+        q = self[v] = Fraction(v, self.denom)
+        return q
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """Finite point set with an exact symmetric distance matrix and a
-    declared diameter bound."""
+    declared diameter bound, plus its integer grid (see the module notes)."""
 
     labels: tuple[str, ...]
     d: tuple[tuple[Fraction, ...], ...]
     diam_bound: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         object.__setattr__(self, "d", _coerce_matrix(self.d))
         object.__setattr__(self, "diam_bound", as_fraction(self.diam_bound))
         if len(self.labels) != len(self.d):
@@ -262,13 +301,26 @@ class MetricSpace:
         diam_bound: RationalLike,
     ) -> "MetricSpace":
         """Build and validate; raises MetricFailureError on any violation."""
-        space = cls(tuple(labels), d, diam_bound)  # type: ignore[arg-type]
-        verdict = validate_metric(space.d, space.diam_bound)
-        if not verdict:
-            raise MetricFailureError(
-                f"invalid metric: {verdict.reason} at {verdict.witness}", verdict
-            )
+        return require_metric(cls(tuple(labels), d, diam_bound), "invalid metric")  # type: ignore[arg-type]
+
+    @classmethod
+    def from_grid(
+        cls, labels: Sequence[str], rows: Sequence[Sequence[int]], denom: int, bound: int
+    ) -> "MetricSpace":
+        """The space with distances rows[i][j] / denom and diameter bound
+        bound / denom (no validation here). It keeps `Grid(denom, rows,
+        bound)` as its grid, and makes one Fraction per distinct value."""
+        fractions = _GridFractions(denom)
+        space = cls(tuple(labels), tuple(tuple(map(fractions.__getitem__, row)) for row in rows), fractions[bound])
+        space.__dict__["grid"] = Grid(denom, rows, bound)
         return space
+
+    @cached_property
+    def grid(self) -> Grid:
+        """The integer grid: handed over by `from_grid`, or else the least
+        common grid of the Fractions, computed on first use."""
+        denom = _common_grid(self.d, self.diam_bound)
+        return Grid(denom, *_on_grid(self.d, self.diam_bound, denom))
 
     @property
     def n_points(self) -> int:
@@ -280,10 +332,9 @@ class MetricSpace:
     def restrict(self, indices: Sequence[int]) -> "MetricSpace":
         """Subspace on the given indices, in the given order."""
         idx = list(indices)
-        return MetricSpace(
-            tuple(self.labels[i] for i in idx),
-            tuple(tuple(self.d[i][j] for j in idx) for i in idx),
-            self.diam_bound,
+        denom, rows, bound = self.grid
+        return MetricSpace.from_grid(
+            [self.labels[i] for i in idx], [[rows[i][j] for j in idx] for i in idx], denom, bound
         )
 
     def with_point(self, label: str, profile: Sequence[RationalLike]) -> "MetricSpace":
@@ -296,6 +347,16 @@ class MetricSpace:
         return MetricSpace(self.labels + (fresh_label(label, set(self.labels)),), tuple(rows), self.diam_bound)
 
 
+def require_metric(space: MetricSpace, what: str) -> MetricSpace:
+    """The space itself, checked by `validate_scaled` on its own grid;
+    raises MetricFailureError("<what>: <reason> at <witness>") otherwise."""
+    _, rows, bound = space.grid
+    verdict = validate_scaled(rows, bound)
+    if not verdict:
+        raise MetricFailureError(f"{what}: {verdict.reason} at {verdict.witness}", verdict)
+    return space
+
+
 def fresh_label(base: str, used: set[str]) -> str:
     """`base`, primed until it is not in `used`; the result joins `used`."""
     while base in used:
@@ -305,21 +366,28 @@ def fresh_label(base: str, used: set[str]) -> str:
 
 
 def space_grid(space: MetricSpace) -> int:
-    """The common denominator of a space's distances and bound: its grid."""
-    return _common_grid(space.d, space.diam_bound)
+    """The least common denominator of a space's distances and bound: its
+    grid denominator reduced by the gcd of every scaled value."""
+    denom, rows, bound = space.grid
+    common = gcd(denom, bound)
+    if common > 1:
+        common = gcd(common, *chain.from_iterable(rows))
+    return denom // common
 
 
 def scale_space(space: MetricSpace, denom: int) -> tuple[list[list[int]], int]:
     """The distances and the bound of a space as integers on the 1/denom
-    grid, which must contain the space's own grid."""
+    grid, which must contain the space's own least grid."""
     if denom < 1:
         raise PreconditionError(f"grid denominator must be >= 1, got {denom}")
-    grid = space_grid(space)
-    if denom % grid != 0:
+    held, rows, bound = space.grid
+    least = held if denom % held == 0 else space_grid(space)
+    if denom % least != 0:
         raise DenominatorMismatchError(
-            f"grid denominator {denom} not divisible by the space's denominator {grid}"
+            f"grid denominator {denom} not divisible by the space's denominator {least}"
         )
-    return _on_grid(space.d, space.diam_bound, denom)
+    # exact: denom * v is a multiple of `held` whenever 1/denom holds v / held
+    return [[v * denom // held for v in row] for row in rows], bound * denom // held
 
 
 def cap_metric(space: MetricSpace, c: RationalLike) -> MetricSpace:
@@ -329,11 +397,7 @@ def cap_metric(space: MetricSpace, c: RationalLike) -> MetricSpace:
     if cap <= 0:
         raise PreconditionError(f"cap must be positive, got {cap}")
     rows = tuple(tuple(min(v, cap) for v in row) for row in space.d)
-    out = MetricSpace(space.labels, rows, cap)
-    verdict = validate_metric(out.d, out.diam_bound)
-    if not verdict:
-        raise MetricFailureError(f"capped matrix invalid: {verdict.reason} at {verdict.witness}", verdict)
-    return out
+    return require_metric(MetricSpace(space.labels, rows, cap), "capped matrix invalid")
 
 
 @dataclass(frozen=True)
@@ -414,11 +478,7 @@ def amalgamate(
             rows[i][n_x + a] = cross
             rows[n_x + a][i] = cross
 
-    out = MetricSpace(tuple(labels), tuple(tuple(r) for r in rows), bound)
-    verdict = validate_metric(out.d, out.diam_bound)
-    if not verdict:
-        raise MetricFailureError(f"amalgam invalid: {verdict.reason} at {verdict.witness}", verdict)
-    return out
+    return require_metric(MetricSpace(tuple(labels), tuple(tuple(r) for r in rows), bound), "amalgam invalid")
 
 
 @dataclass(frozen=True)
@@ -489,10 +549,7 @@ def extend_by_katetov(space: MetricSpace, fn: KatetovFn) -> tuple[MetricSpace, i
     for i, v in enumerate(fn.values):
         if v == 0:
             raise DuplicatePointError(f"profile vanishes at point {i}; realization would duplicate it")
-    out = space.with_point(f"x{space.n_points}", fn.values)
-    check = validate_metric(out.d, out.diam_bound)
-    if not check:
-        raise MetricFailureError(f"extension invalid: {check.reason} at {check.witness}", check)
+    out = require_metric(space.with_point(f"x{space.n_points}", fn.values), "extension invalid")
     return out, out.n_points - 1
 
 

@@ -58,11 +58,7 @@ def random_metric_space(
     bound_scaled = rng.randint(max(min_diam_steps, 2), 2 * q)
     n = rng.randint(min_points, max_points)
     rows = _grow_scaled_matrix(rng, n, bound_scaled)
-    return MetricSpace(
-        tuple(f"p{i}" for i in range(n)),
-        tuple(tuple(Fraction(v, q) for v in row) for row in rows),
-        Fraction(bound_scaled, q),
-    )
+    return MetricSpace.from_grid([f"p{i}" for i in range(n)], rows, q, bound_scaled)
 
 
 def random_katetov_values(
@@ -85,24 +81,27 @@ def random_ma_request(rng: Rng, max_points: int = 8, max_denom: int = 24) -> MAR
     while True:
         space = random_metric_space(rng, min_points=2, max_points=max_points, max_denom=max_denom)
         n = space.n_points
+        denom, d, bound = space.grid
         q = space_grid(space)
         x = rng.randrange(n)
         y = rng.randrange(n)
         others = [i for i in range(n) if i not in (x, y)]
         rng.shuffle(others)
         F = tuple(sorted(others[: rng.randint(0, len(others))]))
-        lo = Fraction(0)
-        hi = space.diam_bound
+        lo = 0
+        hi = bound
         for z in F:
-            gap = abs(space.d[x][z] - space.d[y][z])
+            gap = abs(d[x][z] - d[y][z])
             if gap > lo:
                 lo = gap
-            two_leg = space.d[x][z] + space.d[y][z]
+            two_leg = d[x][z] + d[y][z]
             if two_leg < hi:
                 hi = two_leg
-        # grid points with lo < delta <= hi and delta < diam_bound
-        lo_step = int(lo * q) + 1
-        hi_step = min(int(hi * q), int(space.diam_bound * q) - 1)
+        # points of the least grid 1/q with lo < delta <= hi and
+        # delta < diam_bound; one of its steps spans `per` steps of 1/denom
+        per = denom // q
+        lo_step = lo // per + 1
+        hi_step = min(hi // per, bound // per - 1)
         if lo_step > hi_step:
             continue
         delta = Fraction(rng.randint(lo_step, hi_step), q)

@@ -104,8 +104,9 @@ def approximant_from_dict(data: dict) -> Approximant:
     """Parse an approximant straight onto its 1/denom grid and check that
     the file is one: a square symmetric matrix with zero diagonal and
     entries on the grid in [0, diam], non-decreasing `round_sizes` ending
-    at the point count, and log records that index existing points and
-    agree with the matrix."""
+    at the point count, one more entry in `round_sizes` than `rounds`, and
+    log records of rounds 1..`rounds` that index existing points and agree
+    with the matrix."""
     try:
         denom = int(data["denom"])
         if denom < 1:
@@ -150,8 +151,12 @@ def _check_approximant(a: Approximant):
     sizes = a.round_sizes
     if not sizes or sizes[-1] != n or any(x > y for x, y in zip(sizes, sizes[1:])):
         raise FormatError(f"round_sizes {sizes} must be non-decreasing and end at {n}")
+    if a.rounds != len(sizes) - 1:
+        raise FormatError(f"rounds is {a.rounds}, but round_sizes {sizes} records {len(sizes) - 1}")
     if not a.log:
         return
+    if not all(1 <= rec.round <= a.rounds for rec in a.log):
+        raise FormatError(f"a log record's round is outside 1..{a.rounds}")
     lengths = [len(rec.subset) for rec in a.log]
     if lengths != [len(rec.values) for rec in a.log]:
         raise FormatError("a log record has a different number of values than subset points")

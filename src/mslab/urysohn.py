@@ -10,12 +10,18 @@ ints past uint64, so huge denominators stay exact). A saturation round
 writes each new point's row and column in place into spare capacity that
 doubles when full and never exceeds the round's point budget. Readers take
 values out as Python ints, one `tolist` or fancy index per call; the exact
-Fraction view is materialized on demand.
+Fraction view is materialized on demand, as a MetricSpace that keeps the
+matrix's grid.
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
 one- or k-point metric extension from a prescribed distance recipe and
-re-validate the result; they certify recipes, they never repair them.
+re-validate the result; they certify recipes, they never repair them. The
+MA, UWMT, Prop 5.3 and level-companion recipes run on the integer grid of
+their input space: they read its scaled rows, refine the grid only when a
+prescribed value (delta, lambda, or a Prop 5.3 displacement t0 set by an
+eps between grid points) falls off it, check the result with the integer
+scan `validate_scaled`, and make Fractions only for the output space.
 
 For the two k-point recipes the prescribed cross distances are completed
 to the shortest-path values through all available legs. The naive
@@ -31,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +55,7 @@ from .errors import (
     PreconditionError,
     UnsaturatedError,
 )
-from .metric import MetricSpace, _grid_profiles, cap_metric, fresh_label, scale_space, validate_metric
+from .metric import MetricSpace, _grid_profiles, cap_metric, fresh_label, require_metric, scale_space
 from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
@@ -143,17 +149,12 @@ class Approximant:
         return range(self.round_sizes[round_index])
 
     def as_metric_space(self) -> MetricSpace:
-        return MetricSpace(tuple(self.labels), self._fraction_rows(self.matrix.tolist()), self.diam_bound)
+        return MetricSpace.from_grid(self.labels, self.matrix.tolist(), self.denom, self.bound_scaled)
 
     def restrict_space(self, indices: Sequence[int]) -> MetricSpace:
         idx = list(indices)
         sub = self.matrix.take(idx, 0).take(idx, 1).tolist()
-        return MetricSpace(tuple(self.labels[i] for i in idx), self._fraction_rows(sub), self.diam_bound)
-
-    def _fraction_rows(self, rows: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact rows, with one shared Fraction per distinct grid value."""
-        fractions = _GridFractions(self.denom)
-        return tuple(tuple(map(fractions.__getitem__, row)) for row in rows)
+        return MetricSpace.from_grid([self.labels[i] for i in idx], sub, self.denom, self.bound_scaled)
 
     def copy(self) -> "Approximant":
         return replace(
@@ -163,18 +164,6 @@ class Approximant:
             round_sizes=list(self.round_sizes),
             log=list(self.log),
         )
-
-
-class _GridFractions(dict):
-    """Scaled grid value -> its Fraction on the 1/denom grid, made once."""
-
-    def __init__(self, denom: int):
-        super().__init__()
-        self.denom = denom
-
-    def __missing__(self, v: int) -> Fraction:
-        q = self[v] = Fraction(v, self.denom)
-        return q
 
 
 def _subsets_lex(points: Sequence[int], max_size: int):
@@ -343,6 +332,38 @@ class MARequest:
         object.__setattr__(self, "delta", as_fraction(self.delta))
 
 
+def _lift(space: MetricSpace, value: Fraction) -> tuple[int, Sequence[Sequence[int]], int, int]:
+    """The space's grid refined just enough to hold `value` as well:
+    (denom, scaled rows, scaled bound, scaled value)."""
+    denom, rows, bound = space.grid
+    lifted = lcm(denom, value.denominator)
+    if lifted != denom:
+        f = lifted // denom
+        rows = [[v * f for v in row] for row in rows]
+        bound *= f
+    return lifted, rows, bound, value.numerator * (lifted // value.denominator)
+
+
+def _extend(
+    labels: Sequence[str],
+    e: Sequence[Sequence[int]],
+    keep: Sequence[int],
+    label: str,
+    profile: Sequence[int],
+    denom: int,
+    bound: int,
+    what: str,
+) -> tuple[MetricSpace, int]:
+    """The restriction of the scaled matrix `e` to `keep`, plus one point
+    (fresh label from `label`) at the scaled distances `profile`, given in
+    `keep` order; validated on the grid, raising as `what` on a violation."""
+    rows = [[e[i][j] for j in keep] + [p] for i, p in zip(keep, profile)]
+    rows.append([*profile, 0])
+    names = [labels[i] for i in keep]
+    names.append(fresh_label(label, set(names)))
+    return require_metric(MetricSpace.from_grid(names, rows, denom, bound), what), len(keep)
+
+
 def ma_extension(req: MARequest) -> tuple[MetricSpace, int]:
     """Realize the prescribed point y': d(y', x) = delta and
     d(y', z) = d(y, z) for z in F, over the restriction to F and x.
@@ -361,25 +382,17 @@ def ma_extension(req: MARequest) -> tuple[MetricSpace, int]:
         raise PreconditionError(f"delta must be positive, got {delta}")
     if delta >= space.diam_bound:
         raise DiameterExceededError(f"delta {delta} not below the diameter bound {space.diam_bound}")
+    denom, e, bound, step = _lift(space, delta)
     for z in F:
-        if abs(space.d[x][z] - space.d[y][z]) >= delta:
+        if abs(e[x][z] - e[y][z]) >= step:
             raise PreconditionAError(f"|d(x,z)-d(y,z)| >= delta at z={z}", z=z)
     for z in F:
-        if delta > space.d[x][z] + space.d[y][z]:
+        if step > e[x][z] + e[y][z]:
             raise PreconditionBError(f"delta > d(x,z)+d(y,z) at z={z}", z=z)
 
     keep = sorted(set(F) | {x})
-    pos = {orig: i for i, orig in enumerate(keep)}
-    base = space.restrict(keep)
-    profile = [Fraction(0)] * len(keep)
-    profile[pos[x]] = delta
-    for z in F:
-        profile[pos[z]] = space.d[y][z]
-    out = base.with_point(space.labels[y] + "'", profile)
-    verdict = validate_metric(out.d, out.diam_bound)
-    if not verdict:
-        raise MetricFailureError(f"ma extension invalid: {verdict.reason} at {verdict.witness}", verdict)
-    return out, out.n_points - 1
+    profile = [step if w == x else e[y][w] for w in keep]
+    return _extend(space.labels, e, keep, space.labels[y] + "'", profile, denom, bound, "ma extension invalid")
 
 
 def uwmt_extension(
@@ -400,52 +413,46 @@ def uwmt_extension(
         raise IndexClashError("x, y and Z must be pairwise distinct indices")
     keep = sorted(members)
     pos = {orig: i for i, orig in enumerate(keep)}
-    base = space.restrict(keep)
     m = len(keep)
     k = len(Z)
     zs = [x, *Z]  # z_0 = x
-    e = space.d[x][y]
-    bound = space.diam_bound
+    denom, d, bound = space.grid
+    e = d[x][y]
 
-    def cross(i: int, j: int) -> Fraction:
+    def cross(i: int, j: int) -> int:
         """d(z_i, z'_j): through the matched legs and through y itself."""
         best = bound
-        through_y = space.d[zs[i]][y] + space.d[x][zs[j]]
+        through_y = d[zs[i]][y] + d[x][zs[j]]
         if through_y < best:
             best = through_y
         for l in range(k + 1):
-            leg = space.d[zs[i]][zs[l]] + e + space.d[zs[l]][zs[j]]
+            leg = d[zs[i]][zs[l]] + e + d[zs[l]][zs[j]]
             if leg < best:
                 best = leg
         return best
 
     n = m + k
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(m):
         for j in range(m):
-            rows[i][j] = base.d[i][j]
+            rows[i][j] = d[keep[i]][keep[j]]
     for a in range(1, k + 1):
         for b in range(1, k + 1):
-            rows[m + a - 1][m + b - 1] = space.d[zs[a]][zs[b]]
+            rows[m + a - 1][m + b - 1] = d[zs[a]][zs[b]]
     for w in keep:
         for b in range(1, k + 1):
             if w == y:
-                val = space.d[x][zs[b]]
+                val = d[x][zs[b]]
             else:
                 val = cross(zs.index(w), b)
             rows[pos[w]][m + b - 1] = val
             rows[m + b - 1][pos[w]] = val
 
-    labels = list(base.labels)
+    labels = [space.labels[i] for i in keep]
     used = set(labels)
     labels += [fresh_label(space.labels[zs[b]] + "'", used) for b in range(1, k + 1)]
 
-    out = MetricSpace(tuple(labels), tuple(tuple(r) for r in rows), bound)
-    verdict = validate_metric(out.d, out.diam_bound)
-    if not verdict:
-        raise MetricFailureError(
-            f"uwmt extension invalid: {verdict.reason} at {verdict.witness}", verdict
-        )
+    out = require_metric(MetricSpace.from_grid(labels, rows, denom, bound), "uwmt extension invalid")
     return out, list(range(m, n))
 
 
@@ -493,16 +500,18 @@ class BFState:
         return tuple(b for _, b in self.pairs)
 
 
-def _prop53_profile(st: BFState, z: int) -> tuple[list[int], dict[int, Fraction], Fraction]:
+def _prop53_profile(st: BFState, z: int) -> tuple[list[int], list[list], Fraction]:
     """Prescribed distances for the transported point z'.
 
-    Returns (kept original indices, profile over them, d(z', z)). The
-    profile is the Katetov completion of the recipe: exact a_i = d(z, x_i)
-    on the images y_i, per-pair min(bound, a_i + d(x_i, y_i)) on the x_i,
-    and min(eps, min_i(a_i + d(y_i, z))) on z itself, all closed under
-    one-leg paths so the result is always a one-point metric extension.
-    The arithmetic runs on the scaled grid; only eps may fall between grid
-    points, so t0 and the values it reaches may be non-integral.
+    Returns (kept original indices, the extension's matrix, d(z', z)). The
+    matrix holds the distances among the kept points and, as its last row
+    and column, the profile of z', all scaled by the approximant's denom.
+    The profile is the Katetov completion of the recipe: exact
+    a_i = d(z, x_i) on the images y_i, per-pair min(bound, a_i + d(x_i, y_i))
+    on the x_i, and min(eps, min_i(a_i + d(y_i, z))) on z itself, all closed
+    under one-leg paths so the result is always a one-point metric
+    extension. Only eps may fall between grid points, so t0 and the profile
+    values it reaches may be non-integral Fractions.
     """
     if not st.pairs:
         raise EmptyStateError("back-and-forth state has no pairs")
@@ -518,34 +527,43 @@ def _prop53_profile(st: BFState, z: int) -> tuple[list[int], dict[int, Fraction]
     a = [dz[xp] for xp, _ in legs]
     # a distance can never exceed the bound, so the bound joins the min
     t0 = min(st.eps * ap.denom, bound, min(ai + dz[yp] for ai, (_, yp) in zip(a, legs)))
+    if t0.denominator == 1:  # an integral t0 keeps the profile, and the grid, on ints
+        t0 = t0.numerator
     c = [min(bound, ai + d[xp][yp]) for ai, (xp, yp) in zip(a, legs)]
 
-    profile: dict[int, Fraction] = {}
-    for w, wp in pos.items():
+    profile = []
+    for wp in range(len(keep)):
         best = min(bound, t0 + dz[wp])
         for ai, ci, (xp, yp) in zip(a, c, legs):
             best = min(best, ai + d[yp][wp], ci + d[xp][wp])
-        profile[w] = Fraction(best, ap.denom)
-    return keep, profile, Fraction(t0, ap.denom)
+        profile.append(best)
+    rows = [row + [p] for row, p in zip(d, profile)]
+    rows.append(profile + [0])
+    return keep, rows, Fraction(t0, ap.denom)
 
 
 def prop53_extension(st: BFState, z: int) -> tuple[MetricSpace, int]:
     """Add the transported point z' with d(z', y_i) = d(z, x_i) exactly and
     d(z', z) <= eps, over the restriction to the pairs and z."""
-    keep, profile, t0 = _prop53_profile(st, z)
-    base = st.space.restrict_space(keep)
-    out = base.with_point(st.space.labels[z] + "'", [profile[w] for w in keep])
-    verdict = validate_metric(out.d, out.diam_bound)
-    if not verdict:
+    keep, rows, t0 = _prop53_profile(st, z)
+    ap = st.space
+    # an eps between grid points puts the profile on a finer grid
+    lift = lcm(*(v.denominator for v in rows[-1]))
+    if lift > 1:
+        rows = [[int(v * lift) for v in row] for row in rows]
+    labels = [ap.labels[w] for w in keep]
+    labels.append(fresh_label(ap.labels[z] + "'", set(labels)))
+    out = require_metric(
+        MetricSpace.from_grid(labels, rows, ap.denom * lift, ap.bound_scaled * lift),
+        "transport extension invalid",
+    )
+    moved = out.d[-1][keep.index(z)]
+    if moved != t0 or t0 > st.eps:
         raise MetricFailureError(
-            f"transport extension invalid: {verdict.reason} at {verdict.witness}", verdict
-        )
-    if profile[z] != t0 or t0 > st.eps:
-        raise MetricFailureError(
-            f"transport extension breaks its contract: d(z', z) = {profile[z]}, "
+            f"transport extension breaks its contract: d(z', z) = {moved}, "
             f"t0 = {t0}, eps = {st.eps}"
         )
-    return out, out.n_points - 1
+    return out, len(keep)
 
 
 def back_and_forth_extend(st: BFState, z: int) -> BFState:
@@ -555,16 +573,15 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
     Raises Unsaturated when no point matches; the caller should run
     fraisse_step and retry.
     """
-    keep, profile, _ = _prop53_profile(st, z)
+    keep, rows, _ = _prop53_profile(st, z)
     ap = st.space
     targets: list[int] = []
-    for w in keep:
-        scaled = profile[w] * ap.denom
-        if scaled.denominator != 1:
+    for w, v in zip(keep, rows[-1]):
+        if v.denominator != 1:
             raise UnsaturatedError(
-                f"profile value {profile[w]} at point {w} is off the 1/{ap.denom} grid"
+                f"profile value {Fraction(v, ap.denom)} at point {w} is off the 1/{ap.denom} grid"
             )
-        targets.append(int(scaled))
+        targets.append(int(v))
     hits = np.flatnonzero(
         (ap.matrix.take(keep, 1) == np.array(targets, dtype=ap.matrix.dtype)).all(axis=1)
     )
@@ -615,17 +632,7 @@ def nonproper_witness(
         raise IndexClashError("duplicate indices in Z")
     if not 0 < level < space.diam_bound:
         raise LambdaOutOfRangeError(f"lambda {level} outside (0, {space.diam_bound})")
+    denom, e, bound, step = _lift(space, level)
     keep = sorted({x, *Z})
-    pos = {orig: i for i, orig in enumerate(keep)}
-    base = space.restrict(keep)
-    profile = [Fraction(0)] * len(keep)
-    profile[pos[x]] = level
-    for z in Z:
-        profile[pos[z]] = max(level, space.d[x][z])
-    out = base.with_point("y", profile)
-    verdict = validate_metric(out.d, out.diam_bound)
-    if not verdict:
-        raise MetricFailureError(
-            f"level companion invalid: {verdict.reason} at {verdict.witness}", verdict
-        )
-    return out, out.n_points - 1
+    profile = [step if w == x else max(step, e[x][w]) for w in keep]
+    return _extend(space.labels, e, keep, "y", profile, denom, bound, "level companion invalid")

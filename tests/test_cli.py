@@ -1,12 +1,16 @@
-"""The command line at its argument boundary, and one pinned build output."""
+"""The command line at its argument boundary, on non-metric space files,
+and one pinned build output."""
 
 import hashlib
+import json
 
 import pytest
 
 from mslab.cli import main
 
 APPROX = "APPROX"  # replaced by the path of a round-1 approximant file
+SPACE = "SPACE"  # replaced by the path of a non-metric space file
+FN = "FN"  # replaced by the path of a Katetov file over that space
 
 # Each row once crashed with a traceback, reported a mathematical verdict or
 # a `pass`; an argument outside its range must be a usage error (exit 2).
@@ -65,3 +69,46 @@ def test_in_range_arguments_still_run(approx_file, capsys):
 def test_build_stdout_is_pinned(capsys):
     assert main(["urysohn", "build", "--denom", "2", "--rounds", "2"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BUILD_SHA
+
+
+# d(b, c) = 0 and d(a, c) = 2 > d(a, b) + d(b, c); the Katetov file's values
+# pass the Katetov inequalities over that matrix. Each subcommand below once
+# ran on the non-metric and reported a verdict (most of them `pass`).
+NON_METRIC = {"points": ["a", "b", "c"], "diam": "2", "d": [["0", "1", "2"], ["1", "0", "0"], ["2", "0", "0"]]}
+READS_A_SPACE = [
+    ["katetov", "check", FN],
+    ["katetov", "extend", FN],
+    ["katetov", "enumerate", SPACE, "--denom", "1"],
+    ["katetov", "truncate", FN, "--level", "1/2", "--mode", "max"],
+    ["urysohn", "build", "--seed-space", SPACE, "--rounds", "0"],
+    ["urysohn", "ma", SPACE, "--x", "0", "--y", "2", "--delta", "1"],
+    ["urysohn", "uwmt", SPACE, "--x", "0", "--y", "1"],
+    ["urysohn", "nonproper", SPACE, "--x", "0", "--level", "1/2"],
+    ["weak", "seminorm", SPACE, "--landmarks", "0"],
+    ["weak", "proximity", SPACE, "--a", "0", "--b", "1", "--landmarks", "0", "--eps", "1"],
+    ["weak", "net", SPACE, "--landmarks", "0", "--eps", "1"],
+    ["weak", "restrict", FN, "--subset", "0"],
+]
+
+
+@pytest.fixture(scope="module")
+def non_metric_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("non-metric")
+    (root / "space.json").write_text(json.dumps(NON_METRIC))
+    (root / "fn.json").write_text(json.dumps({"space": "space.json", "values": ["1", "1", "1"]}))
+    return {SPACE: str(root / "space.json"), FN: str(root / "fn.json")}
+
+
+@pytest.mark.parametrize("argv", READS_A_SPACE, ids=" ".join)
+def test_non_metric_space_file_exits_2(argv, non_metric_files, capsys):
+    assert run([non_metric_files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not hold a metric space: nonpositive-off-diagonal at (1, 2)" in captured.err
+
+
+def test_validate_reports_a_non_metric_as_a_fail(non_metric_files, capsys):
+    assert run(["validate", non_metric_files[SPACE]]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert report["witness"] == {"reason": "nonpositive-off-diagonal", "at": [1, 2]}

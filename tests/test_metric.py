@@ -186,6 +186,21 @@ def nonpositive(rng, rows):
 
 
 @given(st.integers(0, 10**9))
+@settings(max_examples=30, deadline=None)
+def test_validate_int_scan_witness_matches_naive(seed):
+    # below 48 points the Python-int scan runs; a pair moved to the bound 2
+    # breaks the triangle through many k, and a pair moved down breaks the
+    # pairs around it: the witness is still the first (i, j, k) in lex order
+    rng = random.Random(seed)
+    n = rng.randint(3, 47)
+    rows = random_unit_metric(rng, n, rng.randint(1, 6))
+    for _ in range(rng.randint(1, 3)):
+        triangle_only(rng, rows)
+    got = validate_metric(rows, 2)
+    assert (got.reason, got.witness) == (naive_validate(rows, 2) or (None, None))
+
+
+@given(st.integers(0, 10**9))
 @settings(max_examples=6, deadline=None)
 def test_validate_numpy_path_matches_naive_on_corruptions(seed):
     rng = random.Random(seed)

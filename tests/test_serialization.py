@@ -180,11 +180,19 @@ def _denominator_zero(data):
     data["denom"] = 0
 
 
+def _rounds_disagree_with_sizes(data):
+    data["rounds"] = 5
+
+
+def _log_round_out_of_range(data):
+    data["log"][-1]["round"] = 3
+
+
 CORRUPTIONS = [
     _non_square, _extra_row, _asymmetric, _nonzero_diagonal, _off_grid, _above_diam, _negative,
     _diam_off_grid, _sizes_decreasing, _sizes_wrong_end, _sizes_empty, _log_point_out_of_range,
     _log_point_negative, _log_subset_out_of_range, _log_values_differ, _log_values_too_short,
-    _log_value_off_grid, _denominator_zero,
+    _log_value_off_grid, _denominator_zero, _rounds_disagree_with_sizes, _log_round_out_of_range,
 ]
 
 
