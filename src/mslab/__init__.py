@@ -1,10 +1,11 @@
 """mslab: an exact-rational desk lab for finite metric geometry.
 
-Finite metric spaces with exact rational distances, the Katetov
-one-point-extension calculus over them, saturation towards finite
-Urysohn-sphere approximants, landmark seminorms, the step-function
-computations behind the L^p separation example, radial profile checks,
-and a computable copy of the universal homogeneous graph. Every
+Finite metric spaces with exact rational distances, held as integers on
+their least common grid; the Katetov one-point-extension calculus over
+them, on that grid; saturation towards finite Urysohn-sphere
+approximants, landmark seminorms, the step-function computations behind
+the L^p separation example, radial profile checks, and a computable copy
+of the universal homogeneous graph. Every
 constructive operation re-validates its output; every check reports a
 structured, reproducible verdict.
 """

@@ -131,10 +131,17 @@ def _load_space(path: str) -> MetricSpace:
     return _metric_from(path, load_space(path))
 
 
-def _load_katetov(path: str) -> KatetovFn:
+def _load_values(path: str) -> KatetovFn:
+    """A Katetov file's values over a metric space, not yet checked."""
     fn = load_katetov(path)
     _metric_from(path, fn.space)
     return fn
+
+
+def _load_katetov(path: str) -> KatetovFn:
+    """A Katetov file, refused (exit 2) unless its values are Katetov."""
+    fn = _load_values(path)
+    return KatetovFn.over(fn.space, fn.values)
 
 
 def _load_profile_arg(arg: str) -> banach.RadialProfile:
@@ -151,13 +158,13 @@ def _load_profile_arg(arg: str) -> banach.RadialProfile:
 
 def cmd_validate(args) -> WitnessReport:
     space = load_space(args.space)
-    verdict = validate_metric(space.d, space.diam_bound)
+    verdict = validate_metric(space.grid.rows, space.grid.bound)
     return _verdict_report("validate", {"points": space.n_points, "diam": space.diam_bound}, verdict)
 
 
 def cmd_katetov(args) -> WitnessReport:
     if args.katetov_cmd == "check":
-        fn_data = _load_katetov(args.fn)
+        fn_data = _load_values(args.fn)
         verdict = is_katetov(fn_data.values, fn_data.space)
         return _verdict_report("katetov-check", {"points": fn_data.space.n_points}, verdict)
     if args.katetov_cmd == "extend":
@@ -378,8 +385,8 @@ def cmd_rado(args) -> WitnessReport:
         )
     if sub == "metric":
         if args.scan is not None:
-            space = rado.rado_metric_space(range(args.scan))
-            verdict = validate_metric(space.d, space.diam_bound)
+            _, rows, bound = rado.rado_metric_space(range(args.scan)).grid
+            verdict = validate_metric(rows, bound)
             return _verdict_report("rado-metric-scan", {"points": args.scan}, verdict)
         return WitnessReport(
             check="rado-metric", params={"i": args.i, "j": args.j},

@@ -10,27 +10,28 @@ vector xi with
 bounded by the diameter bound: exactly the distance profiles of one-point
 metric extensions of X.
 
-Every space also carries its integer grid (`MetricSpace.grid`): a
-denominator, the distances scaled by it as int rows, and the scaled bound.
-A builder that already holds ints (`MetricSpace.from_grid`) hands its grid
-over as it is, with one Fraction made per distinct grid value, so the
-exact `.d` view costs no Fraction arithmetic. A space built from Fractions
-(files, hand-written matrices) computes its grid on first use, once: the
-least common denominator of its entries and bound. A handed-over grid
-need not be the least one; `space_grid` reduces it by the gcd of its
-entries when asked, and only then. The grid is not a dataclass field, so
-equality, hashing and JSON see the Fractions alone.
+A `MetricSpace` stores its labels and its least integer grid
+(`MetricSpace.grid`) and nothing else: the least common denominator of
+its distances and bound, the distances scaled by it as int rows, and the
+scaled bound. Equality and hashing compare these fields. Builders that
+hold ints hand them over (`MetricSpace.from_grid`, which reduces them to
+the least grid); the Fraction constructor `MetricSpace(labels, d,
+diam_bound)` converts once, at that edge. The exact `.d` matrix and
+`diam_bound` are read-only views made on first read, with one Fraction per
+distinct value. The metric and Katetov calculus reads the grid; `lift`
+refines it just enough when a Fraction value falls off it.
 
 `validate_metric` is the package's universal safety net: a brute-force
 O(n^3) scan over ordered triples. The scan is the contract; everything
 below implements that same scan on integers, cross-checked in the test
-suite against the naive Fraction loop. `validate_metric` rescales the
-matrix and the bound to the grid 1/q, with q the lcm of their distinct
-denominators, as numerator * (q // denominator): exact, and free of
-Fraction arithmetic. `validate_scaled` is the scan itself; a space's own
-grid goes to it directly (`require_metric`), since scaling by a positive
-factor keeps every comparison, hence every verdict and witness. Matrices of
-at least `_NUMPY_MIN_POINTS` points run every check as int64 numpy passes,
+suite against the naive Fraction loop. `validate_metric` rescales a
+Fraction matrix and bound to the grid 1/q, with q the lcm of their
+distinct denominators, as numerator * (q // denominator): exact, and free
+of Fraction arithmetic; an int matrix with an int bound is on the grid
+1/1 already. `validate_scaled` is the scan itself; a space's own grid goes
+to it directly (`require_metric`), since scaling by a positive factor
+keeps every comparison, hence every verdict and witness. Matrices of at
+least `_NUMPY_MIN_POINTS` points run every check as int64 numpy passes,
 unless the scaled bound reaches `_INT64_SAFE` (a sum of two entries could
 then overflow) or an entry does not fit in int64. Small matrices and that
 exact fallback run the same checks as loops over Python ints, which never
@@ -97,28 +98,29 @@ class KatetovVerdict:
         return self.ok
 
 
-def _coerce_matrix(d: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction, ...], ...]:
+def _square(d: Sequence[Sequence]) -> tuple[tuple, ...]:
     rows = tuple(map(tuple, d))
-    if set(map(type, chain.from_iterable(rows))) - {Fraction}:
-        rows = tuple(tuple(map(as_fraction, row)) for row in rows)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NonSquareError(f"matrix is not square: {len(rows)} rows, row lengths {[len(r) for r in rows]}")
     return rows
 
 
-def _common_grid(rows: Sequence[Sequence[Fraction]], bound: Fraction) -> int:
-    """The least common denominator of the entries and the bound."""
-    return lcm(bound.denominator, *{v.denominator for row in rows for v in row})
+def _coerce_matrix(d: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction, ...], ...]:
+    rows = _square(d)
+    if set(map(type, chain.from_iterable(rows))) - {Fraction}:
+        rows = tuple(tuple(map(as_fraction, row)) for row in rows)
+    return rows
 
 
-def _on_grid(rows: Sequence[Sequence[Fraction]], bound: Fraction, q: int) -> tuple[list[list[int]], int]:
-    """The matrix and the bound as integers on the grid 1/q, which must be a
-    multiple of every denominator: numerator * (q // denominator), exact."""
-    return (
-        [[v.numerator * (q // v.denominator) for v in row] for row in rows],
-        bound.numerator * (q // bound.denominator),
-    )
+def _fraction_grid(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> Grid:
+    """The matrix and the bound as integers on their least common grid 1/q:
+    numerator * (q // denominator), exact."""
+    rows = _coerce_matrix(d)
+    bound = as_fraction(diam_bound)
+    q = lcm(bound.denominator, *{v.denominator for row in rows for v in row})
+    scaled = [[v.numerator * (q // v.denominator) for v in row] for row in rows]
+    return Grid(q, tuple(map(tuple, scaled)), bound.numerator * (q // bound.denominator))
 
 
 def _int64_matrix(e: Sequence[Sequence[int]], bound: int) -> np.ndarray | None:
@@ -209,11 +211,14 @@ def validate_metric(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLik
     Checks, in order: symmetry, zero diagonal, strictly positive
     off-diagonal, entries <= diam_bound, triangle inequality over all
     ordered triples. The first violation in lexicographic index order is
-    returned as the witness.
+    returned as the witness. An int matrix with an int bound is scanned as
+    it is.
     """
-    rows = _coerce_matrix(d)
-    diam = as_fraction(diam_bound)
-    return validate_scaled(*_on_grid(rows, diam, _common_grid(rows, diam)))
+    rows = _square(d)
+    if type(diam_bound) is int and set(map(type, chain.from_iterable(rows))) <= {int}:
+        return validate_scaled(rows, diam_bound)  # already on the grid 1/1
+    _, e, bound = _fraction_grid(rows, diam_bound)
+    return validate_scaled(e, bound)
 
 
 def validate_scaled(e: Sequence[Sequence[int]], bound: int) -> MetricVerdict:
@@ -257,81 +262,76 @@ def validate_pseudometric(d: Sequence[Sequence[RationalLike]]) -> MetricVerdict:
 
 class Grid(NamedTuple):
     """A space's distances and bound as integers on the 1/denom grid:
-    d[i][j] = rows[i][j] / denom and diam_bound = bound / denom. The rows
-    are shared with whoever built them; never mutate them."""
+    d[i][j] = rows[i][j] / denom and diam_bound = bound / denom."""
 
     denom: int
-    rows: Sequence[Sequence[int]]
+    rows: tuple[tuple[int, ...], ...]
     bound: int
 
 
-class _GridFractions(dict):
-    """Scaled grid value -> its Fraction on the 1/denom grid, made once."""
-
-    def __init__(self, denom: int):
-        super().__init__()
-        self.denom = denom
-
-    def __missing__(self, v: int) -> Fraction:
-        q = self[v] = Fraction(v, self.denom)
-        return q
+def _least_grid(denom: int, rows: tuple[tuple[int, ...], ...], bound: int) -> Grid:
+    """The grid reduced by the gcd of its denominator and every scaled value."""
+    common = gcd(denom, bound)
+    if common > 1:
+        common = gcd(common, *chain.from_iterable(rows))
+    if common > 1:
+        rows = tuple(tuple(v // common for v in row) for row in rows)
+    return Grid(denom // common, rows, bound // common)
 
 
-@dataclass(frozen=True)
+def grid_fractions(rows: Sequence[Sequence[int]], denom: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The scaled rows as exact Fractions, one made per distinct value."""
+    made = {v: Fraction(v, denom) for v in set(chain.from_iterable(rows))}
+    return tuple(tuple(map(made.__getitem__, row)) for row in rows)
+
+
+@dataclass(frozen=True, init=False)
 class MetricSpace:
     """Finite point set with an exact symmetric distance matrix and a
-    declared diameter bound, plus its integer grid (see the module notes)."""
+    declared diameter bound, held on its least grid (see the module notes)."""
 
     labels: tuple[str, ...]
-    d: tuple[tuple[Fraction, ...], ...]
-    diam_bound: Fraction
+    grid: Grid
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
-        object.__setattr__(self, "d", _coerce_matrix(self.d))
-        object.__setattr__(self, "diam_bound", as_fraction(self.diam_bound))
-        if len(self.labels) != len(self.d):
-            raise NonSquareError(f"{len(self.labels)} labels for a {len(self.d)}-point matrix")
+    def __init__(self, labels: Sequence[str], d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike):
+        """The space with the given distances and bound (no validation here)."""
+        self._hold(labels, _fraction_grid(d, diam_bound))
 
-    @classmethod
-    def from_matrix(
-        cls,
-        labels: Sequence[str],
-        d: Sequence[Sequence[RationalLike]],
-        diam_bound: RationalLike,
-    ) -> "MetricSpace":
-        """Build and validate; raises MetricFailureError on any violation."""
-        return require_metric(cls(tuple(labels), d, diam_bound), "invalid metric")  # type: ignore[arg-type]
+    def _hold(self, labels: Sequence[str], grid: Grid):
+        object.__setattr__(self, "labels", tuple(map(str, labels)))
+        object.__setattr__(self, "grid", grid)
+        if len(self.labels) != len(grid.rows):
+            raise NonSquareError(f"{len(self.labels)} labels for a {len(grid.rows)}-point matrix")
 
     @classmethod
     def from_grid(
         cls, labels: Sequence[str], rows: Sequence[Sequence[int]], denom: int, bound: int
     ) -> "MetricSpace":
         """The space with distances rows[i][j] / denom and diameter bound
-        bound / denom (no validation here). It keeps `Grid(denom, rows,
-        bound)` as its grid, and makes one Fraction per distinct value."""
-        fractions = _GridFractions(denom)
-        space = cls(tuple(labels), tuple(tuple(map(fractions.__getitem__, row)) for row in rows), fractions[bound])
-        space.__dict__["grid"] = Grid(denom, rows, bound)
+        bound / denom, held on its least grid (no validation here)."""
+        space = cls.__new__(cls)
+        space._hold(labels, _least_grid(denom, _square(rows), bound))
         return space
 
     @cached_property
-    def grid(self) -> Grid:
-        """The integer grid: handed over by `from_grid`, or else the least
-        common grid of the Fractions, computed on first use."""
-        denom = _common_grid(self.d, self.diam_bound)
-        return Grid(denom, *_on_grid(self.d, self.diam_bound, denom))
+    def d(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact distances, made on first read."""
+        return grid_fractions(self.grid.rows, self.grid.denom)
+
+    @cached_property
+    def diam_bound(self) -> Fraction:
+        return Fraction(self.grid.bound, self.grid.denom)
 
     @property
     def n_points(self) -> int:
         return len(self.labels)
 
     def dist(self, i: int, j: int) -> Fraction:
-        return self.d[i][j]
+        return Fraction(self.grid.rows[i][j], self.grid.denom)
 
     def restrict(self, indices: Sequence[int]) -> "MetricSpace":
         """Subspace on the given indices, in the given order."""
-        idx = list(indices)
+        idx = check_points(self.n_points, indices)
         denom, rows, bound = self.grid
         return MetricSpace.from_grid(
             [self.labels[i] for i in idx], [[rows[i][j] for j in idx] for i in idx], denom, bound
@@ -339,12 +339,34 @@ class MetricSpace:
 
     def with_point(self, label: str, profile: Sequence[RationalLike]) -> "MetricSpace":
         """Append one point at the given distances (no validation here)."""
-        prof = tuple(as_fraction(v) for v in profile)
+        denom, rows, bound, prof = lift(self, profile)
         if len(prof) != self.n_points:
             raise LengthMismatchError(f"profile has {len(prof)} entries for {self.n_points} points")
-        rows = [row + (prof[i],) for i, row in enumerate(self.d)]
-        rows.append(prof + (Fraction(0),))
-        return MetricSpace(self.labels + (fresh_label(label, set(self.labels)),), tuple(rows), self.diam_bound)
+        rows = [(*row, p) for row, p in zip(rows, prof)]
+        rows.append((*prof, 0))
+        return MetricSpace.from_grid(self.labels + (fresh_label(label, set(self.labels)),), rows, denom, bound)
+
+
+def check_points(n: int, indices: Sequence[int], what: str = "point") -> list[int]:
+    """The indices as a list; PreconditionError unless each lies in 0..n-1."""
+    idx = list(indices)
+    for i in idx:
+        if not 0 <= i < n:
+            raise PreconditionError(f"{what} index {i} out of range")
+    return idx
+
+
+def lift(space: MetricSpace, values: Sequence[RationalLike]) -> tuple[int, Sequence[Sequence[int]], int, list[int]]:
+    """The space's grid refined just enough to hold `values` as well:
+    (denom, scaled rows, scaled bound, scaled values)."""
+    vals = [as_fraction(v) for v in values]
+    denom, rows, bound = space.grid
+    lifted = lcm(denom, *(v.denominator for v in vals))
+    if lifted != denom:
+        f = lifted // denom
+        rows = [[v * f for v in row] for row in rows]
+        bound *= f
+    return lifted, rows, bound, [v.numerator * (lifted // v.denominator) for v in vals]
 
 
 def require_metric(space: MetricSpace, what: str) -> MetricSpace:
@@ -365,29 +387,18 @@ def fresh_label(base: str, used: set[str]) -> str:
     return base
 
 
-def space_grid(space: MetricSpace) -> int:
-    """The least common denominator of a space's distances and bound: its
-    grid denominator reduced by the gcd of every scaled value."""
-    denom, rows, bound = space.grid
-    common = gcd(denom, bound)
-    if common > 1:
-        common = gcd(common, *chain.from_iterable(rows))
-    return denom // common
-
-
 def scale_space(space: MetricSpace, denom: int) -> tuple[list[list[int]], int]:
     """The distances and the bound of a space as integers on the 1/denom
     grid, which must contain the space's own least grid."""
     if denom < 1:
         raise PreconditionError(f"grid denominator must be >= 1, got {denom}")
-    held, rows, bound = space.grid
-    least = held if denom % held == 0 else space_grid(space)
+    least, rows, bound = space.grid
     if denom % least != 0:
         raise DenominatorMismatchError(
             f"grid denominator {denom} not divisible by the space's denominator {least}"
         )
-    # exact: denom * v is a multiple of `held` whenever 1/denom holds v / held
-    return [[v * denom // held for v in row] for row in rows], bound * denom // held
+    f = denom // least
+    return [[v * f for v in row] for row in rows], bound * f
 
 
 def cap_metric(space: MetricSpace, c: RationalLike) -> MetricSpace:
@@ -396,8 +407,9 @@ def cap_metric(space: MetricSpace, c: RationalLike) -> MetricSpace:
     cap = as_fraction(c)
     if cap <= 0:
         raise PreconditionError(f"cap must be positive, got {cap}")
-    rows = tuple(tuple(min(v, cap) for v in row) for row in space.d)
-    return require_metric(MetricSpace(space.labels, rows, cap), "capped matrix invalid")
+    denom, rows, _, (top,) = lift(space, [cap])
+    capped = [[min(v, top) for v in row] for row in rows]
+    return require_metric(MetricSpace.from_grid(space.labels, capped, denom, top), "capped matrix invalid")
 
 
 @dataclass(frozen=True)
@@ -420,9 +432,13 @@ class PartialIsometry:
     def check(self, source: MetricSpace, target: MetricSpace) -> MetricVerdict:
         """Exact distance match on all pairs; witness is the offending pair
         of positions."""
-        for a in range(len(self.domain)):
-            for b in range(a + 1, len(self.domain)):
-                if source.d[self.domain[a]][self.domain[b]] != target.d[self.image[a]][self.image[b]]:
+        dom = check_points(source.n_points, self.domain, "domain")
+        img = check_points(target.n_points, self.image, "image")
+        sq, s, _ = source.grid
+        tq, t, _ = target.grid
+        for a in range(len(dom)):
+            for b in range(a + 1, len(dom)):
+                if s[dom[a]][dom[b]] * tq != t[img[a]][img[b]] * sq:
                     return MetricVerdict(False, "not-isometric", (a, b))
         return MetricVerdict(True)
 
@@ -443,10 +459,10 @@ def amalgamate(
     if diam_bound is None:
         if not glue.domain:
             raise EmptyGlueError("empty glue needs an explicit diam_bound")
-        bound = max(x_space.diam_bound, y_space.diam_bound)
+        diam = max(x_space.diam_bound, y_space.diam_bound)
     else:
-        bound = as_fraction(diam_bound)
-    if x_space.diam_bound > bound or y_space.diam_bound > bound:
+        diam = as_fraction(diam_bound)
+    if x_space.diam_bound > diam or y_space.diam_bound > diam:
         raise PreconditionError("both factors must have diameter bound <= the amalgam bound")
     ok = glue.check(x_space, y_space)
     if not ok:
@@ -459,26 +475,19 @@ def amalgamate(
     used = set(labels)
     labels += [fresh_label(y_space.labels[j], used) for j in new_y]
 
+    denom = lcm(diam.denominator, x_space.grid.denom, y_space.grid.denom)
+    bound = diam.numerator * (denom // diam.denominator)
+    x, _ = scale_space(x_space, denom)
+    y, _ = scale_space(y_space, denom)
     n_x = x_space.n_points
-    n = n_x + len(new_y)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n_x):
-        for j in range(n_x):
-            rows[i][j] = x_space.d[i][j]
-    for a, ja in enumerate(new_y):
-        for b, jb in enumerate(new_y):
-            rows[n_x + a][n_x + b] = y_space.d[ja][jb]
+    rows = [row + [0] * len(new_y) for row in x]
+    rows += [[0] * n_x + [y[ja][jb] for jb in new_y] for ja in new_y]
     for i in range(n_x):
         for a, ja in enumerate(new_y):
-            cross = bound
-            for dom, img in zip(glue.domain, glue.image):
-                leg = x_space.d[i][dom] + y_space.d[img][ja]
-                if leg < cross:
-                    cross = leg
-            rows[i][n_x + a] = cross
-            rows[n_x + a][i] = cross
+            cross = min([bound] + [x[i][dom] + y[img][ja] for dom, img in zip(glue.domain, glue.image)])
+            rows[i][n_x + a] = rows[n_x + a][i] = cross
 
-    return require_metric(MetricSpace(tuple(labels), tuple(tuple(r) for r in rows), bound), "amalgam invalid")
+    return require_metric(MetricSpace.from_grid(labels, rows, denom, bound), "amalgam invalid")
 
 
 @dataclass(frozen=True)
@@ -506,21 +515,22 @@ class KatetovFn:
 
 
 def is_katetov(values: Sequence[RationalLike], space: MetricSpace) -> KatetovVerdict:
-    """Check the two-sided inequalities and the 0..diam_bound range.
+    """Check the two-sided inequalities and the 0..diam_bound range, on the
+    space's grid lifted to hold the values.
 
     The witness is the first violating index (range) or pair (both sides),
     in lexicographic order.
     """
-    vals = [as_fraction(v) for v in values]
+    _, d, bound, vals = lift(space, values)
     n = space.n_points
     if len(vals) != n:
         raise LengthMismatchError(f"{len(vals)} values over a {n}-point space")
-    for i in range(n):
-        if vals[i] < 0 or vals[i] > space.diam_bound:
+    for i, v in enumerate(vals):
+        if v < 0 or v > bound:
             return KatetovVerdict(False, "range", (i,))
     for i in range(n):
         for j in range(i + 1, n):
-            dij = space.d[i][j]
+            dij = d[i][j]
             if abs(vals[i] - vals[j]) > dij:
                 return KatetovVerdict(False, "lipschitz", (i, j))
             if vals[i] + vals[j] < dij:
@@ -530,8 +540,7 @@ def is_katetov(values: Sequence[RationalLike], space: MetricSpace) -> KatetovVer
 
 def elementary_katetov(space: MetricSpace, z: int) -> KatetovFn:
     """The distance profile of an existing point: f_z(x) = d(x, z)."""
-    if not 0 <= z < space.n_points:
-        raise PreconditionError(f"point index {z} out of range")
+    check_points(space.n_points, [z])
     return KatetovFn(space, space.d[z])
 
 
@@ -557,7 +566,9 @@ def sup_distance(f: KatetovFn, g: KatetovFn) -> Fraction:
     """Sup metric on K(X): max over points of |f - g|."""
     if f.space != g.space:
         raise SpaceMismatchError("sup_distance needs both functions over one space")
-    return max(abs(a - b) for a, b in zip(f.values, g.values))
+    denom, _, _, vals = lift(f.space, f.values + g.values)
+    n = len(f.values)
+    return Fraction(max(abs(a - b) for a, b in zip(vals[:n], vals[n:])), denom)
 
 
 def kuratowski_embed(space: MetricSpace) -> list[KatetovFn]:

@@ -47,11 +47,7 @@ def rado_metric_space(vertices: Sequence[int]) -> MetricSpace:
     verts = list(vertices)
     if len(set(verts)) != len(verts):
         raise PreconditionError("duplicate vertices")
-    return MetricSpace(
-        tuple(str(v) for v in verts),
-        tuple(tuple(rado_metric(a, b) for b in verts) for a in verts),
-        2,
-    )
+    return MetricSpace.from_grid([str(v) for v in verts], [[rado_metric(a, b) for b in verts] for a in verts], 1, 2)
 
 
 def rado_extension_witness(U: Iterable[int], V: Iterable[int]) -> int:

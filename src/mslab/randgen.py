@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .metric import MetricSpace, katetov_interval, scale_space, space_grid
+from .metric import MetricSpace, katetov_interval, scale_space
 from .urysohn import MARequest
 
 Rng = random.Random
@@ -81,31 +81,17 @@ def random_ma_request(rng: Rng, max_points: int = 8, max_denom: int = 24) -> MAR
     while True:
         space = random_metric_space(rng, min_points=2, max_points=max_points, max_denom=max_denom)
         n = space.n_points
-        denom, d, bound = space.grid
-        q = space_grid(space)
+        q, d, bound = space.grid
         x = rng.randrange(n)
         y = rng.randrange(n)
         others = [i for i in range(n) if i not in (x, y)]
         rng.shuffle(others)
         F = tuple(sorted(others[: rng.randint(0, len(others))]))
-        lo = 0
-        hi = bound
-        for z in F:
-            gap = abs(d[x][z] - d[y][z])
-            if gap > lo:
-                lo = gap
-            two_leg = d[x][z] + d[y][z]
-            if two_leg < hi:
-                hi = two_leg
-        # points of the least grid 1/q with lo < delta <= hi and
-        # delta < diam_bound; one of its steps spans `per` steps of 1/denom
-        per = denom // q
-        lo_step = lo // per + 1
-        hi_step = min(hi // per, bound // per - 1)
-        if lo_step > hi_step:
-            continue
-        delta = Fraction(rng.randint(lo_step, hi_step), q)
-        return MARequest(space, F, x, y, delta)
+        # the points of the space's grid 1/q in that window
+        lo = max((abs(d[x][z] - d[y][z]) for z in F), default=0) + 1
+        hi = min([d[x][z] + d[y][z] for z in F] + [bound - 1])
+        if lo <= hi:
+            return MARequest(space, F, x, y, Fraction(rng.randint(lo, hi), q))
 
 
 def random_sphere_point(rng: Rng, dim: int) -> tuple[Fraction, ...]:

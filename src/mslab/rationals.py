@@ -1,6 +1,7 @@
 """Exact rational scalars and their canonical string form.
 
-All distances and function values in this package are `fractions.Fraction`
+Distances are held as integers on a common 1/denom grid; at the API and
+JSON edges they and all function values are `fractions.Fraction`
 instances: lowest terms, positive denominator, exact arithmetic. The string
 form used in every JSON interface is `str(Fraction)` ("3/4", "2", "0");
 `parse_rational` accepts that form back, so parse o serialize is the

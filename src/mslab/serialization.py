@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from pathlib import Path
 from typing import Any
 
@@ -44,13 +46,27 @@ def space_to_dict(space: MetricSpace) -> dict:
     }
 
 
+def _grid_parser(denom: int) -> ParseMemo:
+    """memo[text]: the rational `text` scaled to the 1/denom grid, which
+    must hold it."""
+
+    def on_grid(q: Fraction) -> int:
+        if denom % q.denominator:
+            raise FormatError(f"{q} is off the 1/{denom} grid")
+        return q.numerator * (denom // q.denominator)
+
+    return ParseMemo(on_grid)
+
+
 def space_from_dict(data: dict) -> MetricSpace:
+    """Parse a space straight onto its least grid: each distinct value is
+    parsed for the common denominator, then each entry is one lookup."""
     try:
-        parse = ParseMemo()
-        return MetricSpace(
-            tuple(data["points"]),
-            tuple(tuple(map(parse.__getitem__, row)) for row in data["d"]),
-            parse[data["diam"]],
+        rows = data["d"]
+        denom = lcm(*(parse_rational(v).denominator for v in {data["diam"], *chain.from_iterable(rows)}))
+        grid = _grid_parser(denom)
+        return MetricSpace.from_grid(
+            data["points"], [list(map(grid.__getitem__, row)) for row in rows], denom, grid[data["diam"]]
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad metric space payload: {exc}") from exc
@@ -70,7 +86,7 @@ def katetov_from_dict(data: dict, base_dir: Path | None = None) -> KatetovFn:
             space = load_space(path)
         else:
             space = space_from_dict(spec)
-        return KatetovFn.over(space, [parse_rational(v) for v in data["values"]])
+        return KatetovFn(space, tuple(map(parse_rational, data["values"])))
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad katetov payload: {exc}") from exc
 
@@ -111,13 +127,7 @@ def approximant_from_dict(data: dict) -> Approximant:
         denom = int(data["denom"])
         if denom < 1:
             raise FormatError(f"approximant denominator must be >= 1, got {denom}")
-
-        def on_grid(q: Fraction) -> int:
-            if denom % q.denominator:
-                raise FormatError(f"{q} is off the 1/{denom} grid")
-            return q.numerator * (denom // q.denominator)
-
-        grid = ParseMemo(on_grid)
+        grid = _grid_parser(denom)
         labels = [str(s) for s in data["points"]]
         rows = [list(map(grid.__getitem__, row)) for row in data["d"]]
         n = len(labels)

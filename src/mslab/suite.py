@@ -19,7 +19,6 @@ from .metric import (
     MetricSpace,
     is_katetov,
     kuratowski_embed,
-    space_grid,
     sup_distance,
     truncate_katetov,
     validate_metric,
@@ -66,8 +65,8 @@ def battery_extensions(seed: int = 42, trials: int = 10000) -> WitnessReport:
         except MslabError as exc:
             return _fail("extension-batteries", params, {"op": "ma", "trial": t, "error": str(exc)}, {})
         xi = sorted(set(req.F) | {req.x}).index(req.x)
-        if out.d[yp][xi] != req.delta:
-            return _fail("extension-batteries", params, {"op": "ma", "trial": t, "got": out.d[yp][xi]}, {})
+        if out.dist(yp, xi) != req.delta:
+            return _fail("extension-batteries", params, {"op": "ma", "trial": t, "got": out.dist(yp, xi)}, {})
 
     rng2 = random.Random(seed + 1)
     for t in range(trials):
@@ -86,14 +85,17 @@ def battery_extensions(seed: int = 42, trials: int = 10000) -> WitnessReport:
         pos = {orig: i for i, orig in enumerate(keep)}
         zs = [x, *Z]
         prime_of = {0: pos[y], **{i + 1: primes[i] for i in range(len(Z))}}
+        # exact equality across the two grids: a / oq == b / sq
+        oq, o, _ = out.grid
+        sq, s, _ = space.grid
         for i in range(len(zs)):
             for j in range(len(zs)):
-                if out.d[prime_of[i]][prime_of[j]] != space.d[zs[i]][zs[j]]:
+                if o[prime_of[i]][prime_of[j]] * sq != s[zs[i]][zs[j]] * oq:
                     return _fail(
                         "extension-batteries", params,
                         {"op": "uwmt", "trial": t, "broken_copy_pair": [i, j]}, {},
                     )
-            if i > 0 and out.d[pos[zs[i]]][prime_of[i]] != space.d[x][y]:
+            if i > 0 and o[pos[zs[i]]][prime_of[i]] * sq != s[x][y] * oq:
                 return _fail(
                     "extension-batteries", params,
                     {"op": "uwmt", "trial": t, "broken_displacement": i}, {},
@@ -103,14 +105,14 @@ def battery_extensions(seed: int = 42, trials: int = 10000) -> WitnessReport:
     for t in range(trials):
         space = random_metric_space(rng3, min_points=3, max_points=8, max_denom=24)
         n = space.n_points
-        q = space_grid(space)
+        q = space.grid.denom
         pts = list(range(n))
         rng3.shuffle(pts)
         if rng3.random() < HALF:
             n_pairs = rng3.randint(1, n - 1)
             pairs = [(p, p) for p in sorted(pts[:n_pairs])]
             z = pts[n_pairs]
-            eps = Fraction(rng3.randint(1, int(space.diam_bound * q)), q)
+            eps = Fraction(rng3.randint(1, space.grid.bound), q)
             base = Approximant.from_space(space, q, 2)
         else:
             x, y = pts[0], pts[1]
@@ -124,9 +126,9 @@ def battery_extensions(seed: int = 42, trials: int = 10000) -> WitnessReport:
             pos = {orig: i for i, orig in enumerate(keep)}
             zs = [x, *Z]
             pairs = [(pos[zs[i]], [pos[y], *primes][i]) for i in range(len(zs))]
-            eps = max(space.d[x][y], Fraction(1, q))
+            eps = max(space.dist(x, y), Fraction(1, q))
             z = pos[y]  # y is never in the domain {x} u Z
-            base = Approximant.from_space(bigger, space_grid(bigger), 2)
+            base = Approximant.from_space(bigger, bigger.grid.denom, 2)
         try:
             st = BFState.create(base, pairs, eps)
             out, zp = prop53_extension(st, z)
@@ -135,10 +137,10 @@ def battery_extensions(seed: int = 42, trials: int = 10000) -> WitnessReport:
         keep2 = sorted(set(st.domain) | set(st.image) | {z})
         pos2 = {orig: i for i, orig in enumerate(keep2)}
         for xi, yi in pairs:
-            if out.d[zp][pos2[yi]] != base.dist(z, xi):
+            if out.dist(zp, pos2[yi]) != base.dist(z, xi):
                 return _fail("extension-batteries", params, {"op": "prop53", "trial": t, "broken_transport": xi}, {})
-        if out.d[zp][pos2[z]] > eps:
-            return _fail("extension-batteries", params, {"op": "prop53", "trial": t, "displacement": out.d[zp][pos2[z]]}, {})
+        if out.dist(zp, pos2[z]) > eps:
+            return _fail("extension-batteries", params, {"op": "prop53", "trial": t, "displacement": out.dist(zp, pos2[z])}, {})
 
     return WitnessReport(
         check="extension-batteries", params=params, verdict="pass",
@@ -162,10 +164,10 @@ def battery_kuratowski(seed: int = 42, trials: int = 1000) -> WitnessReport:
     rng2 = random.Random(seed + 1)
     for t in range(trials):
         space = random_metric_space(rng2, max_points=8, max_denom=16, min_diam_steps=2)
-        q = space_grid(space)
+        q = space.grid.denom
         fn = KatetovFn(space, random_katetov_values(rng2, space, q))
         # the level needs no grid; halve the step so (0, diam) is never empty
-        lam = Fraction(rng2.randint(1, int(space.diam_bound * 2 * q) - 1), 2 * q)
+        lam = Fraction(rng2.randint(1, 2 * space.grid.bound - 1), 2 * q)
         capped = truncate_katetov(fn, lam, "max")
         if not is_katetov(capped, space):
             return _fail("kuratowski-gromov", params, {"part": "level-max", "trial": t, "lambda": lam}, {})
@@ -173,7 +175,7 @@ def battery_kuratowski(seed: int = 42, trials: int = 1000) -> WitnessReport:
     rng3 = random.Random(seed + 2)
     for t in range(trials):
         space = random_metric_space(rng3, min_points=2, max_points=8, max_denom=16)
-        q = space_grid(space)
+        q = space.grid.denom
         f = KatetovFn(space, random_katetov_values(rng3, space, q))
         g = KatetovFn(space, random_katetov_values(rng3, space, q))
         k = rng3.randint(1, space.n_points)
@@ -312,8 +314,8 @@ def battery_rado(seed: int = 42) -> WitnessReport:
                         return _fail("rado-model", params, {"U": list(U), "V": list(V), "error": str(exc)}, {})
                     witnesses += 1
 
-    space = rado.rado_metric_space(range(256))
-    verdict = validate_metric(space.d, space.diam_bound)
+    _, rows, bound = rado.rado_metric_space(range(256)).grid
+    verdict = validate_metric(rows, bound)
     if not verdict:
         return _fail("rado-model", params, {"metric": verdict.reason, "at": list(verdict.witness)}, {})
 
@@ -344,8 +346,8 @@ def battery_urysohn(budget: int = 5000, seed: int = 42) -> WitnessReport:
     if check.verdict != "pass":
         return _fail("urysohn-approximant", params, {"injectivity": check.witness}, dict(check.counts))
 
-    full = approx.as_metric_space()
-    verdict = validate_metric(full.d, full.diam_bound)
+    _, rows, bound = approx.as_metric_space().grid
+    verdict = validate_metric(rows, bound)
     if not verdict:
         return _fail("urysohn-approximant", params, {"metric": verdict.reason, "at": list(verdict.witness)}, {})
 

@@ -9,9 +9,8 @@ scaled diameter bound (uint8 for the default grids, `object` holding Python
 ints past uint64, so huge denominators stay exact). A saturation round
 writes each new point's row and column in place into spare capacity that
 doubles when full and never exceeds the round's point budget. Readers take
-values out as Python ints, one `tolist` or fancy index per call; the exact
-Fraction view is materialized on demand, as a MetricSpace that keeps the
-matrix's grid.
+values out as Python ints, one `tolist` or fancy index per call; a
+MetricSpace view is made on demand from those ints (`from_grid`).
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -20,8 +19,8 @@ re-validate the result; they certify recipes, they never repair them. The
 MA, UWMT, Prop 5.3 and level-companion recipes run on the integer grid of
 their input space: they read its scaled rows, refine the grid only when a
 prescribed value (delta, lambda, or a Prop 5.3 displacement t0 set by an
-eps between grid points) falls off it, check the result with the integer
-scan `validate_scaled`, and make Fractions only for the output space.
+eps between grid points) falls off it (`metric.lift`), and check the
+result with the integer scan `validate_scaled`.
 
 For the two k-point recipes the prescribed cross distances are completed
 to the shortest-path values through all available legs. The naive
@@ -37,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +54,7 @@ from .errors import (
     PreconditionError,
     UnsaturatedError,
 )
-from .metric import MetricSpace, _grid_profiles, cap_metric, fresh_label, require_metric, scale_space
+from .metric import MetricSpace, _grid_profiles, cap_metric, check_points, fresh_label, lift, require_metric, scale_space
 from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
@@ -276,10 +275,7 @@ def finite_injectivity_check(
     factor = denom // a.denom
     bound = a.bound_scaled * factor
 
-    over = sorted(set(over))
-    for s in over:
-        if not 0 <= s < a.n_points:
-            raise PreconditionError(f"snapshot index {s} out of range")
+    over = check_points(a.n_points, sorted(set(over)), "snapshot")
 
     rows = a.matrix.take(over, 0)
     lookup = _Realizations(over, rows, factor)
@@ -332,18 +328,6 @@ class MARequest:
         object.__setattr__(self, "delta", as_fraction(self.delta))
 
 
-def _lift(space: MetricSpace, value: Fraction) -> tuple[int, Sequence[Sequence[int]], int, int]:
-    """The space's grid refined just enough to hold `value` as well:
-    (denom, scaled rows, scaled bound, scaled value)."""
-    denom, rows, bound = space.grid
-    lifted = lcm(denom, value.denominator)
-    if lifted != denom:
-        f = lifted // denom
-        rows = [[v * f for v in row] for row in rows]
-        bound *= f
-    return lifted, rows, bound, value.numerator * (lifted // value.denominator)
-
-
 def _extend(
     labels: Sequence[str],
     e: Sequence[Sequence[int]],
@@ -374,6 +358,7 @@ def ma_extension(req: MARequest) -> tuple[MetricSpace, int]:
     plus 0 < delta < diam_bound.
     """
     space, F, x, y, delta = req.space, req.F, req.x, req.y, req.delta
+    check_points(space.n_points, [x, y, *F])
     if x in F or y in F:
         raise IndexClashError("x and y must not belong to F")
     if len(set(F)) != len(F):
@@ -382,7 +367,7 @@ def ma_extension(req: MARequest) -> tuple[MetricSpace, int]:
         raise PreconditionError(f"delta must be positive, got {delta}")
     if delta >= space.diam_bound:
         raise DiameterExceededError(f"delta {delta} not below the diameter bound {space.diam_bound}")
-    denom, e, bound, step = _lift(space, delta)
+    denom, e, bound, (step,) = lift(space, [delta])
     for z in F:
         if abs(e[x][z] - e[y][z]) >= step:
             raise PreconditionAError(f"|d(x,z)-d(y,z)| >= delta at z={z}", z=z)
@@ -407,8 +392,8 @@ def uwmt_extension(
     d(z_i, z_j) + d(x, y), capped at the diameter bound. The output is the
     restriction to {x, y} u Z plus the k new points, re-validated.
     """
-    Z = list(Z)
-    members = [x, y, *Z]
+    members = check_points(space.n_points, [x, y, *Z])
+    Z = members[2:]
     if len(set(members)) != len(members):
         raise IndexClashError("x, y and Z must be pairwise distinct indices")
     keep = sorted(members)
@@ -479,7 +464,8 @@ class BFState:
         dom = [p for p, _ in st.pairs]
         if len(set(dom)) != len(dom):
             raise IndexClashError("duplicate domain indices in pairs")
-        rows = space.matrix.take([p for pair in st.pairs for p in pair], 0).tolist()
+        ends = check_points(space.n_points, [p for pair in st.pairs for p in pair])
+        rows = space.matrix.take(ends, 0).tolist()
         dom_rows, img_rows = rows[::2], rows[1::2]
         eps_scaled = st.eps * space.denom
         for i, (a, b) in enumerate(st.pairs):
@@ -513,6 +499,7 @@ def _prop53_profile(st: BFState, z: int) -> tuple[list[int], list[list], Fractio
     extension. Only eps may fall between grid points, so t0 and the profile
     values it reaches may be non-integral Fractions.
     """
+    check_points(st.space.n_points, [z], "probe")
     if not st.pairs:
         raise EmptyStateError("back-and-forth state has no pairs")
     if z in st.domain:
@@ -557,7 +544,7 @@ def prop53_extension(st: BFState, z: int) -> tuple[MetricSpace, int]:
         MetricSpace.from_grid(labels, rows, ap.denom * lift, ap.bound_scaled * lift),
         "transport extension invalid",
     )
-    moved = out.d[-1][keep.index(z)]
+    moved = out.dist(len(keep), keep.index(z))
     if moved != t0 or t0 > st.eps:
         raise MetricFailureError(
             f"transport extension breaks its contract: d(z', z) = {moved}, "
@@ -606,16 +593,11 @@ def injectivity_chain(
         raise PreconditionError(f"need 0 < r <= diam_bound, got r={r}")
     if not 0 < s <= bound:
         raise PreconditionError(f"need 0 < s <= diam_bound, got s={s}")
-    if s == r:
-        n = 1
-    else:
-        n = max(2, ceil(s / r))
-    rows = [
-        [min(r * abs(i - j), (n - abs(i - j)) * r + s) for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
-    labels = [f"x{i}" for i in range(n + 1)]
-    chain = MetricSpace(tuple(labels), tuple(tuple(row) for row in rows), max(bound, r * n + s))
+    q = lcm(r.denominator, s.denominator)
+    r, s = r.numerator * (q // r.denominator), s.numerator * (q // s.denominator)
+    n = 1 if s == r else max(2, -(-s // r))
+    rows = [[min(r * abs(i - j), (n - abs(i - j)) * r + s) for j in range(n + 1)] for i in range(n + 1)]
+    chain = MetricSpace.from_grid([f"x{i}" for i in range(n + 1)], rows, q, r * n + s)
     return cap_metric(chain, bound)
 
 
@@ -625,14 +607,14 @@ def nonproper_witness(
     """Add a level-lambda companion of x: d(y, x) = lambda and
     d(y, z_i) = max(lambda, d(x, z_i)), over the restriction to x and Z."""
     level = as_fraction(lam)
-    Z = list(Z)
+    Z = check_points(space.n_points, [x, *Z])[1:]
     if x in Z:
         raise IndexClashError("Z must not contain x")
     if len(set(Z)) != len(Z):
         raise IndexClashError("duplicate indices in Z")
     if not 0 < level < space.diam_bound:
         raise LambdaOutOfRangeError(f"lambda {level} outside (0, {space.diam_bound})")
-    denom, e, bound, step = _lift(space, level)
+    denom, e, bound, (step,) = lift(space, [level])
     keep = sorted({x, *Z})
     profile = [step if w == x else max(step, e[x][w]) for w in keep]
     return _extend(space.labels, e, keep, "y", profile, denom, bound, "level companion invalid")

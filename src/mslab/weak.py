@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptySubsetError, IndexClashError, PreconditionError
-from .metric import KatetovFn, MetricSpace, elementary_katetov
+from .metric import KatetovFn, MetricSpace, check_points, elementary_katetov, grid_fractions, lift
 from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
@@ -38,9 +38,7 @@ class LandmarkSet:
             raise EmptySubsetError("landmark set must be non-empty")
         if len(set(self.F)) != len(self.F):
             raise IndexClashError("duplicate landmark indices")
-        for z in self.F:
-            if not 0 <= z < self.space.n_points:
-                raise PreconditionError(f"landmark index {z} out of range")
+        check_points(self.space.n_points, self.F, "landmark")
 
 
 @dataclass(frozen=True)
@@ -52,21 +50,21 @@ class WeakSeminorm:
     matrix: tuple[tuple[Fraction, ...], ...]
 
 
+def _gap(rows, a: int, b: int, F: Sequence[int]) -> int:
+    """The landmark gap of points a and b on a grid with these scaled rows."""
+    return max(abs(rows[a][z] - rows[b][z]) for z in F)
+
+
 def landmark_gap(space: MetricSpace, a: int, b: int, F: Sequence[int]) -> Fraction:
-    return max(abs(space.d[a][z] - space.d[b][z]) for z in F)
+    denom, rows, _ = space.grid
+    return Fraction(_gap(rows, a, b, F), denom)
 
 
 def weak_seminorm(landmarks: LandmarkSet) -> WeakSeminorm:
-    space = landmarks.space
-    n = space.n_points
-    matrix = tuple(
-        tuple(
-            Fraction(0) if i == j else landmark_gap(space, i, j, landmarks.F)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return WeakSeminorm(landmarks, matrix)
+    denom, rows, _ = landmarks.space.grid
+    n = len(rows)
+    gaps = [[0 if i == j else _gap(rows, i, j, landmarks.F) for j in range(n)] for i in range(n)]
+    return WeakSeminorm(landmarks, grid_fractions(gaps, denom))
 
 
 def proximity_test(
@@ -84,11 +82,14 @@ def proximity_test(
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     space = landmarks.space
+    A = check_points(space.n_points, sorted(set(A)))
+    B = check_points(space.n_points, sorted(set(B)))
+    _, rows, _, (e,) = lift(space, [eps])
     checked = 0
-    for a in sorted(set(A)):
-        for b in sorted(set(B)):
+    for a in A:
+        for b in B:
             checked += 1
-            if landmark_gap(space, a, b, landmarks.F) < eps:
+            if _gap(rows, a, b, landmarks.F) < e:
                 return WitnessReport(
                     check="proximity",
                     params={"eps": eps, "landmarks": list(landmarks.F)},
@@ -113,9 +114,10 @@ def gromov_net_indices(space: MetricSpace, landmarks: LandmarkSet, eps: Rational
     eps = as_fraction(eps)
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
+    _, rows, _, (e,) = lift(space, [eps])
     reps: list[int] = []
     for z in range(space.n_points):
-        if all(landmark_gap(space, z, r, landmarks.F) >= eps for r in reps):
+        if all(_gap(rows, z, r, landmarks.F) >= e for r in reps):
             reps.append(z)
     return reps
 
@@ -134,8 +136,5 @@ def restrict_katetov(fn: KatetovFn, subset: Sequence[int]) -> KatetovFn:
     idx = sorted(set(int(i) for i in subset))
     if not idx:
         raise EmptySubsetError("cannot restrict to the empty subset")
-    for i in idx:
-        if not 0 <= i < fn.space.n_points:
-            raise PreconditionError(f"subset index {i} out of range")
-    sub = fn.space.restrict(idx)
+    sub = fn.space.restrict(check_points(fn.space.n_points, idx, "subset"))
     return KatetovFn(sub, tuple(fn.values[i] for i in idx))

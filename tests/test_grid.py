@@ -1,18 +1,20 @@
-"""Spaces that carry their integer grid.
+"""Spaces held on their least integer grid.
 
-The builders that work on the grid (the random spaces, the explicit
-extensions, `restrict` and the approximant's Fraction views) are compared
-with the Fraction implementations they replaced, kept below as oracles:
-same labels, distances, bound, returned indices, and the same error with
-the same message when the input breaks a precondition or the output is
-not a metric. The grid itself is checked against the Fractions it stands
+The builders and readers that work on the grid (the random spaces, the
+explicit extensions, `restrict`, the approximant's views, the loader, and
+the metric, Katetov and landmark calculus) are compared with the Fraction
+implementations they replaced, kept below as oracles: same labels,
+distances, bound, returned indices and verdicts, and the same error with
+the same message when the input breaks a precondition or is not a metric
+or not Katetov. The grid itself is checked against the Fractions it stands
 for, on spaces from every builder.
 """
 
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from math import ceil, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,31 +22,53 @@ from hypothesis import given, settings, strategies as st
 from mslab import (
     Approximant,
     BFState,
+    KatetovFn,
+    KatetovVerdict,
+    LandmarkSet,
     MARequest,
     MetricSpace,
+    MetricVerdict,
+    PartialIsometry,
+    amalgamate,
     back_and_forth_extend,
+    cap_metric,
+    extend_by_katetov,
+    gromov_net_indices,
+    injectivity_chain,
+    is_katetov,
     ma_extension,
     nonproper_witness,
     prop53_extension,
+    proximity_test,
+    rado_metric,
+    rado_metric_space,
+    sup_distance,
     uwmt_extension,
     validate_metric,
+    weak_seminorm,
 )
 from mslab.errors import (
     DiameterExceededError,
+    DuplicatePointError,
+    EmptyGlueError,
     EmptyStateError,
     IndexClashError,
+    KatetovViolationError,
     LambdaOutOfRangeError,
+    LengthMismatchError,
     MetricFailureError,
     MslabError,
     PreconditionAError,
     PreconditionBError,
     PreconditionError,
+    SpaceMismatchError,
     UnsaturatedError,
 )
-from mslab.metric import fresh_label, scale_space, space_grid
-from mslab.randgen import _grow_scaled_matrix, random_ma_request, random_metric_space
-from mslab.rationals import as_fraction
-from mslab.serialization import _dump_json, load_space, space_to_dict
+from mslab.metric import fresh_label, require_metric, scale_space
+from mslab.randgen import _grow_scaled_matrix, random_katetov_values, random_ma_request, random_metric_space
+from mslab.rationals import ParseMemo, as_fraction
+from mslab.serialization import _dump_json, load_space, space_from_dict, space_to_dict
+from mslab.weak import landmark_gap
 
 F = Fraction
 BIG_Q = 2**62 - 57  # scaled values past int64 under one addition
@@ -325,7 +349,7 @@ def test_ma_matches_the_fraction_recipe(seed):
         results.append(same(ma_extension, oracle_ma, req))
         # the same request at a delta that may lie off the space's grid and
         # break a precondition, with and without its landmarks
-        grid = space_grid(req.space)
+        grid = req.space.grid.denom
         q = grid * rng.randint(2, 5)
         delta = F(rng.randint(1, int(req.space.diam_bound * q)), q)
         for F_ in (req.F, ()):
@@ -355,7 +379,7 @@ def test_nonproper_matches_the_fraction_recipe(seed):
     for _ in range(150):
         space = random_metric_space(rng)
         x, *Z = pick(rng, space.n_points, rng.randint(1, space.n_points))
-        q = space_grid(space) * rng.choice([1, 1, 2, 3])
+        q = space.grid.denom * rng.choice([1, 1, 2, 3])
         level = F(rng.randint(1, int(space.diam_bound * q)), q)
         results.append(same(nonproper_witness, oracle_nonproper, space, x, Z, level))
         results.append(same(nonproper_witness, oracle_nonproper, space, x, [], level))
@@ -366,7 +390,7 @@ def prop53_states(rng, space, mult):
     """A state with identity pairs, and one with uwmt-mirrored pairs (as in
     battery 1), each with an eps on the grid or between grid points."""
     n = space.n_points
-    q = space_grid(space)
+    q = space.grid.denom
     eps = F(rng.randint(1, int(space.diam_bound * q * mult)), q * mult)
     pts = pick(rng, n, n)
     k = rng.randint(1, n - 1)
@@ -377,7 +401,7 @@ def prop53_states(rng, space, mult):
     pos = {orig: i for i, orig in enumerate(keep)}
     pairs = [(pos[z], p) for z, p in zip([x, *Z], [pos[y], *primes])]
     eps = max(space.d[x][y], eps)
-    yield BFState.create(Approximant.from_space(bigger, space_grid(bigger), 2), pairs, eps), pos[y]
+    yield BFState.create(Approximant.from_space(bigger, bigger.grid.denom, 2), pairs, eps), pos[y]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -399,13 +423,13 @@ def test_prop53_eps_between_grid_points_lifts_the_grid():
     st_ = BFState.create(Approximant.from_space(space, 4, 2), [(0, 0)], F(1, 6))
     got = same(prop53_extension, oracle_prop53, st_, 2)
     assert got[1][2][1] == F(1, 6) and off_grid(got, 4)
-    assert space_grid(prop53_extension(st_, 2)[0]) == 12
+    assert prop53_extension(st_, 2)[0].grid.denom == 12
     assert same(back_and_forth_extend, oracle_back_and_forth, st_, 2)[0] is UnsaturatedError
 
 
 def test_empty_state_and_clash_match():
     space = random_metric_space(random.Random(1), min_points=3)
-    a = Approximant.from_space(space, space_grid(space), 2)
+    a = Approximant.from_space(space, space.grid.denom, 2)
     assert same(prop53_extension, oracle_prop53, BFState(a, (), F(1)), 0)[0] is EmptyStateError
     assert same(prop53_extension, oracle_prop53, BFState.create(a, [(0, 0)], F(1)), 0)[0] is IndexClashError
 
@@ -440,7 +464,7 @@ def test_non_metric_inputs_fail_with_the_same_message(seed):
         req = MARequest(space, tuple(Z), x, y, F(rng.randint(1, 7), 4))
         results.append(same(ma_extension, oracle_ma, req))
         # an approximant file may hold a non-metric; Prop 5.3 then fails
-        a = Approximant.from_space(space, space_grid(space), 2)
+        a = Approximant.from_space(space, space.grid.denom, 2)
         st_ = BFState.create(a, [(p, p) for p in [x, *Z]], F(1))
         results.append(same(prop53_extension, oracle_prop53, st_, y))
     assert raised(results, MetricFailureError) > 50
@@ -458,7 +482,7 @@ def test_restrict_and_approximant_views_match():
         space = random_metric_space(rng)
         keep = pick(rng, space.n_points, rng.randint(0, space.n_points))
         assert space.restrict(keep) == oracle_restrict(space, keep)
-        a = Approximant.from_space(space, space_grid(space) * rng.randint(1, 3), 2)
+        a = Approximant.from_space(space, space.grid.denom * rng.randint(1, 3), 2)
         assert a.restrict_space(keep) == oracle_restrict_space(a, keep)
         assert a.as_metric_space() == oracle_restrict_space(a, range(a.n_points))
 
@@ -478,7 +502,7 @@ def spaces_from_every_builder(seed):
     req = random_ma_request(rng)
     x, y, *Z = pick(rng, n, rng.randint(2, n))
     st_, z = next(prop53_states(rng, space, 3))
-    a = Approximant.from_space(space, space_grid(space) * 2, 2)
+    a = Approximant.from_space(space, space.grid.denom * 2, 2)
     yield space
     yield req.space
     yield ma_extension(req)[0]
@@ -498,7 +522,7 @@ def test_grid_invariants(seed, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("grid")
     for i, space in enumerate(spaces_from_every_builder(seed)):
         least = oracle_grid(space)
-        assert space_grid(space) == least
+        assert space.grid.denom == least
         denom, rows, bound = space.grid
         assert [[F(v, denom) for v in row] for row in rows] == [list(row) for row in space.d]
         assert F(bound, denom) == space.diam_bound
@@ -512,16 +536,325 @@ def test_grid_invariants(seed, tmp_path_factory):
         assert from_fractions.grid.denom == least
         from_ints = MetricSpace.from_grid(space.labels, rows, denom, bound)
         assert from_ints == space and hash(from_ints) == hash(space)
+        finer = MetricSpace.from_grid(space.labels, [[3 * v for v in row] for row in rows], 3 * denom, 3 * bound)
+        assert finer == space and hash(finer) == hash(space) and finer.grid == space.grid
         first, again = tmp / f"first{i}.json", tmp / f"again{i}.json"
         _dump_json(space_to_dict(space), first)
-        _dump_json(space_to_dict(load_space(first)), again)
+        loaded = load_space(first)
+        assert loaded == space and hash(loaded) == hash(space)
+        _dump_json(space_to_dict(loaded), again)
         assert first.read_bytes() == again.read_bytes()
         assert json.loads(first.read_text()) == space_to_dict(from_fractions)
 
 
 def test_coarse_grid_scales_down():
     space = coarse_space()
-    assert space.grid.denom == 4 and space_grid(space) == 2
+    assert space.grid.denom == 2
     assert scale_space(space, 2) == ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 2)
     with pytest.raises(MslabError, match="not divisible by the space's denominator 2"):
         scale_space(space, 3)
+
+
+# -- the view is made only when read ----------------------------------------------
+
+
+def test_grid_paths_never_build_the_fraction_view():
+    rng = random.Random(8)
+    for _ in range(50):
+        space = random_metric_space(rng, min_points=3)
+        x, y, *Z = pick(rng, space.n_points, rng.randint(2, space.n_points))
+        require_metric(space, "seed")
+        space.restrict(Z)
+        scale_space(space, 2 * space.grid.denom)
+        Approximant.from_space(space, space.grid.denom, 2)
+        out, _ = uwmt_extension(space, x, y, Z)
+        assert "d" not in space.__dict__ and "d" not in out.__dict__
+    assert space.d and "d" in space.__dict__
+
+
+# -- the metric, Katetov and landmark calculus, as Fraction oracles -------------------
+
+
+def oracle_is_katetov(values, space):
+    vals = [as_fraction(v) for v in values]
+    n = space.n_points
+    if len(vals) != n:
+        raise LengthMismatchError(f"{len(vals)} values over a {n}-point space")
+    for i in range(n):
+        if vals[i] < 0 or vals[i] > space.diam_bound:
+            return KatetovVerdict(False, "range", (i,))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = space.d[i][j]
+            if abs(vals[i] - vals[j]) > dij:
+                return KatetovVerdict(False, "lipschitz", (i, j))
+            if vals[i] + vals[j] < dij:
+                return KatetovVerdict(False, "sum", (i, j))
+    return KatetovVerdict(True)
+
+
+def oracle_sup_distance(f, g):
+    if f.space != g.space:
+        raise SpaceMismatchError("sup_distance needs both functions over one space")
+    return max(abs(a - b) for a, b in zip(f.values, g.values))
+
+
+def oracle_with_point(space, label, profile):
+    prof = tuple(as_fraction(v) for v in profile)
+    if len(prof) != space.n_points:
+        raise LengthMismatchError(f"profile has {len(prof)} entries for {space.n_points} points")
+    rows = [row + (prof[i],) for i, row in enumerate(space.d)]
+    rows.append(prof + (F(0),))
+    return MetricSpace(space.labels + (fresh_label(label, set(space.labels)),), tuple(rows), space.diam_bound)
+
+
+def oracle_extend_by_katetov(space, fn):
+    verdict = oracle_is_katetov(fn.values, space)
+    if not verdict:
+        raise KatetovViolationError(f"not Katetov: {verdict.reason} at {verdict.witness}")
+    for i, v in enumerate(fn.values):
+        if v == 0:
+            raise DuplicatePointError(f"profile vanishes at point {i}; realization would duplicate it")
+    out = checked(oracle_with_point(space, f"x{space.n_points}", fn.values), "extension invalid")
+    return out, out.n_points - 1
+
+
+def oracle_cap_metric(space, c):
+    cap = as_fraction(c)
+    if cap <= 0:
+        raise PreconditionError(f"cap must be positive, got {cap}")
+    rows = tuple(tuple(min(v, cap) for v in row) for row in space.d)
+    return checked(MetricSpace(space.labels, rows, cap), "capped matrix invalid")
+
+
+def oracle_isometry_check(glue, source, target):
+    for a in range(len(glue.domain)):
+        for b in range(a + 1, len(glue.domain)):
+            if source.d[glue.domain[a]][glue.domain[b]] != target.d[glue.image[a]][glue.image[b]]:
+                return MetricVerdict(False, "not-isometric", (a, b))
+    return MetricVerdict(True)
+
+
+def oracle_amalgamate(x_space, y_space, glue, diam_bound=None):
+    if diam_bound is None:
+        if not glue.domain:
+            raise EmptyGlueError("empty glue needs an explicit diam_bound")
+        bound = max(x_space.diam_bound, y_space.diam_bound)
+    else:
+        bound = as_fraction(diam_bound)
+    if x_space.diam_bound > bound or y_space.diam_bound > bound:
+        raise PreconditionError("both factors must have diameter bound <= the amalgam bound")
+    ok = oracle_isometry_check(glue, x_space, y_space)
+    if not ok:
+        raise PreconditionError(f"glue is not a partial isometry: positions {ok.witness}")
+    glued_in_y = dict(zip(glue.image, glue.domain))
+    new_y = [j for j in range(y_space.n_points) if j not in glued_in_y]
+    labels = list(x_space.labels)
+    used = set(labels)
+    labels += [fresh_label(y_space.labels[j], used) for j in new_y]
+    n_x = x_space.n_points
+    n = n_x + len(new_y)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n_x):
+        for j in range(n_x):
+            rows[i][j] = x_space.d[i][j]
+    for a, ja in enumerate(new_y):
+        for b, jb in enumerate(new_y):
+            rows[n_x + a][n_x + b] = y_space.d[ja][jb]
+    for i in range(n_x):
+        for a, ja in enumerate(new_y):
+            cross = bound
+            for dom, img in zip(glue.domain, glue.image):
+                cross = min(cross, x_space.d[i][dom] + y_space.d[img][ja])
+            rows[i][n_x + a] = rows[n_x + a][i] = cross
+    return checked(MetricSpace(tuple(labels), tuple(tuple(r) for r in rows), bound), "amalgam invalid")
+
+
+def oracle_injectivity_chain(r, s, diam_bound):
+    r, s, bound = as_fraction(r), as_fraction(s), as_fraction(diam_bound)
+    if not 0 < r <= bound:
+        raise PreconditionError(f"need 0 < r <= diam_bound, got r={r}")
+    if not 0 < s <= bound:
+        raise PreconditionError(f"need 0 < s <= diam_bound, got s={s}")
+    n = 1 if s == r else max(2, ceil(s / r))
+    rows = [[min(r * abs(i - j), (n - abs(i - j)) * r + s) for j in range(n + 1)] for i in range(n + 1)]
+    chain = MetricSpace(tuple(f"x{i}" for i in range(n + 1)), tuple(map(tuple, rows)), max(bound, r * n + s))
+    return oracle_cap_metric(chain, bound)
+
+
+def oracle_rado_metric_space(vertices):
+    verts = list(vertices)
+    return MetricSpace(tuple(map(str, verts)), tuple(tuple(rado_metric(a, b) for b in verts) for a in verts), 2)
+
+
+def oracle_space_from_dict(data):
+    parse = ParseMemo()
+    return MetricSpace(
+        tuple(data["points"]), tuple(tuple(map(parse.__getitem__, row)) for row in data["d"]), parse[data["diam"]]
+    )
+
+
+def oracle_landmark_gap(space, a, b, F_):
+    return max(abs(space.d[a][z] - space.d[b][z]) for z in F_)
+
+
+def oracle_weak_seminorm(landmarks):
+    n = landmarks.space.n_points
+    return tuple(
+        tuple(F(0) if i == j else oracle_landmark_gap(landmarks.space, i, j, landmarks.F) for j in range(n))
+        for i in range(n)
+    )
+
+
+def oracle_proximity(A, B, landmarks, eps):
+    for a in sorted(set(A)):
+        for b in sorted(set(B)):
+            if oracle_landmark_gap(landmarks.space, a, b, landmarks.F) < eps:
+                return a, b
+    return None
+
+
+def oracle_net(space, landmarks, eps):
+    reps = []
+    for z in range(space.n_points):
+        if all(oracle_landmark_gap(space, z, r, landmarks.F) >= eps for r in reps):
+            reps.append(z)
+    return reps
+
+
+def result(fn, *args):
+    """What a function returns, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except (MslabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def agree(fn, oracle, *args):
+    got, want = result(fn, *args), result(oracle, *args)
+    assert got == want
+    if isinstance(want, MetricSpace):
+        assert (got.labels, got.d, got.diam_bound) == (want.labels, want.d, want.diam_bound)
+    return got
+
+
+def calculus_spaces(seed):
+    """Random spaces on small grids, and on a grid near 2**62."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        yield rng, random_metric_space(rng, min_points=1)
+    for _ in range(8):
+        n = rng.randint(1, 6)
+        yield rng, scaled_space(rng, n, BIG_Q, rng.randint(BIG_Q, 2 * BIG_Q))
+
+
+def grid_values(rng, space, n, low=0, high=1):
+    """n values on the space's grid or a finer one, in [low, high] times
+    the bound."""
+    q = space.grid.denom * rng.choice([1, 1, 2, 3, 7])
+    top = space.grid.bound * q // space.grid.denom
+    return tuple(F(rng.randint(low * top, high * top), q) for _ in range(n))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_katetov_calculus_matches_the_fraction_oracles(seed):
+    verdicts = set()
+    for rng, space in calculus_spaces(seed):
+        n = space.n_points
+        q = space.grid.denom
+        katetov = random_katetov_values(rng, space, q * rng.choice([1, 2]))
+        loose = grid_values(rng, space, n, -1, 2)
+        for values in (katetov, loose, grid_values(rng, space, n), katetov[1:]):
+            got = agree(is_katetov, oracle_is_katetov, values, space)
+            verdicts.add(got[0] if isinstance(got, tuple) else got.reason)
+            fn = KatetovFn(space, values)
+            agree(sup_distance, oracle_sup_distance, fn, KatetovFn(space, katetov))
+            agree(extend_by_katetov, oracle_extend_by_katetov, space, fn)
+            agree(MetricSpace.with_point, oracle_with_point, space, "x", values)
+    assert verdicts >= {None, "range", "lipschitz", "sum", LengthMismatchError}
+
+
+def test_sup_distance_over_different_spaces_matches():
+    a, b = random_metric_space(random.Random(1)), random_metric_space(random.Random(2))
+    fa, fb = KatetovFn(a, a.d[0]), KatetovFn(b, b.d[0])
+    assert agree(sup_distance, oracle_sup_distance, fa, fb)[0] is SpaceMismatchError
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cap_and_amalgamate_match_the_fraction_oracles(seed):
+    errors = set()
+    finer = 0
+    for rng, space in calculus_spaces(seed):
+        n = space.n_points
+        cap = grid_values(rng, space, 1, -1, 2)[0]
+        got = agree(cap_metric, oracle_cap_metric, space, cap)
+        errors.add(got[0] if isinstance(got, tuple) else None)
+        # glue a random subspace back onto the space, sometimes misaligned
+        keep = pick(rng, n, rng.randint(0, n))
+        part = space.restrict(keep)
+        glued = rng.sample(range(len(keep)), rng.randint(0, len(keep)))
+        image = [keep[i] for i in glued] if rng.random() < 0.8 else rng.sample(range(n), len(glued))
+        glue = PartialIsometry(tuple(glued), tuple(image))
+        for bound in (None, space.diam_bound, grid_values(rng, space, 1, 0, 2)[0]):
+            got = agree(amalgamate, oracle_amalgamate, part, space, glue, bound)
+            errors.add(got[0] if isinstance(got, tuple) else None)
+            agree(glue.check, partial(oracle_isometry_check, glue), part, space)
+        # glue the space onto a one-point extension of it on a finer grid
+        wider = space.with_point("w", random_katetov_values(rng, space, 2 * space.grid.denom, allow_zero=False))
+        finer += wider.grid.denom != space.grid.denom
+        identity = PartialIsometry(tuple(range(n)), tuple(range(n)))
+        assert agree(identity.check, partial(oracle_isometry_check, identity), space, wider)
+        agree(amalgamate, oracle_amalgamate, space, wider, identity, None)
+    for rng, space in calculus_spaces(seed + 10):
+        if space.n_points > 2:
+            other = non_metric(rng, space.n_points, rng.randint(1, 6))
+            got = agree(cap_metric, oracle_cap_metric, other, rng.choice([1, F(3, 2), 2]))
+            errors.add(got[0] if isinstance(got, tuple) else None)
+            glue = PartialIsometry((0,), (0,))
+            got = agree(amalgamate, oracle_amalgamate, other, other.restrict([0, 1]), glue, 4)
+            errors.add(got[0] if isinstance(got, tuple) else None)
+    assert errors >= {None, PreconditionError, EmptyGlueError, MetricFailureError}
+    assert finer
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chain_and_rado_spaces_match_the_fraction_oracles(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        q = rng.choice([rng.randint(1, 24), BIG_Q])
+        steps = rng.randint(2, 2 * min(q, 24))
+        r, s = (F(rng.randint(1, steps), q * rng.choice([1, 2, 5])) for _ in range(2))
+        agree(injectivity_chain, oracle_injectivity_chain, r, s, F(steps, q))
+    assert agree(injectivity_chain, oracle_injectivity_chain, F(3), F(1), F(2))[0] is PreconditionError
+    for _ in range(20):
+        verts = rng.sample(range(300), rng.randint(0, 40))
+        agree(rado_metric_space, oracle_rado_metric_space, verts)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_loader_matches_the_fraction_oracle(seed):
+    for rng, space in calculus_spaces(seed):
+        data = space_to_dict(space)
+        if space.n_points > 2 and rng.random() < 0.5:
+            data = space_to_dict(non_metric(rng, space.n_points, rng.randint(1, 30)))
+        got = agree(space_from_dict, oracle_space_from_dict, data)
+        assert hash(got) == hash(oracle_space_from_dict(data))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_landmark_calculus_matches_the_fraction_oracles(seed):
+    passes = set()
+    for rng, space in calculus_spaces(seed):
+        n = space.n_points
+        landmarks = LandmarkSet(space, tuple(pick(rng, n, rng.randint(1, n))))
+        eps = grid_values(rng, space, 1)[0] or F(1, 5 * space.grid.denom)
+        a, b = rng.randrange(n), rng.randrange(n)
+        assert landmark_gap(space, a, b, landmarks.F) == oracle_landmark_gap(space, a, b, landmarks.F)
+        assert weak_seminorm(landmarks).matrix == oracle_weak_seminorm(landmarks)
+        A, B = pick(rng, n, rng.randint(1, n)), pick(rng, n, rng.randint(1, n))
+        report = proximity_test(A, B, landmarks, eps)
+        want = oracle_proximity(A, B, landmarks, eps)
+        assert (report.witness if report.ok else None) == (None if want is None else {"a": want[0], "b": want[1]})
+        passes.add(report.ok)
+        assert gromov_net_indices(space, landmarks, eps) == oracle_net(space, landmarks, eps)
+    assert passes == {True, False}

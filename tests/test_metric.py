@@ -34,7 +34,6 @@ from mslab.errors import (
     PreconditionError,
     SpaceMismatchError,
 )
-from mslab.metric import space_grid
 from mslab.randgen import random_katetov_values, random_metric_space
 
 F = Fraction
@@ -375,7 +374,7 @@ def test_extend_elementary_roundtrip():
     rng = random.Random(11)
     for _ in range(50):
         space = random_metric_space(rng, max_points=6, max_denom=10)
-        values = random_katetov_values(rng, space, space_grid(space), allow_zero=False)
+        values = random_katetov_values(rng, space, space.grid.denom, allow_zero=False)
         out, idx = extend_by_katetov(space, KatetovFn.over(space, values))
         back = elementary_katetov(out, idx)
         assert back.values[: space.n_points] == values
@@ -418,7 +417,7 @@ def test_truncate_max_stays_katetov():
     rng = random.Random(19)
     for _ in range(100):
         space = random_metric_space(rng, max_points=6, max_denom=8, min_diam_steps=2)
-        q = space_grid(space)
+        q = space.grid.denom
         fn = KatetovFn(space, random_katetov_values(rng, space, q))
         lam = F(rng.randint(1, int(space.diam_bound * 2 * q) - 1), 2 * q)
         assert is_katetov(truncate_katetov(fn, lam, "max"), space).ok
@@ -444,7 +443,7 @@ def test_truncations_are_sup_contractions():
     rng = random.Random(23)
     for _ in range(100):
         space = random_metric_space(rng, max_points=6, max_denom=8, min_diam_steps=2)
-        q = space_grid(space)
+        q = space.grid.denom
         f = KatetovFn(space, random_katetov_values(rng, space, q))
         g = KatetovFn(space, random_katetov_values(rng, space, q))
         lam = F(rng.randint(1, int(space.diam_bound * 2 * q) - 1), 2 * q)
@@ -473,7 +472,7 @@ def test_enumerate_matches_naive_filter():
     rng = random.Random(31)
     for _ in range(20):
         space = random_metric_space(rng, max_points=3, max_denom=4)
-        q = space_grid(space)
+        q = space.grid.denom
         for denom in (q, 2 * q):
             if denom > 4:
                 continue
@@ -511,7 +510,7 @@ def test_random_katetov_values_are_among_the_enumerated_functions():
     rng = random.Random(17)
     for _ in range(40):
         space = random_metric_space(rng, max_points=4, max_denom=4)
-        q = space_grid(space)
+        q = space.grid.denom
         every = {fn.values for fn in enumerate_katetov(space, q)}
         for allow_zero in (True, False):
             for _ in range(5):
@@ -522,7 +521,7 @@ def test_random_katetov_values_without_zero_never_vanish():
     rng = random.Random(19)
     for _ in range(300):
         space = random_metric_space(rng, max_points=8, max_denom=24)
-        q = space_grid(space)
+        q = space.grid.denom
         values = random_katetov_values(rng, space, 2 * q, allow_zero=False)
         assert 0 not in values and is_katetov(values, space).ok
 

@@ -1,20 +1,24 @@
-"""Loading files: the per-payload parse memo and the approximant file checks."""
+"""Loading files: the per-payload parse memo, the approximant file checks
+and save → load → save round trips."""
 
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mslab import Approximant, MetricSpace, fraisse_step
+from mslab import Approximant, KatetovFn, MetricSpace, fraisse_step
 from mslab.cli import main
-from mslab.randgen import random_metric_space
+from mslab.randgen import random_katetov_values, random_metric_space
 from mslab.serialization import (
     FormatError,
     _dump_json,
     approximant_from_dict,
     approximant_to_dict,
+    katetov_to_dict,
     load_approximant,
+    load_katetov,
     load_space,
     space_to_dict,
 )
@@ -101,6 +105,27 @@ def test_space_save_load_save_is_byte_identical(tmp_path):
         first = saved_bytes(space_to_dict(space), tmp_path / f"first{i}.json")
         again = saved_bytes(space_to_dict(load_space(tmp_path / f"first{i}.json")), tmp_path / f"again{i}.json")
         assert first == again
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), katetov=st.booleans(), data=st.data())
+def test_katetov_save_load_save_is_byte_identical(seed, katetov, data, tmp_path_factory):
+    # values from the Katetov sampler, or any grid values (which need not be
+    # Katetov: the file holds them and `katetov check` judges them)
+    rng = random.Random(seed)
+    space = random_metric_space(rng, min_points=1, max_points=6, max_denom=24)
+    q = space.grid.denom * rng.choice([1, 2, 3])
+    if katetov:
+        values = random_katetov_values(rng, space, q)
+    else:
+        grid = st.integers(-q, 3 * q).map(lambda v: F(v, q))
+        values = tuple(data.draw(st.lists(grid, min_size=space.n_points, max_size=space.n_points)))
+    fn = KatetovFn(space, values)
+    tmp = tmp_path_factory.mktemp("katetov")
+    first = saved_bytes(katetov_to_dict(fn), tmp / "first.json")
+    loaded = load_katetov(tmp / "first.json")
+    assert loaded == fn
+    assert saved_bytes(katetov_to_dict(loaded), tmp / "again.json") == first
 
 
 def set_entry(data, i, j, value):

@@ -31,7 +31,6 @@ from mslab.errors import (
     PreconditionBError,
     UnsaturatedError,
 )
-from mslab.metric import space_grid
 from mslab.randgen import random_ma_request, random_metric_space
 
 F = Fraction
@@ -175,7 +174,7 @@ def test_uwmt_copy_exactness_random():
 
 
 def make_state(space, pairs, eps):
-    return BFState.create(Approximant.from_space(space, space_grid(space), 2), pairs, eps)
+    return BFState.create(Approximant.from_space(space, space.grid.denom, 2), pairs, eps)
 
 
 def test_prop53_spec_example():

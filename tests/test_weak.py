@@ -19,7 +19,6 @@ from mslab import (
     weak_seminorm,
 )
 from mslab.errors import EmptySubsetError, IndexClashError
-from mslab.metric import space_grid
 from mslab.randgen import random_katetov_values, random_metric_space
 from mslab.weak import PROXIMITY_CAVEAT, landmark_gap
 
@@ -119,7 +118,7 @@ def test_proximity_more_landmarks_only_harder():
         a, b = [pts[0]], [pts[1]]
         small = tuple(sorted(pts[2:3])) or (pts[0],)
         big = tuple(sorted(set(small) | {pts[rng.randrange(sp.n_points)]}))
-        q = space_grid(sp)
+        q = sp.grid.denom
         eps = F(rng.randint(1, int(sp.diam_bound * q)), q)
         if proximity_test(a, b, LandmarkSet(sp, big), eps).verdict == "pass":
             assert proximity_test(a, b, LandmarkSet(sp, small), eps).verdict == "pass"
@@ -143,7 +142,7 @@ def test_net_is_separated_maximal_and_covering():
         sp = random_metric_space(rng, max_points=7, max_denom=10)
         k = rng.randint(1, sp.n_points)
         land = LandmarkSet(sp, tuple(sorted(rng.sample(range(sp.n_points), k))))
-        q = space_grid(sp)
+        q = sp.grid.denom
         eps = F(rng.randint(1, 2 * int(sp.diam_bound * q)), q)
         reps = gromov_net_indices(sp, land, eps)
         for i, r1 in enumerate(reps):
@@ -193,7 +192,7 @@ def test_restrict_never_increases_sup_distance():
     rng = random.Random(23)
     for _ in range(80):
         sp = random_metric_space(rng, max_points=7, max_denom=10)
-        q = space_grid(sp)
+        q = sp.grid.denom
         f = KatetovFn(sp, random_katetov_values(rng, sp, q))
         g = KatetovFn(sp, random_katetov_values(rng, sp, q))
         k = rng.randint(1, sp.n_points)
