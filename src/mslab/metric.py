@@ -21,6 +21,13 @@ diam_bound)` converts once, at that edge. The exact `.d` matrix and
 distinct value. The metric and Katetov calculus reads the grid; `lift`
 refines it just enough when a Fraction value falls off it.
 
+Every explicit extension (`with_point`, `amalgamate` and the recipes in
+`urysohn`) is built by two grid helpers. `katetov_completion` is Katetov's
+one-point extension of a partial profile xi over anchors S,
+g(w) = min(bound, min over s in S of xi(s) + d(s, w)); `append_points`
+appends new points, given their profiles and their distances among
+themselves, to a restriction of a scaled matrix.
+
 `validate_metric` is the package's universal safety net: a brute-force
 O(n^3) scan over ordered triples. The scan is the contract; everything
 below implements that same scan on integers, cross-checked in the test
@@ -327,6 +334,7 @@ class MetricSpace:
         return len(self.labels)
 
     def dist(self, i: int, j: int) -> Fraction:
+        check_points(self.n_points, (i, j))
         return Fraction(self.grid.rows[i][j], self.grid.denom)
 
     def restrict(self, indices: Sequence[int]) -> "MetricSpace":
@@ -342,9 +350,7 @@ class MetricSpace:
         denom, rows, bound, prof = lift(self, profile)
         if len(prof) != self.n_points:
             raise LengthMismatchError(f"profile has {len(prof)} entries for {self.n_points} points")
-        rows = [(*row, p) for row, p in zip(rows, prof)]
-        rows.append((*prof, 0))
-        return MetricSpace.from_grid(self.labels + (fresh_label(label, set(self.labels)),), rows, denom, bound)
+        return append_points(self.labels, rows, range(self.n_points), [prof], [[0]], [label], denom, bound)
 
 
 def check_points(n: int, indices: Sequence[int], what: str = "point") -> list[int]:
@@ -367,6 +373,43 @@ def lift(space: MetricSpace, values: Sequence[RationalLike]) -> tuple[int, Seque
         rows = [[v * f for v in row] for row in rows]
         bound *= f
     return lifted, rows, bound, [v.numerator * (lifted // v.denominator) for v in vals]
+
+
+def append_points(
+    labels: Sequence[str], rows: Sequence[Sequence[int]], keep: Sequence[int], profiles: Sequence[Sequence[int]],
+    among: Sequence[Sequence[int]], names: Sequence[str], denom: int, bound: int,
+) -> MetricSpace:
+    """The restriction of the scaled `rows` to `keep`, plus k new points on
+    the same 1/denom grid: profiles[a] holds new point a's distances to the
+    kept points (in `keep` order), among[a] its distances to the new points,
+    and names[a] the label made fresh for it. No validation here."""
+    out = [[rows[i][j] for j in keep] + [p[r] for p in profiles] for r, i in enumerate(keep)]
+    out += [[*p, *a] for p, a in zip(profiles, among)]
+    kept = [labels[i] for i in keep]
+    used = set(kept)
+    return MetricSpace.from_grid(kept + [fresh_label(name, used) for name in names], out, denom, bound)
+
+
+def katetov_completion(
+    rows: Sequence[Sequence[int]], anchors: Sequence[int], values: Sequence[int], bound: int, targets: Sequence[int]
+) -> list[int]:
+    """Katetov's one-point extension of a partial profile, on the grid of
+    the scaled `rows`: for each w in `targets`,
+
+        g(w) = min(bound, min over s in anchors of values[s] + rows[s][w]).
+
+    Over a metric with every value at most the bound, g is Katetov whenever
+    the partial profile is Katetov over the anchors; it then agrees with
+    the values on the anchors and is the largest Katetov function that does
+    (Katetov 1988, "On universal metric spaces")."""
+    out = [bound] * len(targets)
+    for s, v in zip(anchors, values):
+        row = rows[s]
+        for t, w in enumerate(targets):
+            leg = v + row[w]
+            if leg < out[t]:
+                out[t] = leg
+    return out
 
 
 def require_metric(space: MetricSpace, what: str) -> MetricSpace:
@@ -468,26 +511,19 @@ def amalgamate(
     if not ok:
         raise PreconditionError(f"glue is not a partial isometry: positions {ok.witness}")
 
-    glued_in_y = dict(zip(glue.image, glue.domain))  # y index -> x index
+    glued_in_y = set(glue.image)
     new_y = [j for j in range(y_space.n_points) if j not in glued_in_y]
-
-    labels = list(x_space.labels)
-    used = set(labels)
-    labels += [fresh_label(y_space.labels[j], used) for j in new_y]
 
     denom = lcm(diam.denominator, x_space.grid.denom, y_space.grid.denom)
     bound = diam.numerator * (denom // diam.denominator)
     x, _ = scale_space(x_space, denom)
     y, _ = scale_space(y_space, denom)
-    n_x = x_space.n_points
-    rows = [row + [0] * len(new_y) for row in x]
-    rows += [[0] * n_x + [y[ja][jb] for jb in new_y] for ja in new_y]
-    for i in range(n_x):
-        for a, ja in enumerate(new_y):
-            cross = min([bound] + [x[i][dom] + y[img][ja] for dom, img in zip(glue.domain, glue.image)])
-            rows[i][n_x + a] = rows[n_x + a][i] = cross
-
-    return require_metric(MetricSpace.from_grid(labels, rows, denom, bound), "amalgam invalid")
+    x_points = range(x_space.n_points)
+    cross = [katetov_completion(x, glue.domain, [y[img][ja] for img in glue.image], bound, x_points) for ja in new_y]
+    among = [[y[ja][jb] for jb in new_y] for ja in new_y]
+    names = [y_space.labels[j] for j in new_y]
+    out = append_points(x_space.labels, x, x_points, cross, among, names, denom, bound)
+    return require_metric(out, "amalgam invalid")
 
 
 @dataclass(frozen=True)
@@ -541,7 +577,7 @@ def is_katetov(values: Sequence[RationalLike], space: MetricSpace) -> KatetovVer
 def elementary_katetov(space: MetricSpace, z: int) -> KatetovFn:
     """The distance profile of an existing point: f_z(x) = d(x, z)."""
     check_points(space.n_points, [z])
-    return KatetovFn(space, space.d[z])
+    return KatetovFn(space, grid_fractions([space.grid.rows[z]], space.grid.denom)[0])
 
 
 def extend_by_katetov(space: MetricSpace, fn: KatetovFn) -> tuple[MetricSpace, int]:
@@ -563,12 +599,15 @@ def extend_by_katetov(space: MetricSpace, fn: KatetovFn) -> tuple[MetricSpace, i
 
 
 def sup_distance(f: KatetovFn, g: KatetovFn) -> Fraction:
-    """Sup metric on K(X): max over points of |f - g|."""
+    """Sup metric on K(X): max over points of |f - g| (0 over no points)."""
     if f.space != g.space:
         raise SpaceMismatchError("sup_distance needs both functions over one space")
+    n = f.space.n_points
+    for fn in (f, g):
+        if len(fn.values) != n:
+            raise LengthMismatchError(f"{len(fn.values)} values over a {n}-point space")
     denom, _, _, vals = lift(f.space, f.values + g.values)
-    n = len(f.values)
-    return Fraction(max(abs(a - b) for a, b in zip(vals[:n], vals[n:])), denom)
+    return Fraction(max((abs(a - b) for a, b in zip(vals[:n], vals[n:])), default=0), denom)
 
 
 def kuratowski_embed(space: MetricSpace) -> list[KatetovFn]:

@@ -158,7 +158,7 @@ def battery_kuratowski(seed: int = 42, trials: int = 1000) -> WitnessReport:
         fns = kuratowski_embed(space)
         for i in range(space.n_points):
             for j in range(i + 1, space.n_points):
-                if sup_distance(fns[i], fns[j]) != space.d[i][j]:
+                if sup_distance(fns[i], fns[j]) != space.dist(i, j):
                     return _fail("kuratowski-gromov", params, {"part": "kuratowski", "trial": t, "pair": [i, j]}, {})
 
     rng2 = random.Random(seed + 1)
@@ -393,13 +393,13 @@ def battery_nonproper(seed: int = 42, trials: int = 100) -> WitnessReport:
             return _fail("nonproper-witness", params, {"trial": done, "error": str(exc)}, {})
         keep = sorted({x, *Z})
         pos = {orig: i for i, orig in enumerate(keep)}
-        if out.d[y][pos[x]] != HALF:
-            return _fail("nonproper-witness", params, {"trial": done, "d_yx": out.d[y][pos[x]]}, {})
+        if out.dist(y, pos[x]) != HALF:
+            return _fail("nonproper-witness", params, {"trial": done, "d_yx": out.dist(y, pos[x])}, {})
         for z in Z:
-            if out.d[y][pos[z]] != max(HALF, space.d[x][z]):
+            if out.dist(y, pos[z]) != max(HALF, space.dist(x, z)):
                 return _fail("nonproper-witness", params, {"trial": done, "z": z}, {})
         base = out.restrict(range(out.n_points - 1))
-        if not is_katetov([out.d[y][i] for i in range(out.n_points - 1)], base):
+        if not is_katetov([out.dist(y, i) for i in range(out.n_points - 1)], base):
             return _fail("nonproper-witness", params, {"trial": done, "note": "profile not Katetov"}, {})
         done += 1
     return WitnessReport(check="nonproper-witness", params=params, verdict="pass", counts={"instances": trials})
@@ -421,12 +421,12 @@ def battery_chain(seed: int = 42, trials: int = 1000) -> WitnessReport:
         except MslabError as exc:
             return _fail("injectivity-chain", params, {"trial": t, "error": str(exc)}, {})
         n = chain.n_points - 1
-        if chain.d[0][n] != s:
-            return _fail("injectivity-chain", params, {"trial": t, "closing": chain.d[0][n], "s": s}, {})
+        if chain.dist(0, n) != s:
+            return _fail("injectivity-chain", params, {"trial": t, "closing": chain.dist(0, n), "s": s}, {})
         if n >= 2 or s == r:
             for i in range(n):
-                if chain.d[i][i + 1] != r:
-                    return _fail("injectivity-chain", params, {"trial": t, "step": i, "got": chain.d[i][i + 1]}, {})
+                if chain.dist(i, i + 1) != r:
+                    return _fail("injectivity-chain", params, {"trial": t, "step": i, "got": chain.dist(i, i + 1)}, {})
     return WitnessReport(check="injectivity-chain", params=params, verdict="pass", counts={"triples": trials})
 
 

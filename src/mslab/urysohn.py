@@ -18,16 +18,19 @@ one- or k-point metric extension from a prescribed distance recipe and
 re-validate the result; they certify recipes, they never repair them. The
 MA, UWMT, Prop 5.3 and level-companion recipes run on the integer grid of
 their input space: they read its scaled rows, refine the grid only when a
-prescribed value (delta, lambda, or a Prop 5.3 displacement t0 set by an
-eps between grid points) falls off it (`metric.lift`), and check the
-result with the integer scan `validate_scaled`.
+prescribed value (delta, lambda, or the eps of Prop 5.3) falls off it
+(`metric.lift`, or q = lcm(denom, eps denominator) for Prop 5.3), append
+their points with `metric.append_points`, and check the result with the
+integer scan `validate_scaled`.
 
-For the two k-point recipes the prescribed cross distances are completed
-to the shortest-path values through all available legs. The naive
-single-leg cross formula d(z_i, z'_j) = min(d(z_i, z_j) + d(x, y), bound)
-admits triangle violations on valid inputs (see the regression tests for
-a concrete 4-point instance); the path completion agrees with the naive
-value whenever that value is consistent, preserves the copied distances
+The UWMT and Prop 5.3 recipes complete their prescribed distances with
+Katetov's one-point extension `metric.katetov_completion`: each new
+point's distance to w is the shortest path to it through the anchors
+whose distances are prescribed, capped at the bound. The naive single-leg
+cross formula d(z_i, z'_j) = min(d(z_i, z_j) + d(x, y), bound) admits
+triangle violations on valid inputs (see the regression tests for a
+concrete 4-point instance); the completion agrees with the naive value
+whenever that value is consistent, preserves the copied distances
 exactly, and keeps the displacement d(z_i, z'_i) = d(x, y).
 """
 
@@ -54,7 +57,10 @@ from .errors import (
     PreconditionError,
     UnsaturatedError,
 )
-from .metric import MetricSpace, _grid_profiles, cap_metric, check_points, fresh_label, lift, require_metric, scale_space
+from .metric import (
+    Grid, MetricSpace, _grid_profiles, append_points, cap_metric, check_points, fresh_label, katetov_completion, lift,
+    require_metric, scale_space,
+)
 from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
@@ -139,6 +145,7 @@ class Approximant:
         return Fraction(self.bound_scaled, self.denom)
 
     def dist(self, i: int, j: int) -> Fraction:
+        check_points(self.n_points, (i, j))
         return Fraction(self.matrix.item(i, j), self.denom)
 
     def snapshot(self, round_index: int) -> range:
@@ -151,7 +158,7 @@ class Approximant:
         return MetricSpace.from_grid(self.labels, self.matrix.tolist(), self.denom, self.bound_scaled)
 
     def restrict_space(self, indices: Sequence[int]) -> MetricSpace:
-        idx = list(indices)
+        idx = check_points(self.n_points, indices)
         sub = self.matrix.take(idx, 0).take(idx, 1).tolist()
         return MetricSpace.from_grid([self.labels[i] for i in idx], sub, self.denom, self.bound_scaled)
 
@@ -240,8 +247,9 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
                 grown = np.zeros((cap, cap), dtype=buf.dtype)
                 grown[:n, :n] = buf
                 buf = grown
-            # min(bound, v + d) as v + min(d, bound - v): never above bound,
-            # so the sum cannot wrap in a narrow dtype
+            # the vectorized form of metric.katetov_completion over every
+            # point; min(bound, v + d) as v + min(d, bound - v) is never
+            # above bound, so the sum cannot wrap in a narrow dtype
             v = np.array(values, dtype=buf.dtype)[:, None]
             profile = (np.minimum(buf[list(subset), :n], bound - v) + v).min(axis=0)
             buf[n, :n] = profile
@@ -328,26 +336,6 @@ class MARequest:
         object.__setattr__(self, "delta", as_fraction(self.delta))
 
 
-def _extend(
-    labels: Sequence[str],
-    e: Sequence[Sequence[int]],
-    keep: Sequence[int],
-    label: str,
-    profile: Sequence[int],
-    denom: int,
-    bound: int,
-    what: str,
-) -> tuple[MetricSpace, int]:
-    """The restriction of the scaled matrix `e` to `keep`, plus one point
-    (fresh label from `label`) at the scaled distances `profile`, given in
-    `keep` order; validated on the grid, raising as `what` on a violation."""
-    rows = [[e[i][j] for j in keep] + [p] for i, p in zip(keep, profile)]
-    rows.append([*profile, 0])
-    names = [labels[i] for i in keep]
-    names.append(fresh_label(label, set(names)))
-    return require_metric(MetricSpace.from_grid(names, rows, denom, bound), what), len(keep)
-
-
 def ma_extension(req: MARequest) -> tuple[MetricSpace, int]:
     """Realize the prescribed point y': d(y', x) = delta and
     d(y', z) = d(y, z) for z in F, over the restriction to F and x.
@@ -377,7 +365,8 @@ def ma_extension(req: MARequest) -> tuple[MetricSpace, int]:
 
     keep = sorted(set(F) | {x})
     profile = [step if w == x else e[y][w] for w in keep]
-    return _extend(space.labels, e, keep, space.labels[y] + "'", profile, denom, bound, "ma extension invalid")
+    out = append_points(space.labels, e, keep, [profile], [[0]], [space.labels[y] + "'"], denom, bound)
+    return require_metric(out, "ma extension invalid"), len(keep)
 
 
 def uwmt_extension(
@@ -397,48 +386,21 @@ def uwmt_extension(
     if len(set(members)) != len(members):
         raise IndexClashError("x, y and Z must be pairwise distinct indices")
     keep = sorted(members)
-    pos = {orig: i for i, orig in enumerate(keep)}
-    m = len(keep)
-    k = len(Z)
     zs = [x, *Z]  # z_0 = x
     denom, d, bound = space.grid
     e = d[x][y]
-
-    def cross(i: int, j: int) -> int:
-        """d(z_i, z'_j): through the matched legs and through y itself."""
-        best = bound
-        through_y = d[zs[i]][y] + d[x][zs[j]]
-        if through_y < best:
-            best = through_y
-        for l in range(k + 1):
-            leg = d[zs[i]][zs[l]] + e + d[zs[l]][zs[j]]
-            if leg < best:
-                best = leg
-        return best
-
-    n = m + k
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            rows[i][j] = d[keep[i]][keep[j]]
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            rows[m + a - 1][m + b - 1] = d[zs[a]][zs[b]]
-    for w in keep:
-        for b in range(1, k + 1):
-            if w == y:
-                val = d[x][zs[b]]
-            else:
-                val = cross(zs.index(w), b)
-            rows[pos[w]][m + b - 1] = val
-            rows[m + b - 1][pos[w]] = val
-
-    labels = [space.labels[i] for i in keep]
-    used = set(labels)
-    labels += [fresh_label(space.labels[zs[b]] + "'", used) for b in range(1, k + 1)]
-
-    out = require_metric(MetricSpace.from_grid(labels, rows, denom, bound), "uwmt extension invalid")
-    return out, list(range(m, n))
+    at_y = keep.index(y)
+    profiles = []
+    for zb in Z:
+        # d(w, z'_b) through y itself and through the matched legs z_l -> z'_l
+        prof = katetov_completion(d, [y, *zs], [d[x][zb], *(e + d[zl][zb] for zl in zs)], bound, keep)
+        prof[at_y] = d[x][zb]
+        profiles.append(prof)
+    among = [[d[za][zb] for zb in Z] for za in Z]
+    names = [space.labels[zb] + "'" for zb in Z]
+    out = append_points(space.labels, d, keep, profiles, among, names, denom, bound)
+    m = len(keep)
+    return require_metric(out, "uwmt extension invalid"), list(range(m, m + len(Z)))
 
 
 @dataclass(frozen=True)
@@ -458,7 +420,7 @@ class BFState:
     def create(
         cls, space: Approximant, pairs: Sequence[tuple[int, int]], eps: RationalLike
     ) -> "BFState":
-        st = cls(space, tuple(pairs), as_fraction(eps))
+        st = cls(space, tuple(pairs), eps)
         if st.eps <= 0:
             raise PreconditionError(f"eps must be positive, got {st.eps}")
         dom = [p for p, _ in st.pairs]
@@ -467,9 +429,9 @@ class BFState:
         ends = check_points(space.n_points, [p for pair in st.pairs for p in pair])
         rows = space.matrix.take(ends, 0).tolist()
         dom_rows, img_rows = rows[::2], rows[1::2]
-        eps_scaled = st.eps * space.denom
+        num, den = st.eps.numerator, st.eps.denominator
         for i, (a, b) in enumerate(st.pairs):
-            if dom_rows[i][b] > eps_scaled:
+            if dom_rows[i][b] * den > num * space.denom:
                 raise PreconditionError(f"pair {i} is {space.dist(a, b)} apart, above eps {st.eps}")
             for j in range(i + 1, len(st.pairs)):
                 c, d2 = st.pairs[j]
@@ -486,18 +448,17 @@ class BFState:
         return tuple(b for _, b in self.pairs)
 
 
-def _prop53_profile(st: BFState, z: int) -> tuple[list[int], list[list], Fraction]:
+def _prop53_profile(st: BFState, z: int) -> tuple[list[int], Grid, list[int], int]:
     """Prescribed distances for the transported point z'.
 
-    Returns (kept original indices, the extension's matrix, d(z', z)). The
-    matrix holds the distances among the kept points and, as its last row
-    and column, the profile of z', all scaled by the approximant's denom.
-    The profile is the Katetov completion of the recipe: exact
-    a_i = d(z, x_i) on the images y_i, per-pair min(bound, a_i + d(x_i, y_i))
-    on the x_i, and min(eps, min_i(a_i + d(y_i, z))) on z itself, all closed
-    under one-leg paths so the result is always a one-point metric
-    extension. Only eps may fall between grid points, so t0 and the profile
-    values it reaches may be non-integral Fractions.
+    Returns (kept original indices, their grid, the profile of z' over them,
+    t0 = d(z', z)), all integers on the 1/q grid with q the lcm of the
+    approximant's denom and eps's denominator: its grid, refined just enough
+    to hold eps. The profile is the Katetov completion (`katetov_completion`)
+    of the recipe: exact a_i = d(z, x_i) at the images y_i,
+    c_i = min(bound, a_i + d(x_i, y_i)) at the x_i, and
+    t0 = min(eps, bound, min_i(a_i + d(y_i, z))) at z itself, so the result
+    is always a one-point metric extension.
     """
     check_points(st.space.n_points, [z], "probe")
     if not st.pairs:
@@ -505,52 +466,40 @@ def _prop53_profile(st: BFState, z: int) -> tuple[list[int], list[list], Fractio
     if z in st.domain:
         raise IndexClashError(f"probe point {z} already in the domain")
     ap = st.space
-    bound = ap.bound_scaled
+    q = lcm(ap.denom, st.eps.denominator)
+    f = q // ap.denom
+    bound = ap.bound_scaled * f
     keep = sorted(set(st.domain) | set(st.image) | {z})
     pos = {w: i for i, w in enumerate(keep)}
     d = ap.matrix.take(keep, 0).take(keep, 1).tolist()
-    dz = d[pos[z]]
-    legs = [(pos[xi], pos[yi]) for xi, yi in st.pairs]
-    a = [dz[xp] for xp, _ in legs]
-    # a distance can never exceed the bound, so the bound joins the min
-    t0 = min(st.eps * ap.denom, bound, min(ai + dz[yp] for ai, (_, yp) in zip(a, legs)))
-    if t0.denominator == 1:  # an integral t0 keeps the profile, and the grid, on ints
-        t0 = t0.numerator
-    c = [min(bound, ai + d[xp][yp]) for ai, (xp, yp) in zip(a, legs)]
-
-    profile = []
-    for wp in range(len(keep)):
-        best = min(bound, t0 + dz[wp])
-        for ai, ci, (xp, yp) in zip(a, c, legs):
-            best = min(best, ai + d[yp][wp], ci + d[xp][wp])
-        profile.append(best)
-    rows = [row + [p] for row, p in zip(d, profile)]
-    rows.append(profile + [0])
-    return keep, rows, Fraction(t0, ap.denom)
+    if f > 1:  # Python ints: a numpy product could overflow int64
+        d = [[v * f for v in row] for row in d]
+    zp = pos[z]
+    xs = [pos[xi] for xi in st.domain]
+    ys = [pos[yi] for yi in st.image]
+    a = [d[zp][xp] for xp in xs]
+    # the completion of the a_i over the y_i at z itself, capped at eps
+    t0 = min(st.eps.numerator * (q // st.eps.denominator), katetov_completion(d, ys, a, bound, [zp])[0])
+    c = [min(bound, ai + d[xp][yp]) for ai, xp, yp in zip(a, xs, ys)]
+    profile = katetov_completion(d, [*ys, *xs, zp], [*a, *c, t0], bound, range(len(keep)))
+    return keep, Grid(q, d, bound), profile, t0
 
 
 def prop53_extension(st: BFState, z: int) -> tuple[MetricSpace, int]:
     """Add the transported point z' with d(z', y_i) = d(z, x_i) exactly and
     d(z', z) <= eps, over the restriction to the pairs and z."""
-    keep, rows, t0 = _prop53_profile(st, z)
+    keep, (q, d, bound), profile, t0 = _prop53_profile(st, z)
     ap = st.space
-    # an eps between grid points puts the profile on a finer grid
-    lift = lcm(*(v.denominator for v in rows[-1]))
-    if lift > 1:
-        rows = [[int(v * lift) for v in row] for row in rows]
-    labels = [ap.labels[w] for w in keep]
-    labels.append(fresh_label(ap.labels[z] + "'", set(labels)))
-    out = require_metric(
-        MetricSpace.from_grid(labels, rows, ap.denom * lift, ap.bound_scaled * lift),
-        "transport extension invalid",
-    )
-    moved = out.dist(len(keep), keep.index(z))
-    if moved != t0 or t0 > st.eps:
+    m = len(keep)
+    out = append_points([ap.labels[w] for w in keep], d, range(m), [profile], [[0]], [ap.labels[z] + "'"], q, bound)
+    require_metric(out, "transport extension invalid")
+    moved = profile[keep.index(z)]
+    if moved != t0 or t0 * st.eps.denominator > st.eps.numerator * q:
         raise MetricFailureError(
-            f"transport extension breaks its contract: d(z', z) = {moved}, "
-            f"t0 = {t0}, eps = {st.eps}"
+            f"transport extension breaks its contract: d(z', z) = {Fraction(moved, q)}, "
+            f"t0 = {Fraction(t0, q)}, eps = {st.eps}"
         )
-    return out, len(keep)
+    return out, m
 
 
 def back_and_forth_extend(st: BFState, z: int) -> BFState:
@@ -560,15 +509,15 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
     Raises Unsaturated when no point matches; the caller should run
     fraisse_step and retry.
     """
-    keep, rows, _ = _prop53_profile(st, z)
+    keep, grid, profile, _ = _prop53_profile(st, z)
     ap = st.space
-    targets: list[int] = []
-    for w, v in zip(keep, rows[-1]):
-        if v.denominator != 1:
+    f = grid.denom // ap.denom
+    for w, v in zip(keep, profile):
+        if v % f:
             raise UnsaturatedError(
-                f"profile value {Fraction(v, ap.denom)} at point {w} is off the 1/{ap.denom} grid"
+                f"profile value {Fraction(v, grid.denom)} at point {w} is off the 1/{ap.denom} grid"
             )
-        targets.append(int(v))
+    targets = [v // f for v in profile]
     hits = np.flatnonzero(
         (ap.matrix.take(keep, 1) == np.array(targets, dtype=ap.matrix.dtype)).all(axis=1)
     )
@@ -617,4 +566,5 @@ def nonproper_witness(
     denom, e, bound, (step,) = lift(space, [level])
     keep = sorted({x, *Z})
     profile = [step if w == x else max(step, e[x][w]) for w in keep]
-    return _extend(space.labels, e, keep, "y", profile, denom, bound, "level companion invalid")
+    out = append_points(space.labels, e, keep, [profile], [[0]], ["y"], denom, bound)
+    return require_metric(out, "level companion invalid"), len(keep)

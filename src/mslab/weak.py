@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptySubsetError, IndexClashError, PreconditionError
+from .errors import EmptySubsetError, IndexClashError, PreconditionError, SpaceMismatchError
 from .metric import KatetovFn, MetricSpace, check_points, elementary_katetov, grid_fractions, lift
 from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
@@ -111,6 +111,8 @@ def proximity_test(
 def gromov_net_indices(space: MetricSpace, landmarks: LandmarkSet, eps: RationalLike) -> list[int]:
     """Greedy (index-ordered) maximal eps-separated set of points under the
     landmark seminorm; every point lies within eps of some representative."""
+    if landmarks.space != space:
+        raise SpaceMismatchError("gromov_net_indices needs landmarks over the same space")
     eps = as_fraction(eps)
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")

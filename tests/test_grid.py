@@ -596,6 +596,10 @@ def oracle_is_katetov(values, space):
 def oracle_sup_distance(f, g):
     if f.space != g.space:
         raise SpaceMismatchError("sup_distance needs both functions over one space")
+    n = f.space.n_points
+    for fn in (f, g):
+        if len(fn.values) != n:
+            raise LengthMismatchError(f"{len(fn.values)} values over a {n}-point space")
     return max(abs(a - b) for a, b in zip(f.values, g.values))
 
 

@@ -34,7 +34,7 @@ from mslab.errors import (
     PreconditionError,
     SpaceMismatchError,
 )
-from mslab.randgen import random_katetov_values, random_metric_space
+from mslab.randgen import _grow_scaled_matrix, random_katetov_values, random_metric_space
 
 F = Fraction
 
@@ -395,6 +395,25 @@ def test_sup_distance_space_mismatch():
         sup_distance(elementary_katetov(two_point(), 0), elementary_katetov(equilateral(), 0))
 
 
+def test_sup_distance_over_no_points_is_zero():
+    empty = MetricSpace.from_grid((), (), 1, 1)
+    assert sup_distance(KatetovFn(empty, ()), KatetovFn(empty, ())) == 0
+
+
+@pytest.mark.parametrize("f_len, g_len", [(2, 3), (3, 2), (2, 1), (1, 2)])
+def test_sup_distance_rejects_values_of_the_wrong_length(f_len, g_len):
+    space = two_point()
+    f, g = KatetovFn(space, (F(1, 2),) * f_len), KatetovFn(space, (F(1),) * g_len)
+    with pytest.raises(LengthMismatchError, match="values over a 2-point space"):
+        sup_distance(f, g)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 99)])
+def test_dist_rejects_an_index_out_of_range(i, j):
+    with pytest.raises(PreconditionError, match="out of range"):
+        two_point(F(1, 2)).dist(i, j)
+
+
 def test_kuratowski_embedding_is_isometric():
     rng = random.Random(3)
     for _ in range(50):
@@ -525,3 +544,41 @@ def test_random_katetov_values_without_zero_never_vanish():
         values = random_katetov_values(rng, space, 2 * q, allow_zero=False)
         assert 0 not in values and is_katetov(values, space).ok
 
+
+
+# -- Katetov's one-point completion ------------------------------------------------
+
+BIG_Q = 2**62 - 57  # scaled values past int64 under one addition
+
+
+def completion_cases(seed):
+    """Random spaces with a full Katetov profile on their grid or a finer
+    one, then a few on the 1/BIG_Q grid."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        space = random_metric_space(rng, min_points=1)
+        yield rng, space, random_katetov_values(rng, space, space.grid.denom * rng.choice([1, 2, 3]))
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        bound = rng.randint(BIG_Q, 2 * BIG_Q)
+        space = MetricSpace.from_grid([f"p{i}" for i in range(n)], _grow_scaled_matrix(rng, n, bound), BIG_Q, bound)
+        yield rng, space, random_katetov_values(rng, space, BIG_Q)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_katetov_completion_is_the_largest_katetov_extension(seed):
+    grew = 0
+    for rng, space, xi in completion_cases(seed):
+        n = space.n_points
+        denom, rows, bound, vals = metric.lift(space, xi)
+        anchors = sorted(rng.sample(range(n), rng.randint(1, n)))
+        g = metric.katetov_completion(rows, anchors, [vals[s] for s in anchors], bound, range(n))
+        assert is_katetov([F(v, denom) for v in g], space)
+        assert [g[s] for s in anchors] == [vals[s] for s in anchors]
+        assert all(gw >= v for gw, v in zip(g, vals))
+        grew += g != vals
+        targets = rng.sample(range(n), rng.randint(0, n))
+        assert metric.katetov_completion(rows, anchors, [vals[s] for s in anchors], bound, targets) == [
+            g[w] for w in targets
+        ]
+    assert grew

@@ -235,8 +235,8 @@ def test_prop53_contract_breach_raises(monkeypatch):
     real = urysohn._prop53_profile
 
     def off_by_one_step(st, z):
-        keep, profile, t0 = real(st, z)
-        return keep, profile, t0 + F(1, st.space.denom)
+        keep, grid, profile, t0 = real(st, z)
+        return keep, grid, profile, t0 + grid.denom // st.space.denom
 
     monkeypatch.setattr(urysohn, "_prop53_profile", off_by_one_step)
     sp = MetricSpace(("a", "b", "z"), ((0, F(1, 2), F(1, 4)), (F(1, 2), 0, F(3, 4)), (F(1, 4), F(3, 4), 0)), 1)

@@ -28,6 +28,7 @@ from mslab.errors import (
     IndexClashError,
     LambdaOutOfRangeError,
     PreconditionAError,
+    PreconditionError,
     PreconditionBError,
     UnsaturatedError,
 )
@@ -310,6 +311,23 @@ def test_full_approximant_matrix_validates():
     approx = fraisse_step(fraisse_step(Approximant.from_space(seed, 4, 2)))
     ms = approx.as_metric_space()
     assert validate_metric(ms.d, ms.diam_bound).ok
+
+
+def round_one():
+    seed = space_of("ab", [[0, F(1, 2)], [F(1, 2), 0]], 1)
+    return fraisse_step(Approximant.from_space(seed, 2, 1))
+
+
+@pytest.mark.parametrize("indices", [[-1, 0], [0, 99], [99]])
+def test_approximant_restrict_space_rejects_an_index_out_of_range(indices):
+    with pytest.raises(PreconditionError, match="out of range"):
+        round_one().restrict_space(indices)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (99, 0)])
+def test_approximant_dist_rejects_an_index_out_of_range(i, j):
+    with pytest.raises(PreconditionError, match="out of range"):
+        round_one().dist(i, j)
 
 
 # -- injectivity_chain -----------------------------------------------------------

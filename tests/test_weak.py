@@ -18,7 +18,7 @@ from mslab import (
     validate_pseudometric,
     weak_seminorm,
 )
-from mslab.errors import EmptySubsetError, IndexClashError
+from mslab.errors import EmptySubsetError, IndexClashError, SpaceMismatchError
 from mslab.randgen import random_katetov_values, random_metric_space
 from mslab.weak import PROXIMITY_CAVEAT, landmark_gap
 
@@ -160,6 +160,12 @@ def test_net_size_nonincreasing_in_eps():
         small = len(gromov_net_indices(sp, land, F(1, 4)))
         large = len(gromov_net_indices(sp, land, F(1, 2)))
         assert large <= small
+
+
+def test_net_rejects_landmarks_over_another_space():
+    big = random_metric_space(random.Random(3), min_points=4)
+    with pytest.raises(SpaceMismatchError):
+        gromov_net_indices(equilateral(), LandmarkSet(big, (3,)), F(1, 4))
 
 
 def test_gromov_approximant_returns_elementary_functions():
