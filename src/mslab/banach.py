@@ -5,9 +5,9 @@ Four independent pieces share this module:
 * rational points on the unit sphere and the exact pairing identity that
   makes the sphere's weak and distance-weak uniformities equivalent;
 * rational step functions on [0,2]x[0,1] and [0,1], with p-norms carried
-  in exact base^exponent form whenever the p-th power sum collapses to a
-  single monomial (the decisive comparison 2^((p-1)/p) vs 2^(1/p) is then
-  settled by exact exponent arithmetic, no floats);
+  in exact base^exponent form (the decisive comparison 2^((p-1)/p) vs
+  2^(1/p) is settled by exact exponent arithmetic, no floats); a norm
+  with no such form is refused, never approximated;
 * the disjoint-support identity for p-th power integrals;
 * piecewise-linear radial profiles with exact slope-based flags
   (1-Lipschitz, nondecreasing, convex, dominates the identity), the
@@ -40,6 +40,12 @@ FIRST_POWER_CAVEAT = (
     "norm (n-1)*||x|| for the p-th power term does not balance in general"
 )
 
+# The two comparisons still made in floats, each echoed as "tol" in its
+# report: the square-root sides of the Hilbert pairing gap, and the
+# non-integer-p power sums of the disjoint-support identity.
+HILBERT_TOL = 1e-9
+DISJOINT_TOL = 1e-12
+
 
 def as_vector(values: Sequence[RationalLike]) -> RationalVector:
     vec = tuple(as_fraction(v) for v in values)
@@ -70,15 +76,14 @@ def hilbert_check(
     u: Sequence[RationalLike],
     v: Sequence[RationalLike],
     z: Sequence[RationalLike],
-    tol: float = 1e-9,
 ) -> WitnessReport:
     """Exact pairing-gap identity on the rational unit sphere.
 
     For unit vectors,  |<u,z> - <v,z>|  equals  |  |u-z|^2 - |v-z|^2 | / 2
     exactly (verified in rationals). The two-sided comparison with the
     distance gap d_z = | |u-z| - |v-z| | involves square roots, so
-    rho_z <= 2 d_z and d_z^2 <= 2 rho_z are checked in floats with the
-    given slack.
+    rho_z <= 2 d_z and d_z^2 <= 2 rho_z are checked in floats with slack
+    HILBERT_TOL.
     """
     uu, vv, zz = as_vector(u), as_vector(v), as_vector(z)
     if not len(uu) == len(vv) == len(zz):
@@ -95,13 +100,13 @@ def hilbert_check(
     identity_exact = rho == half_gap
 
     d_z = abs(math.sqrt(uz_sq) - math.sqrt(vz_sq))
-    upper_ok = float(rho) <= 2 * d_z + tol
-    lower_ok = d_z * d_z <= float(2 * rho) + tol
+    upper_ok = float(rho) <= 2 * d_z + HILBERT_TOL
+    lower_ok = d_z * d_z <= float(2 * rho) + HILBERT_TOL
 
     ok = identity_exact and upper_ok and lower_ok
     return WitnessReport(
         check="hilbert-pairing-gap",
-        params={"dim": len(uu), "tol": tol},
+        params={"dim": len(uu), "tol": HILBERT_TOL},
         verdict="pass" if ok else "fail",
         witness=None
         if ok
@@ -149,29 +154,22 @@ def _primitive_power(q: Fraction) -> tuple[Fraction, int]:
 
 @dataclass(frozen=True)
 class PNormValue:
-    """A norm value, either exactly base**exponent or a float with a
-    declared tolerance.
+    """A norm value, exactly base**exponent.
 
-    Exact values are canonical: rationals are (q, 1); irrational powers
-    have a primitive base > 1 and a non-integral exponent, so structural
-    equality of exact values is value equality.
+    Values are canonical: rationals are (q, 1); irrational powers have a
+    primitive base > 1 and a non-integral exponent, so structural equality
+    is value equality.
     """
 
-    base: Fraction | None
-    exponent: Fraction | None
-    approx: float
-    tol: float | None  # None => exact
-
-    @property
-    def is_exact(self) -> bool:
-        return self.tol is None
+    base: Fraction
+    exponent: Fraction
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "PNormValue":
         q = as_fraction(q)
         if q < 0:
             raise PreconditionError("norm values are non-negative")
-        return cls(q, Fraction(1), float(q), None)
+        return cls(q, Fraction(1))
 
     @classmethod
     def exact(cls, base: RationalLike, exponent: RationalLike) -> "PNormValue":
@@ -190,24 +188,15 @@ class PNormValue:
         exponent = exponent * k
         if exponent.denominator == 1:
             return cls.from_rational(prim ** int(exponent))
-        return cls(prim, exponent, float(prim) ** float(exponent), None)
+        return cls(prim, exponent)
 
-    @classmethod
-    def inexact(cls, value: float, tol: float) -> "PNormValue":
-        return cls(None, None, float(value), float(tol))
-
-    def same_value(self, other: "PNormValue", tol: float = 1e-12) -> bool:
-        if self.is_exact and other.is_exact:
-            return self.base == other.base and self.exponent == other.exponent
-        slack = max(tol, self.tol or 0.0, other.tol or 0.0)
-        return abs(self.approx - other.approx) <= slack
+    def same_value(self, other: "PNormValue") -> bool:
+        return self == other
 
     def describe(self) -> str:
-        if self.is_exact:
-            if self.exponent == 1:
-                return str(self.base)
-            return f"{self.base}^({self.exponent})"
-        return f"~{self.approx!r} (tol {self.tol})"
+        if self.exponent == 1:
+            return str(self.base)
+        return f"{self.base}^({self.exponent})"
 
 
 # -- rational step functions --------------------------------------------------
@@ -313,26 +302,19 @@ def power_sum_float(f: StepFn2D, p: float) -> float:
     return sum(float(area) * abs(float(v)) ** p for area, v in f.cells())
 
 
-def lp_norm(f: StepFn2D | StepFn1D, p: RationalLike, tol: float = 1e-12) -> PNormValue:
-    """The p-norm of a step function.
+def lp_norm(f: StepFn2D, p: RationalLike) -> PNormValue:
+    """The exact p-norm of a step function on the strip.
 
-    Exact whenever possible: if every nonzero cell shares one absolute
-    value c the norm is c * mu^(1/p) (mu the covered area), expressed over
-    a common primitive base; for integer p the full power sum S is exact
-    and the norm is S^(1/p). Everything else falls back to floats with the
-    declared tolerance.
+    If every nonzero cell shares one absolute value c the norm is
+    c * mu^(1/p) (mu the covered area), expressed over a common primitive
+    base; for integer p the full power sum S is exact and the norm is
+    S^(1/p). Any other norm is not a single rational power, and asking for
+    it raises PreconditionError.
     """
     p = as_fraction(p)
     if p < 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
-    if isinstance(f, StepFn1D):
-        cells = [
-            (b2 - b1, abs(v))
-            for b1, b2, v in zip(f.breaks, f.breaks[1:], f.values)
-            if v != 0
-        ]
-    else:
-        cells = [(area, abs(v)) for area, v in f.cells() if v != 0]
+    cells = [(area, abs(v)) for area, v in f.cells() if v != 0]
     if not cells:
         return PNormValue.from_rational(0)
 
@@ -350,16 +332,14 @@ def lp_norm(f: StepFn2D | StepFn1D, p: RationalLike, tol: float = 1e-12) -> PNor
             ce = ck if c > 1 else -ck
             me = mk if mu > 1 else -mk
             return PNormValue.exact(cb, ce + Fraction(me) / p)
-        # fall through to the integral or float path
+        # fall through to the integral path
 
     if p.denominator == 1:
         s = sum((area * v ** int(p) for area, v in cells), Fraction(0))
         if p == 1:
             return PNormValue.from_rational(s)
         return PNormValue.exact(s, 1 / p)
-
-    s = sum(float(area) * float(v) ** float(p) for area, v in cells)
-    return PNormValue.inexact(s ** (1 / float(p)), tol)
+    raise PreconditionError(f"the {p}-norm of this function is not a single rational power")
 
 
 def lp_pairing(x: StepFn2D, z: StepFn1D) -> Fraction:
@@ -476,14 +456,12 @@ def lp_counterexample(p: RationalLike, n_pairings: int = 100, seed: int = 42) ->
     )
 
 
-def disjoint_support_identity(
-    x: StepFn2D, parts: Sequence[StepFn2D], p: RationalLike, tol: float = 1e-12
-) -> WitnessReport:
+def disjoint_support_identity(x: StepFn2D, parts: Sequence[StepFn2D], p: RationalLike) -> WitnessReport:
     """For parts with pairwise disjoint supports and v their sum,
     integral |x - v|^p = sum_i integral |x - v_i|^p - (n-1) integral |x|^p.
 
-    Exact rational equality for integer p; float comparison within tol
-    otherwise. Disjointness is checked cell by cell on the common grid.
+    Exact rational equality for integer p; float comparison within the
+    relative slack DISJOINT_TOL otherwise. Disjointness is checked cell by cell on the common grid.
     """
     p = as_fraction(p)
     if p < 1:
@@ -522,12 +500,12 @@ def disjoint_support_identity(
         rhs_f = sum(power_sum_float(sub2d(rx, f), pf) for f in rparts) - (
             n - 1
         ) * power_sum_float(rx, pf)
-        ok = abs(lhs_f - rhs_f) <= tol * max(1.0, abs(lhs_f), abs(rhs_f))
+        ok = abs(lhs_f - rhs_f) <= DISJOINT_TOL * max(1.0, abs(lhs_f), abs(rhs_f))
         witness = None if ok else {"lhs": lhs_f, "rhs": rhs_f}
         counts = {"lhs": lhs_f, "rhs": rhs_f, "parts": n, "exact": False}
     return WitnessReport(
         check="disjoint-support-identity",
-        params={"p": p, "tol": tol},
+        params={"p": p, "tol": DISJOINT_TOL},
         verdict="pass" if ok else "fail",
         witness=witness,
         counts=counts,

@@ -306,22 +306,19 @@ def cmd_hilbert(args) -> WitnessReport:
         rng = random.Random(args.seed)
         for t in range(args.random):
             dim = rng.randint(2, 6)
-            rep = banach.hilbert_check(
-                random_sphere_point(rng, dim), random_sphere_point(rng, dim),
-                random_sphere_point(rng, dim), tol=args.tol,
-            )
+            rep = banach.hilbert_check(*(random_sphere_point(rng, dim) for _ in range(3)))
             if rep.verdict != "pass":
                 rep.params["trial"] = t
                 return rep
         return WitnessReport(
             check="hilbert-pairing-gap",
-            params={"random": args.random, "seed": args.seed, "tol": args.tol},
+            params={"random": args.random, "seed": args.seed, "tol": banach.HILBERT_TOL},
             verdict="pass",
             counts={"triples": args.random},
         )
     if not (args.u and args.v and args.z):
         raise FormatError("either --random N or all of --u/--v/--z are required")
-    return banach.hilbert_check(_vector(args.u), _vector(args.v), _vector(args.z), tol=args.tol)
+    return banach.hilbert_check(_vector(args.u), _vector(args.v), _vector(args.z))
 
 
 def cmd_lp(args) -> WitnessReport:
@@ -332,13 +329,13 @@ def cmd_disjoint(args) -> WitnessReport:
     if args.x:
         x_fn = load_stepfn2d(args.x)
         parts = [load_stepfn2d(path) for path in args.part]
-        return banach.disjoint_support_identity(x_fn, parts, parse_rational(args.p), tol=args.tol)
+        return banach.disjoint_support_identity(x_fn, parts, parse_rational(args.p))
     from .randgen import random_disjoint_parts
 
     rng = random.Random(args.seed)
     for t in range(args.trials):
         x_fn, parts = random_disjoint_parts(rng, args.n)
-        rep = banach.disjoint_support_identity(x_fn, parts, parse_rational(args.p), tol=args.tol)
+        rep = banach.disjoint_support_identity(x_fn, parts, parse_rational(args.p))
         if rep.verdict != "pass":
             rep.params["trial"] = t
             return rep
@@ -436,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=42, help="seed for all randomized batteries")
     parser.add_argument("--budget", type=int, default=5000, help="point-count ceiling for saturation")
-    parser.add_argument("--tol", type=float, default=1e-12, help="float slack where floats occur")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate", help="validate a metric space file")
@@ -527,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v")
     p.add_argument("--z")
     p.add_argument("--random", type=_count, default=0, help="run N random stereographic triples")
-    p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("lp", help="step-function separation computation")
     p.add_argument("--p", required=True)

@@ -529,13 +529,16 @@ def amalgamate(
 @dataclass(frozen=True)
 class KatetovFn:
     """Exact-rational vector over a MetricSpace satisfying the two-sided
-    Katetov inequalities (a one-point extension profile)."""
+    Katetov inequalities (a one-point extension profile). Construction
+    checks one value per point; `over` also checks the inequalities."""
 
     space: MetricSpace
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+        if len(self.values) != self.space.n_points:
+            raise LengthMismatchError(f"{len(self.values)} values over a {self.space.n_points}-point space")
 
     @classmethod
     def over(cls, space: MetricSpace, values: Sequence[RationalLike]) -> "KatetovFn":
@@ -603,9 +606,6 @@ def sup_distance(f: KatetovFn, g: KatetovFn) -> Fraction:
     if f.space != g.space:
         raise SpaceMismatchError("sup_distance needs both functions over one space")
     n = f.space.n_points
-    for fn in (f, g):
-        if len(fn.values) != n:
-            raise LengthMismatchError(f"{len(fn.values)} values over a {n}-point space")
     denom, _, _, vals = lift(f.space, f.values + g.values)
     return Fraction(max((abs(a - b) for a, b in zip(vals[:n], vals[n:])), default=0), denom)
 

@@ -164,76 +164,26 @@ def basis_member(p: BasisCode, point: Point) -> bool:
     return all(rado_metric(a, vertex) == v for a, v in p.assignment)
 
 
-def basis_refinement_check(
-    p: BasisCode,
-    q: BasisCode,
-    sample_vertices: Sequence[int],
-    sample_codes: Sequence[BasisCode] = (),
-    require_intersection: bool = False,
-) -> WitnessReport:
-    """Base-axiom check on a finite sample.
+def basis_refinement_check(p: BasisCode, q: BasisCode, sample_vertices: Sequence[int]) -> WitnessReport:
+    """Base-axiom check on a finite vertex sample.
 
     Compatible codes: membership in the union code must coincide with
     joint membership (and refinement containment follows). Conflicting
-    codes: the vertex-level intersection must be empty; asking for a
-    non-empty intersection of conflicting codes is an error.
+    codes: the vertex-level intersection must be empty. The fail witness is
+    the least sample vertex that breaks the rule.
     """
     verts = sorted(set(int(v) for v in sample_vertices))
-    if p.compatible(q):
-        u = p.union(q)
-        checked = 0
-        for vertex in verts:
-            checked += 1
-            if basis_member(u, vertex) != (basis_member(p, vertex) and basis_member(q, vertex)):
-                return WitnessReport(
-                    check="basis-refinement",
-                    params={"p": p.format(), "q": q.format(), "mode": "union"},
-                    verdict="fail",
-                    witness={"vertex": vertex},
-                    counts={"checked": checked},
-                )
-        skipped = 0
-        for code in sample_codes:
-            try:
-                lhs = basis_member(u, code)
-                rhs = basis_member(p, code) and basis_member(q, code)
-            except UndeterminedMembershipError:
-                skipped += 1
-                continue
-            checked += 1
-            if lhs != rhs:
-                return WitnessReport(
-                    check="basis-refinement",
-                    params={"p": p.format(), "q": q.format(), "mode": "union"},
-                    verdict="fail",
-                    witness={"code": code.format()},
-                    counts={"checked": checked},
-                )
-        return WitnessReport(
-            check="basis-refinement",
-            params={"p": p.format(), "q": q.format(), "mode": "union"},
-            verdict="pass",
-            counts={"checked": checked, "undetermined_codes": skipped},
-        )
+    union = p.union(q) if p.compatible(q) else None
 
-    if require_intersection:
-        raise IncompatibleCodesError(
-            "codes conflict on a common vertex; their basic sets cannot intersect"
-        )
-    checked = 0
-    for vertex in verts:
-        checked += 1
-        if basis_member(p, vertex) and basis_member(q, vertex):
-            return WitnessReport(
-                check="basis-refinement",
-                params={"p": p.format(), "q": q.format(), "mode": "conflict-empty"},
-                verdict="fail",
-                witness={"vertex": vertex},
-                counts={"checked": checked},
-            )
+    def broken(vertex: int) -> bool:
+        both = basis_member(p, vertex) and basis_member(q, vertex)
+        return both if union is None else both != basis_member(union, vertex)
+
+    bad = next((i for i, vertex in enumerate(verts) if broken(vertex)), None)
     return WitnessReport(
         check="basis-refinement",
-        params={"p": p.format(), "q": q.format(), "mode": "conflict-empty"},
-        verdict="pass",
-        counts={"checked": checked},
+        params={"p": p.format(), "q": q.format(), "mode": "conflict-empty" if union is None else "union"},
+        verdict="pass" if bad is None else "fail",
+        witness=None if bad is None else {"vertex": verts[bad]},
+        counts={"checked": len(verts) if bad is None else bad + 1},
     )

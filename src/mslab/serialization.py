@@ -34,15 +34,20 @@ class FormatError(MslabError):
     pass
 
 
-def _rat_list(values) -> list[str]:
-    return [format_rational(v) for v in values]
+def _grid_text(values, denom: int):
+    """text(v): the lowest-terms string of v/denom, formatted once per
+    distinct scaled value in `values`."""
+    return {v: format_rational(Fraction(v, denom)) for v in values}.__getitem__
 
 
 def space_to_dict(space: MetricSpace) -> dict:
+    """The space formatted straight from its grid."""
+    denom, rows, _ = space.grid
+    text = _grid_text(set(chain.from_iterable(rows)), denom)
     return {
         "points": list(space.labels),
         "diam": format_rational(space.diam_bound),
-        "d": [_rat_list(row) for row in space.d],
+        "d": [list(map(text, row)) for row in rows],
     }
 
 
@@ -73,7 +78,7 @@ def space_from_dict(data: dict) -> MetricSpace:
 
 
 def katetov_to_dict(fn: KatetovFn) -> dict:
-    return {"space": space_to_dict(fn.space), "values": _rat_list(fn.values)}
+    return {"space": space_to_dict(fn.space), "values": list(map(format_rational, fn.values))}
 
 
 def katetov_from_dict(data: dict, base_dir: Path | None = None) -> KatetovFn:
@@ -94,8 +99,7 @@ def katetov_from_dict(data: dict, base_dir: Path | None = None) -> KatetovFn:
 def approximant_to_dict(a: Approximant) -> dict:
     """The MetricSpace keys plus the approximant's own, formatted straight
     from the scaled matrix with one string per distinct grid value."""
-    values = set(np.unique(a.matrix).tolist()).union(*(rec.values for rec in a.log))
-    text = {v: format_rational(Fraction(v, a.denom)) for v in values}.__getitem__
+    text = _grid_text(set(np.unique(a.matrix).tolist()).union(*(rec.values for rec in a.log)), a.denom)
     return {
         "points": list(a.labels),
         "diam": format_rational(a.diam_bound),

@@ -186,8 +186,8 @@ def _subsets_lex(points: Sequence[int], max_size: int):
 class _Realizations:
     """The realization lookup: per anchor point, scaled value -> the set of
     points at that distance from it, as a Python-int bitmask (bit p is
-    point p). A profile over a subset of the anchors is realized when the
-    masks of its values share a bit."""
+    point p). A profile over a subset of the anchors is realized by the
+    points in every mask of its values."""
 
     def __init__(self, anchors: Sequence[int], rows: np.ndarray, factor: int = 1):
         # rows[i] holds the distances from anchors[i] to every point, on a
@@ -205,13 +205,24 @@ class _Realizations:
         for per, v in zip(self._by_anchor.values(), values):
             per[v] = per.get(v, 0) | bit
 
-    def realized(self, subset: Sequence[int], values: Sequence[int]) -> bool:
+    def realized(self, subset: Sequence[int], values: Sequence[int]) -> int | None:
+        """The least point at the given distances from the subset, or None."""
         mask = -1
         for s, v in zip(subset, values):
             mask &= self._by_anchor[s].get(v, 0)
             if not mask:
-                return False
-        return True
+                return None
+        return (mask & -mask).bit_length() - 1
+
+
+def _profile_walk(among: Sequence[Sequence[int]], points: Sequence[int], max_size: int, bound: int):
+    """(subset, its grid Katetov profiles) for every non-empty subset of at
+    most max_size of the sorted points, in lexicographic order; among[i][j]
+    is the scaled distance between points[i] and points[j]."""
+    pos = {s: i for i, s in enumerate(points)}
+    for subset in _subsets_lex(points, max_size):
+        rows = [among[pos[i]] for i in subset]
+        yield subset, _grid_profiles([[row[pos[j]] for j in subset] for row in rows], bound)
 
 
 def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
@@ -229,14 +240,13 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     buf = out.matrix
     bound = out.bound_scaled
     label_set = set(out.labels)
-    start = buf.tolist()  # distances among step-start points never change
     lookup = _Realizations(range(n0), buf)
 
     round_no = out.rounds + 1
-    for subset in _subsets_lex(range(n0), out.subset_bound):
-        sub_matrix = [[start[i][j] for j in subset] for i in subset]
-        for values in _grid_profiles(sub_matrix, bound):
-            if lookup.realized(subset, values):
+    # distances among step-start points never change
+    for subset, profiles in _profile_walk(buf.tolist(), range(n0), out.subset_bound, bound):
+        for values in profiles:
+            if lookup.realized(subset, values) is not None:
                 continue
             if n + 1 > budget:
                 raise BudgetExceededError(
@@ -281,37 +291,27 @@ def finite_injectivity_check(
             f"check denominator {denom} not divisible by the approximant's {a.denom}"
         )
     factor = denom // a.denom
-    bound = a.bound_scaled * factor
-
     over = check_points(a.n_points, sorted(set(over)), "snapshot")
-
     rows = a.matrix.take(over, 0)
     lookup = _Realizations(over, rows, factor)
-    among = rows.take(over, 1).tolist()
-    pos = {s: i for i, s in enumerate(over)}
+    among = [[v * factor for v in row] for row in rows.take(over, 1).tolist()]
 
-    n_subsets = 0
-    n_functions = 0
-    for subset in _subsets_lex(over, k):
+    n_subsets = n_functions = 0
+    witness = None
+    for subset, profiles in _profile_walk(among, over, k, a.bound_scaled * factor):
         n_subsets += 1
-        sub_matrix = [[among[pos[i]][pos[j]] * factor for j in subset] for i in subset]
-        for values in _grid_profiles(sub_matrix, bound):
+        for values in profiles:
             n_functions += 1
-            if not lookup.realized(subset, values):
-                return WitnessReport(
-                    check="finite-injectivity",
-                    params={"k": k, "denom": denom, "snapshot_size": len(over)},
-                    verdict="fail",
-                    witness={
-                        "subset": list(subset),
-                        "values": [Fraction(v, denom) for v in values],
-                    },
-                    counts={"subsets": n_subsets, "functions": n_functions, "points": a.n_points},
-                )
+            if lookup.realized(subset, values) is None:
+                witness = {"subset": list(subset), "values": [Fraction(v, denom) for v in values]}
+                break
+        if witness is not None:
+            break
     return WitnessReport(
         check="finite-injectivity",
         params={"k": k, "denom": denom, "snapshot_size": len(over)},
-        verdict="pass",
+        verdict="pass" if witness is None else "fail",
+        witness=witness,
         counts={"subsets": n_subsets, "functions": n_functions, "points": a.n_points},
     )
 
@@ -517,13 +517,10 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
             raise UnsaturatedError(
                 f"profile value {Fraction(v, grid.denom)} at point {w} is off the 1/{ap.denom} grid"
             )
-    targets = [v // f for v in profile]
-    hits = np.flatnonzero(
-        (ap.matrix.take(keep, 1) == np.array(targets, dtype=ap.matrix.dtype)).all(axis=1)
-    )
-    if not hits.size:
+    hit = _Realizations(keep, ap.matrix.take(keep, 0)).realized(keep, [v // f for v in profile])
+    if hit is None:
         raise UnsaturatedError("no existing point realizes the transported profile")
-    return BFState.create(ap, st.pairs + ((z, int(hits[0])),), st.eps)
+    return BFState.create(ap, st.pairs + ((z, hit),), st.eps)
 
 
 def injectivity_chain(

@@ -106,21 +106,13 @@ def test_pnorm_rational_never_equals_irrational_power():
     assert not PNormValue.exact(2, F(1, 2)).same_value(PNormValue.from_rational(F(3, 2)))
 
 
-def test_pnorm_float_fallback_tolerance():
-    a = PNormValue.inexact(1.0, 1e-12)
-    b = PNormValue.from_rational(1)
-    assert a.same_value(b)
-    assert not PNormValue.inexact(1.1, 1e-12).same_value(b)
-
-
 # -- step functions and norms -----------------------------------------------------
 
 
 def test_unit_norm_for_every_p():
     w = mean_zero_square()
     for p in (1, 2, 3, F(3, 2), F(7, 3), 5):
-        val = lp_norm(w, p)
-        assert val.is_exact and val.same_value(PNormValue.from_rational(1))
+        assert lp_norm(w, p) == PNormValue.from_rational(1)
 
 
 def test_zero_function_norm():
@@ -131,22 +123,19 @@ def test_zero_function_norm():
 def test_norm_gap_exponents():
     w, v = mean_zero_square(), left_square_indicator()
     for p in (F(1), F(3, 2), F(2), F(3), F(5)):
-        val = lp_norm(sub2d(w, v), p)
-        assert val.is_exact
-        assert val.same_value(PNormValue.exact(2, (p - 1) / p))
+        assert lp_norm(sub2d(w, v), p) == PNormValue.exact(2, (p - 1) / p)
 
 
-def test_integer_p_mixed_values_exact_vs_float():
+def test_integer_p_mixed_values_exact_fractional_p_refused():
     f = StepFn2D(
         (0, F(1, 2), 2),
         (0, F(1, 3), 1),
         ((F(1, 2), F(3)), (F(0), F(1, 4))),
     )
-    exact = lp_norm(f, 3)
-    assert exact.is_exact
-    loose = lp_norm(f, F(3, 2))
-    assert not loose.is_exact
-    assert abs(exact.approx ** 3 - float(sum(a * abs(v) ** 3 for a, v in f.cells()))) < 1e-9
+    power_sum = sum(a * abs(v) ** 3 for a, v in f.cells())
+    assert lp_norm(f, 3) == PNormValue.exact(power_sum, F(1, 3))
+    with pytest.raises(PreconditionError, match="not a single rational power"):
+        lp_norm(f, F(3, 2))
 
 
 def test_lp_norm_rejects_small_p():

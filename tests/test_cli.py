@@ -32,6 +32,10 @@ BOUNDARY = [
     ["disjoint", "--p", "2", "--trials", "-1"],
     ["disjoint", "--p", "2", "--trials", "1", "--n", "-1"],
     ["katetov", "enumerate", APPROX, "--denom", "2", "--limit", "-1"],
+    # the float tolerances are constants, not options; the global `--tol`
+    # was silently shadowed by `hilbert --tol`
+    ["--tol", "1e-6", "disjoint", "--p", "2", "--trials", "1"],
+    ["hilbert", "--tol", "1", "--random", "1"],
 ]
 
 # sha256 of the stdout of `mslab urysohn build --denom 2 --rounds 2`

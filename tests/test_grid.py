@@ -771,10 +771,14 @@ def test_katetov_calculus_matches_the_fraction_oracles(seed):
         for values in (katetov, loose, grid_values(rng, space, n), katetov[1:]):
             got = agree(is_katetov, oracle_is_katetov, values, space)
             verdicts.add(got[0] if isinstance(got, tuple) else got.reason)
+            agree(MetricSpace.with_point, oracle_with_point, space, "x", values)
+            if len(values) != n:
+                with pytest.raises(LengthMismatchError):
+                    KatetovFn(space, values)
+                continue
             fn = KatetovFn(space, values)
             agree(sup_distance, oracle_sup_distance, fn, KatetovFn(space, katetov))
             agree(extend_by_katetov, oracle_extend_by_katetov, space, fn)
-            agree(MetricSpace.with_point, oracle_with_point, space, "x", values)
     assert verdicts >= {None, "range", "lipschitz", "sum", LengthMismatchError}
 
 

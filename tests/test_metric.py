@@ -403,9 +403,15 @@ def test_sup_distance_over_no_points_is_zero():
 @pytest.mark.parametrize("f_len, g_len", [(2, 3), (3, 2), (2, 1), (1, 2)])
 def test_sup_distance_rejects_values_of_the_wrong_length(f_len, g_len):
     space = two_point()
-    f, g = KatetovFn(space, (F(1, 2),) * f_len), KatetovFn(space, (F(1),) * g_len)
     with pytest.raises(LengthMismatchError, match="values over a 2-point space"):
-        sup_distance(f, g)
+        sup_distance(KatetovFn(space, (F(1, 2),) * f_len), KatetovFn(space, (F(1),) * g_len))
+
+
+def test_katetov_fn_rejects_values_of_the_wrong_length():
+    # the readers that skip is_katetov trusted the length: truncate_katetov
+    # returned a 1-vector and restrict_katetov raised a bare IndexError
+    with pytest.raises(LengthMismatchError, match="1 values over a 2-point space"):
+        KatetovFn(two_point(), (F(1, 2),))
 
 
 @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (2, 0), (0, 99)])

@@ -1,13 +1,12 @@
 """No package code reads the Fraction view `.d` of a space: the package
-works on the integer grid, and only the JSON writer in `serialization.py`
-turns a space back into Fractions."""
+works on the integer grid, and even the JSON writer formats from it."""
 
 import ast
 from pathlib import Path
 
 import mslab
 
-SOURCES = sorted(p for p in Path(mslab.__file__).parent.glob("*.py") if p.name != "serialization.py")
+SOURCES = sorted(Path(mslab.__file__).parent.glob("*.py"))
 
 
 def test_package_reads_no_fraction_view():

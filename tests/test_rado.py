@@ -161,7 +161,7 @@ def test_refinement_containment_and_union():
     p = BasisCode.parse("0:1")
     q = BasisCode.parse("1:2")
     rep = basis_refinement_check(p, q, range(64))
-    assert rep.verdict == "pass"
+    assert rep.verdict == "pass" and rep.counts == {"checked": 64}
     q_super = BasisCode.parse("0:1,3:2")
     rep2 = basis_refinement_check(p, q_super, range(64))
     assert rep2.verdict == "pass"
@@ -172,8 +172,9 @@ def test_conflicting_codes_have_empty_intersection():
     q = BasisCode.parse("0:2")
     rep = basis_refinement_check(p, q, range(256))
     assert rep.verdict == "pass" and rep.params["mode"] == "conflict-empty"
+    assert rep.counts == {"checked": 256}
     with pytest.raises(IncompatibleCodesError):
-        basis_refinement_check(p, q, range(16), require_intersection=True)
+        p.union(q)
 
 
 def test_code_parse_roundtrip():
