@@ -17,7 +17,6 @@ from .banach import (
     ProfileCheck,
     RadialProfile,
     RationalVector,
-    StepFn1D,
     StepFn2D,
     convex_by_midpoint_scan,
     disjoint_support_identity,

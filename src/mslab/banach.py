@@ -4,11 +4,18 @@ Four independent pieces share this module:
 
 * rational points on the unit sphere and the exact pairing identity that
   makes the sphere's weak and distance-weak uniformities equivalent;
-* rational step functions on [0,2]x[0,1] and [0,1], with p-norms carried
-  in exact base^exponent form (the decisive comparison 2^((p-1)/p) vs
-  2^(1/p) is settled by exact exponent arithmetic, no floats); a norm
-  with no such form is refused, never approximated;
-* the disjoint-support identity for p-th power integrals;
+* rational step functions on the strip [0,2]x[0,1], one type (a function
+  z(t1) on [0,1] is a StepFn2D with y-breaks (0, 1) and the value 0 on
+  [1,2]). Every operation on several of them goes through one alignment,
+  `aligned`, which computes the common grid once and reads each
+  function's values on its cells in row-major order; every p-th power
+  integral is one helper over those cells, exact for integer p and the
+  module's one float path otherwise. p-norms are carried in exact
+  base^exponent form (the decisive comparison 2^((p-1)/p) vs 2^(1/p) is
+  settled by exact exponent arithmetic, no floats); a norm with no such
+  form is refused, never approximated;
+* the disjoint-support identity for p-th power integrals, on one
+  alignment of x and its parts;
 * piecewise-linear radial profiles with exact slope-based flags
   (1-Lipschitz, nondecreasing, convex, dominates the identity), the
   machinery behind the sphere/ball landmark-collision examples.
@@ -214,24 +221,6 @@ def _check_breaks(breaks: tuple[Fraction, ...], lo: Fraction, hi: Fraction, what
 
 
 @dataclass(frozen=True)
-class StepFn1D:
-    """Rational step function on [0,1]: values[i] on [breaks[i], breaks[i+1])."""
-
-    breaks: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(as_fraction(b) for b in self.breaks))
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-        _check_breaks(self.breaks, Fraction(0), Fraction(1), "1d breaks")
-        if len(self.values) != len(self.breaks) - 1:
-            raise LengthMismatchError("need one value per cell")
-
-    def cell_of(self, t: Fraction) -> int:
-        return min(bisect_right(self.breaks, t) - 1, len(self.values) - 1)
-
-
-@dataclass(frozen=True)
 class StepFn2D:
     """Rational step function on [0,2]x[0,1]: values[i][j] on the cell
     [x_breaks[i], x_breaks[i+1]) x [y_breaks[j], y_breaks[j+1])."""
@@ -253,40 +242,28 @@ class StepFn2D:
         ):
             raise LengthMismatchError("value grid does not match the break lists")
 
-    def refined(self, x_breaks: Sequence[Fraction], y_breaks: Sequence[Fraction]) -> "StepFn2D":
-        """Re-express on a finer grid (which must contain this one)."""
-        xs, ys = tuple(x_breaks), tuple(y_breaks)
-        vals = []
-        for i in range(len(xs) - 1):
-            oi = bisect_right(self.x_breaks, xs[i]) - 1
-            row = []
-            for j in range(len(ys) - 1):
-                oj = bisect_right(self.y_breaks, ys[j]) - 1
-                row.append(self.values[oi][oj])
-            vals.append(tuple(row))
-        return StepFn2D(xs, ys, tuple(vals))
 
-    def cells(self):
-        for i in range(len(self.x_breaks) - 1):
-            dx = self.x_breaks[i + 1] - self.x_breaks[i]
-            for j in range(len(self.y_breaks) - 1):
-                dy = self.y_breaks[j + 1] - self.y_breaks[j]
-                yield dx * dy, self.values[i][j]
-
-
-def common_grid(fns: Sequence[StepFn2D]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    xs = sorted(set().union(*[f.x_breaks for f in fns]))
-    ys = sorted(set().union(*[f.y_breaks for f in fns]))
-    return tuple(xs), tuple(ys)
+def aligned(fns: Sequence[StepFn2D]):
+    """The common grid of fns, computed once: (x breaks, y breaks, cell
+    areas, values), the areas in row-major order (x outer, y inner) and
+    values[k] the k-th function's value on each of those cells."""
+    xs = tuple(sorted(set().union(*(f.x_breaks for f in fns))))
+    ys = tuple(sorted(set().union(*(f.y_breaks for f in fns))))
+    dys = [b - a for a, b in zip(ys, ys[1:])]
+    areas = [(b - a) * dy for a, b in zip(xs, xs[1:]) for dy in dys]
+    values = []
+    for f in fns:
+        cols = [bisect_right(f.y_breaks, y) - 1 for y in ys[:-1]]
+        rows = [f.values[bisect_right(f.x_breaks, x) - 1] for x in xs[:-1]]
+        values.append([row[j] for row in rows for j in cols])
+    return xs, ys, areas, values
 
 
 def combine2d(f: StepFn2D, g: StepFn2D, op: Callable[[Fraction, Fraction], Fraction]) -> StepFn2D:
-    xs, ys = common_grid([f, g])
-    rf, rg = f.refined(xs, ys), g.refined(xs, ys)
-    vals = tuple(
-        tuple(op(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(rf.values, rg.values)
-    )
-    return StepFn2D(xs, ys, vals)
+    xs, ys, _, (fv, gv) = aligned([f, g])
+    vals = [op(a, b) for a, b in zip(fv, gv)]
+    ny = len(ys) - 1
+    return StepFn2D(xs, ys, tuple(tuple(vals[k : k + ny]) for k in range(0, len(vals), ny)))
 
 
 def sub2d(f: StepFn2D, g: StepFn2D) -> StepFn2D:
@@ -297,13 +274,21 @@ def add2d(f: StepFn2D, g: StepFn2D) -> StepFn2D:
     return combine2d(f, g, lambda a, b: a + b)
 
 
+def _power_integral(areas: Sequence[Fraction], values: Sequence[Fraction], p: Fraction):
+    """The integral of |f|^p over aligned cells, summed in their order: an
+    exact Fraction for integer p, otherwise a float (the module's one float
+    integral, compared under DISJOINT_TOL)."""
+    if p.denominator == 1:
+        e = int(p)
+        return sum((a * abs(v) ** e for a, v in zip(areas, values)), Fraction(0))
+    pf = float(p)
+    return sum(float(a) * abs(float(v)) ** pf for a, v in zip(areas, values))
+
+
 def power_sum(f: StepFn2D, p: int) -> Fraction:
     """Exact integral of |f|^p for integer p >= 1."""
-    return sum((area * abs(v) ** p for area, v in f.cells()), Fraction(0))
-
-
-def power_sum_float(f: StepFn2D, p: float) -> float:
-    return sum(float(area) * abs(float(v)) ** p for area, v in f.cells())
+    _, _, areas, (vals,) = aligned([f])
+    return _power_integral(areas, vals, Fraction(p))
 
 
 def lp_norm(f: StepFn2D, p: RationalLike) -> PNormValue:
@@ -318,7 +303,8 @@ def lp_norm(f: StepFn2D, p: RationalLike) -> PNormValue:
     p = as_fraction(p)
     if p < 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
-    cells = [(area, abs(v)) for area, v in f.cells() if v != 0]
+    _, _, areas, (vals,) = aligned([f])
+    cells = [(area, abs(v)) for area, v in zip(areas, vals) if v != 0]
     if not cells:
         return PNormValue.from_rational(0)
 
@@ -339,33 +325,19 @@ def lp_norm(f: StepFn2D, p: RationalLike) -> PNormValue:
         # fall through to the integral path
 
     if p.denominator == 1:
-        s = sum((area * v ** int(p) for area, v in cells), Fraction(0))
+        s = _power_integral(areas, vals, p)
         if p == 1:
             return PNormValue.from_rational(s)
         return PNormValue.exact(s, 1 / p)
     raise PreconditionError(f"the {p}-norm of this function is not a single rational power")
 
 
-def lp_pairing(x: StepFn2D, z: StepFn1D) -> Fraction:
-    """Exact integral of x(t1,t2) * z(t1) over [0,1]x[0,1] (z extended by
-    zero to the right half of the strip)."""
-    one = Fraction(1)
-    xs = sorted(set(x.x_breaks) | set(z.breaks) | {one})
-    total = Fraction(0)
-    for u, v in zip(xs, xs[1:]):
-        if u >= one:
-            break
-        xi = bisect_right(x.x_breaks, u) - 1
-        zi = z.cell_of(u)
-        y_integral = sum(
-            (
-                (x.y_breaks[j + 1] - x.y_breaks[j]) * x.values[xi][j]
-                for j in range(len(x.y_breaks) - 1)
-            ),
-            Fraction(0),
-        )
-        total += (v - u) * z.values[zi] * y_integral
-    return total
+def lp_pairing(x: StepFn2D, z: StepFn2D) -> Fraction:
+    """Exact integral of x * z over the strip. For a first-coordinate
+    function z (zero on the right half, as random_step_1d draws) this is
+    the integral of x(t1,t2) * z(t1) over [0,1]x[0,1]."""
+    _, _, areas, (xv, zv) = aligned([x, z])
+    return sum((a * s * t for a, s, t in zip(areas, xv, zv)), Fraction(0))
 
 
 # -- the decisive separation computation --------------------------------------
@@ -398,13 +370,15 @@ def left_square_indicator() -> StepFn2D:
     )
 
 
-def random_step_1d(rng: random.Random) -> StepFn1D:
+def random_step_1d(rng: random.Random) -> StepFn2D:
+    """A random step function z(t1) of the first coordinate on [0,1], held
+    on the strip with y-breaks (0, 1) and the value 0 on [1,2]."""
     pieces = rng.randint(1, STEP_MAX_PIECES)
     q = rng.randint(1, STEP_DENOM_BOUND)
     cuts = sorted(rng.sample(range(1, 4 * q), k=pieces - 1)) if pieces > 1 else []
-    breaks = [Fraction(0)] + [Fraction(c, 4 * q) for c in cuts] + [Fraction(1)]
-    values = [Fraction(rng.randint(-3 * q, 3 * q), q) for _ in range(pieces)]
-    return StepFn1D(tuple(breaks), tuple(values))
+    breaks = [Fraction(0)] + [Fraction(c, 4 * q) for c in cuts] + [Fraction(1), Fraction(2)]
+    values = [Fraction(rng.randint(-3 * q, 3 * q), q) for _ in range(pieces)] + [Fraction(0)]
+    return StepFn2D(tuple(breaks), (Fraction(0), Fraction(1)), tuple((v,) for v in values))
 
 
 def lp_counterexample(p: RationalLike, n_pairings: int = 100, seed: int = 42) -> WitnessReport:
@@ -473,46 +447,32 @@ def disjoint_support_identity(x: StepFn2D, parts: Sequence[StepFn2D], p: Rationa
     n = len(parts)
     if n == 0:
         raise PreconditionError("need at least one part")
-    xs, ys = common_grid([x, *parts])
-    rx = x.refined(xs, ys)
-    rparts = [f.refined(xs, ys) for f in parts]
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            holders = [k for k, f in enumerate(rparts) if f.values[i][j] != 0]
-            if len(holders) > 1:
-                raise OverlappingSupportsError(
-                    f"parts {holders[0]} and {holders[1]} overlap on cell ({i},{j})"
-                )
-    v_vals = tuple(
-        tuple(sum((f.values[i][j] for f in rparts), Fraction(0)) for j in range(len(ys) - 1))
-        for i in range(len(xs) - 1)
-    )
-    v = StepFn2D(xs, ys, v_vals)
+    _, ys, areas, (xv, *part_vals) = aligned([x, *parts])
+    for c, cell in enumerate(zip(*part_vals)):
+        holders = [k for k, a in enumerate(cell) if a != 0]
+        if len(holders) > 1:
+            i, j = divmod(c, len(ys) - 1)
+            raise OverlappingSupportsError(
+                f"parts {holders[0]} and {holders[1]} overlap on cell ({i},{j})"
+            )
+    v = [sum(cell, Fraction(0)) for cell in zip(*part_vals)]
 
-    if p.denominator == 1:
-        pe = int(p)
-        lhs = power_sum(sub2d(rx, v), pe)
-        rhs = sum((power_sum(sub2d(rx, f), pe) for f in rparts), Fraction(0)) - (
-            n - 1
-        ) * power_sum(rx, pe)
-        ok = lhs == rhs
-        witness = None if ok else {"lhs": lhs, "rhs": rhs}
-        counts = {"lhs": lhs, "rhs": rhs, "parts": n, "exact": True}
-    else:
-        pf = float(p)
-        lhs_f = power_sum_float(sub2d(rx, v), pf)
-        rhs_f = sum(power_sum_float(sub2d(rx, f), pf) for f in rparts) - (
-            n - 1
-        ) * power_sum_float(rx, pf)
-        ok = abs(lhs_f - rhs_f) <= DISJOINT_TOL * max(1.0, abs(lhs_f), abs(rhs_f))
-        witness = None if ok else {"lhs": lhs_f, "rhs": rhs_f}
-        counts = {"lhs": lhs_f, "rhs": rhs_f, "parts": n, "exact": False}
+    def integral(values: Sequence[Fraction]):
+        return _power_integral(areas, values, p)
+
+    def gap(values: Sequence[Fraction]):
+        return integral([a - b for a, b in zip(xv, values)])
+
+    lhs = gap(v)
+    rhs = sum(gap(f) for f in part_vals) - (n - 1) * integral(xv)
+    exact = p.denominator == 1
+    ok = lhs == rhs if exact else abs(lhs - rhs) <= DISJOINT_TOL * max(1.0, abs(lhs), abs(rhs))
     return WitnessReport(
         check="disjoint-support-identity",
         params={"p": p, "tol": DISJOINT_TOL},
         verdict="pass" if ok else "fail",
-        witness=witness,
-        counts=counts,
+        witness=None if ok else {"lhs": lhs, "rhs": rhs},
+        counts={"lhs": lhs, "rhs": rhs, "parts": n, "exact": exact},
         caveat=FIRST_POWER_CAVEAT,
     )
 

@@ -5,10 +5,11 @@ seed), a one-line human summary with wall-clock timing on stderr. Exit
 codes: 0 = verdict pass, 1 = verdict fail, 2 = malformed input or a
 violated precondition.
 
-Each argument is parsed once, by its argparse type (`parse_rational`,
+Each argument is parsed once, by its argparse type (`_rational`,
 `_indices`, `_pairs`, `_span`, `_vector`, `_code`), so a malformed value is
-a usage error (exit 2) before any handler runs. Each leaf subcommand sets
-`run` to its one handler, which reads only parsed values.
+a usage error (exit 2) before any handler runs, and the message names the
+form it expected ("invalid index list value: '1,x'"). Each leaf subcommand
+sets `run` to its one handler, which reads only parsed values.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ from .urysohn import (
 from .weak import LandmarkSet, gromov_net_indices, proximity_test, restrict_katetov, weak_seminorm
 
 
+def _named(name: str):
+    """Name an argparse type as its usage errors show it: "invalid <name>
+    value: '...'"."""
+
+    def name_it(parse):
+        parse.__name__ = name
+        return parse
+
+    return name_it
+
+
+@_named("index list")
 def _indices(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -69,6 +82,7 @@ def _indices(text: str) -> list[int]:
     return [int(chunk) for chunk in text.split(",")]
 
 
+@_named("pairs")
 def _pairs(text: str) -> list[tuple[int, int]]:
     out = []
     for chunk in text.strip().split(","):
@@ -77,34 +91,47 @@ def _pairs(text: str) -> list[tuple[int, int]]:
     return out
 
 
+@_named("span")
 def _span(text: str) -> range:
-    """Parse 'a..b' (inclusive) or a single count 'n' meaning 0..n-1."""
+    """Parse 'a..b' (inclusive) or a single count 'n' meaning 0..n-1; a
+    span that holds no vertex is refused."""
     if ".." in text:
         a, _, b = text.partition("..")
-        return range(int(a), int(b) + 1)
-    return range(int(text))
+        span = range(int(a), int(b) + 1)
+    else:
+        span = range(int(text))
+    if not span:
+        raise argparse.ArgumentTypeError(f"span {text!r} holds no vertex")
+    return span
 
 
 def _at_least(low: int):
     """An argparse type for integers >= low; anything else exits 2."""
 
+    @_named("int")
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its message
     return parse
 
 
 _count = _at_least(0)
 
 
+@_named("rational")
+def _rational(text: str) -> Fraction:
+    return parse_rational(text)
+
+
+@_named("vector")
 def _vector(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(chunk) for chunk in text.split(","))
 
 
+@_named("basis code")
 def _code(text: str) -> rado.BasisCode:
     """An argparse type for a basis code; a code outside its domain (a
     value not in {1, 2}, a vertex given twice) is a usage error too."""
@@ -155,6 +182,13 @@ def _load_katetov(path: str) -> KatetovFn:
     """A Katetov file, refused (exit 2) unless its values are Katetov."""
     fn = _load_values(path)
     return KatetovFn.over(fn.space, fn.values)
+
+
+def _load_approximant(path: str) -> Approximant:
+    """An approximant file, refused (exit 2) unless its matrix is a metric."""
+    approx = load_approximant(path)
+    _metric_from(path, approx.as_metric_space())
+    return approx
 
 
 def _load_profile_arg(arg: str) -> banach.RadialProfile:
@@ -241,7 +275,7 @@ def cmd_urysohn_build(args) -> WitnessReport:
 
 
 def cmd_urysohn_check(args) -> WitnessReport:
-    approx = load_approximant(args.approx)
+    approx = _load_approximant(args.approx)
     over = approx.snapshot(args.round) if args.round is not None else range(approx.n_points)
     return finite_injectivity_check(approx, over, args.k, approx.denom if args.denom is None else args.denom)
 
@@ -259,13 +293,13 @@ def cmd_urysohn_uwmt(args) -> WitnessReport:
 
 
 def cmd_urysohn_prop53(args) -> WitnessReport:
-    st = BFState.create(load_approximant(args.approx), args.pairs, args.eps)
+    st = BFState.create(_load_approximant(args.approx), args.pairs, args.eps)
     out, zp = prop53_extension(st, args.probe)
     return _built("urysohn-prop53", {"probe": args.probe, "eps": args.eps}, out, {"new_index": zp})
 
 
 def cmd_urysohn_bf(args) -> WitnessReport:
-    approx = load_approximant(args.approx)
+    approx = _load_approximant(args.approx)
     st = back_and_forth_extend(BFState.create(approx, args.pairs, args.eps), args.probe)
     z, w = st.pairs[-1]
     return WitnessReport(
@@ -470,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--limit", type=_count, default=None)
     k = leaf(ksub, "truncate", cmd_katetov_truncate)
     k.add_argument("fn")
-    k.add_argument("--level", type=parse_rational, required=True, help="truncation level p/q")
+    k.add_argument("--level", type=_rational, required=True, help="truncation level p/q")
     k.add_argument("--mode", choices=("max", "min"), required=True)
 
     usub = sub.add_parser("urysohn", help="approximants and explicit extensions").add_subparsers(required=True)
@@ -491,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--f", type=_indices, default="")
     u.add_argument("--x", type=int, required=True)
     u.add_argument("--y", type=int, required=True)
-    u.add_argument("--delta", type=parse_rational, required=True)
+    u.add_argument("--delta", type=_rational, required=True)
     u = leaf(usub, "uwmt", cmd_urysohn_uwmt)
     u.add_argument("space")
     u.add_argument("--x", type=int, required=True)
@@ -501,17 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
         u = leaf(usub, name, run)
         u.add_argument("approx")
         u.add_argument("--pairs", type=_pairs, required=True, help="domain:image pairs, e.g. 0:1,2:3")
-        u.add_argument("--eps", type=parse_rational, required=True)
+        u.add_argument("--eps", type=_rational, required=True)
         u.add_argument("--probe", type=int, required=True)
     u = leaf(usub, "chain", cmd_urysohn_chain)
-    u.add_argument("--r", type=parse_rational, required=True)
-    u.add_argument("--s", type=parse_rational, required=True)
-    u.add_argument("--diam", type=parse_rational, required=True)
+    u.add_argument("--r", type=_rational, required=True)
+    u.add_argument("--s", type=_rational, required=True)
+    u.add_argument("--diam", type=_rational, required=True)
     u = leaf(usub, "nonproper", cmd_urysohn_nonproper)
     u.add_argument("space")
     u.add_argument("--x", type=int, required=True)
     u.add_argument("--z", type=_indices, default="")
-    u.add_argument("--level", type=parse_rational, required=True, help="the level lambda, p/q")
+    u.add_argument("--level", type=_rational, required=True, help="the level lambda, p/q")
 
     wsub = sub.add_parser("weak", help="landmark seminorms and nets").add_subparsers(required=True)
     w = leaf(wsub, "seminorm", cmd_weak_seminorm)
@@ -522,11 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--a", type=_indices, required=True)
     w.add_argument("--b", type=_indices, required=True)
     w.add_argument("--landmarks", type=_indices, required=True)
-    w.add_argument("--eps", type=parse_rational, required=True)
+    w.add_argument("--eps", type=_rational, required=True)
     w = leaf(wsub, "net", cmd_weak_net)
     w.add_argument("space")
     w.add_argument("--landmarks", type=_indices, required=True)
-    w.add_argument("--eps", type=parse_rational, required=True)
+    w.add_argument("--eps", type=_rational, required=True)
     w = leaf(wsub, "restrict", cmd_weak_restrict)
     w.add_argument("fn")
     w.add_argument("--subset", type=_indices, required=True)
@@ -538,11 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=_count, default=0, help="run N random stereographic triples")
 
     p = leaf(sub, "lp", cmd_lp, help="step-function separation computation")
-    p.add_argument("--p", type=parse_rational, required=True)
+    p.add_argument("--p", type=_rational, required=True)
     p.add_argument("--pairings", type=_count, default=100)
 
     p = leaf(sub, "disjoint", cmd_disjoint, help="disjoint-support identity")
-    p.add_argument("--p", type=parse_rational, required=True)
+    p.add_argument("--p", type=_rational, required=True)
     p.add_argument("--n", type=_at_least(1), default=3)
     p.add_argument("--trials", type=_count, default=200)
     p.add_argument("--x", default=None, help="step function file (explicit mode)")
@@ -551,12 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
     psub = sub.add_parser("profile", help="radial profile checks").add_subparsers(required=True)
     c = leaf(psub, "check", cmd_profile_check)
     c.add_argument("profile", help="profile file or builtin:<name>")
-    c.add_argument("--horizon", type=parse_rational, default=None)
+    c.add_argument("--horizon", type=_rational, default=None)
     c = leaf(psub, "agree", cmd_profile_agree)
     c.add_argument("first")
     c.add_argument("second")
-    c.add_argument("--lo", type=parse_rational, required=True)
-    c.add_argument("--hi", type=parse_rational, required=True)
+    c.add_argument("--lo", type=_rational, required=True)
+    c.add_argument("--hi", type=_rational, required=True)
 
     rsub = sub.add_parser("rado", help="the computable universal graph").add_subparsers(required=True)
     r = leaf(rsub, "adj", cmd_rado_adj)

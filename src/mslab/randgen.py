@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from .banach import StepFn2D, stereographic_point
 from .metric import MetricSpace, katetov_interval, scale_space
 from .urysohn import MARequest
 
@@ -51,12 +52,11 @@ def random_metric_space(
     min_points: int = 2,
     max_points: int = 8,
     max_denom: int = 24,
-    min_diam_steps: int = 2,
 ) -> MetricSpace:
     """A random valid space: grid denominator <= max_denom, diameter bound
-    between min_diam_steps grid steps and 2."""
+    between 2 grid steps and 2."""
     q = rng.randint(1, max_denom)
-    bound_scaled = rng.randint(max(min_diam_steps, 2), 2 * q)
+    bound_scaled = rng.randint(2, 2 * q)
     n = rng.randint(min_points, max_points)
     rows = _grow_scaled_matrix(rng, n, bound_scaled)
     return MetricSpace.from_grid([f"p{i}" for i in range(n)], rows, q, bound_scaled)
@@ -98,8 +98,6 @@ def random_ma_request(rng: Rng, max_points: int = 8, max_denom: int = 24) -> MAR
 def random_sphere_point(rng: Rng, dim: int) -> tuple[Fraction, ...]:
     """Exact rational unit vector via stereographic projection of a random
     rational parameter vector."""
-    from .banach import stereographic_point
-
     while True:
         t = tuple(
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim - 1)
@@ -112,8 +110,6 @@ def random_disjoint_parts(rng: Rng, n_parts: int):
     """n_parts step functions on [0,2]x[0,1] with pairwise disjoint
     supports, plus one unconstrained step function, on one random grid
     with values in (1/q)Z, q <= PARTS_DENOM_BOUND."""
-    from .banach import StepFn2D
-
     q = rng.randint(1, PARTS_DENOM_BOUND)
     xs = sorted(rng.sample(range(1, 8), k=rng.randint(1, 3)))
     ys = sorted(rng.sample(range(1, 8), k=rng.randint(1, 3)))

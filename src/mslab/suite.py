@@ -163,7 +163,7 @@ def battery_kuratowski(seed: int = 42, trials: int = 1000) -> WitnessReport:
 
     rng2 = random.Random(seed + 1)
     for t in range(trials):
-        space = random_metric_space(rng2, max_points=8, max_denom=16, min_diam_steps=2)
+        space = random_metric_space(rng2, max_points=8, max_denom=16)
         q = space.grid.denom
         fn = KatetovFn(space, random_katetov_values(rng2, space, q))
         # the level needs no grid; halve the step so (0, diam) is never empty

@@ -1,6 +1,7 @@
 """banach-examples: sphere identity, step-function norms, profiles."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from mslab.banach import (
     FIRST_POWER_CAVEAT,
     PNormValue,
     RadialProfile,
-    StepFn1D,
     StepFn2D,
     add2d,
+    aligned,
+    combine2d,
     convex_by_midpoint_scan,
     disjoint_support_identity,
     hilbert_check,
@@ -28,6 +30,7 @@ from mslab.banach import (
     profile_half_slope_then_offset,
     profile_vee,
     profiles_agree_on,
+    power_sum,
     radial_profile_check,
     random_step_1d,
     right_slab_indicator,
@@ -41,6 +44,7 @@ from mslab.errors import (
     PreconditionError,
 )
 from mslab.randgen import random_disjoint_parts, random_sphere_point
+from mslab.report import WitnessReport, report_json
 
 F = Fraction
 
@@ -132,8 +136,10 @@ def test_integer_p_mixed_values_exact_fractional_p_refused():
         (0, F(1, 3), 1),
         ((F(1, 2), F(3)), (F(0), F(1, 4))),
     )
-    power_sum = sum(a * abs(v) ** 3 for a, v in f.cells())
-    assert lp_norm(f, 3) == PNormValue.exact(power_sum, F(1, 3))
+    # cell areas 1/6, 1/3, 1/2, 1 in row-major order
+    cubes = F(1, 6) * F(1, 2) ** 3 + F(1, 3) * 3**3 + F(1, 2) * 0 + 1 * F(1, 4) ** 3
+    assert power_sum(f, 3) == cubes
+    assert lp_norm(f, 3) == PNormValue.exact(cubes, F(1, 3))
     with pytest.raises(PreconditionError, match="not a single rational power"):
         lp_norm(f, F(3, 2))
 
@@ -153,8 +159,10 @@ def test_pairing_mean_zero_vanishes_for_any_z():
 
 
 def test_pairing_indicator_against_one():
-    one = StepFn1D((0, 1), (F(1),))
+    # z = 1 on [0,1], held on the strip as a first-coordinate function
+    one = StepFn2D((0, 1, 2), (0, 1), ((F(1),), (F(0),)))
     assert lp_pairing(left_square_indicator(), one) == 1
+    assert lp_pairing(right_slab_indicator(), one) == 0
 
 
 def test_pairing_is_bilinear():
@@ -164,18 +172,10 @@ def test_pairing_is_bilinear():
         a = F(rng.randint(-6, 6), rng.randint(1, 6))
         f, g = mean_zero_square(), left_square_indicator()
         fg = add2d(f, g)
-        za = StepFn1D(z1.breaks, tuple(a * v for v in z1.values))
+        za = StepFn2D(z1.x_breaks, z1.y_breaks, tuple(tuple(a * v for v in row) for row in z1.values))
         assert lp_pairing(fg, z1) == lp_pairing(f, z1) + lp_pairing(g, z1)
         assert lp_pairing(g, za) == a * lp_pairing(g, z1)
-        assert lp_pairing(g, z1) + lp_pairing(g, z2) == lp_pairing(g, _merge_add(z1, z2))
-
-
-def _merge_add(z1: StepFn1D, z2: StepFn1D) -> StepFn1D:
-    breaks = tuple(sorted(set(z1.breaks) | set(z2.breaks)))
-    vals = []
-    for b in breaks[:-1]:
-        vals.append(z1.values[z1.cell_of(b)] + z2.values[z2.cell_of(b)])
-    return StepFn1D(breaks, tuple(vals))
+        assert lp_pairing(g, z1) + lp_pairing(g, z2) == lp_pairing(g, add2d(z1, z2))
 
 
 def test_lp_counterexample_p3():
@@ -234,6 +234,183 @@ def test_disjoint_overlap_rejected():
     ind = left_square_indicator()
     with pytest.raises(OverlappingSupportsError):
         disjoint_support_identity(mean_zero_square(), [ind, ind], 2)
+
+
+# -- the alignment against the refine-based reference --------------------------------
+# The step-function arithmetic as it was written before `aligned`: each
+# operation refines its operands onto their common grid one at a time, a
+# first-coordinate function is a 1-d step function (breaks on [0,1], one
+# value per piece), and the pairing merges the two break lists itself.
+
+
+def _ref_grid(fns):
+    xs = sorted(set().union(*[f.x_breaks for f in fns]))
+    ys = sorted(set().union(*[f.y_breaks for f in fns]))
+    return tuple(xs), tuple(ys)
+
+
+def _ref_refined(f, xs, ys):
+    vals = []
+    for i in range(len(xs) - 1):
+        oi = bisect_right(f.x_breaks, xs[i]) - 1
+        vals.append(tuple(f.values[oi][bisect_right(f.y_breaks, ys[j]) - 1] for j in range(len(ys) - 1)))
+    return StepFn2D(xs, ys, tuple(vals))
+
+
+def _ref_combine2d(f, g, op):
+    xs, ys = _ref_grid([f, g])
+    rf, rg = _ref_refined(f, xs, ys), _ref_refined(g, xs, ys)
+    return StepFn2D(xs, ys, tuple(tuple(op(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(rf.values, rg.values)))
+
+
+def _ref_cells(f):
+    for i in range(len(f.x_breaks) - 1):
+        dx = f.x_breaks[i + 1] - f.x_breaks[i]
+        for j in range(len(f.y_breaks) - 1):
+            yield dx * (f.y_breaks[j + 1] - f.y_breaks[j]), f.values[i][j]
+
+
+def _ref_power_sum(f, p):
+    return sum((area * abs(v) ** p for area, v in _ref_cells(f)), Fraction(0))
+
+
+def _ref_power_sum_float(f, p):
+    return sum(float(area) * abs(float(v)) ** p for area, v in _ref_cells(f))
+
+
+def _ref_random_step_1d(rng):
+    """The 1-d draw: (breaks on [0,1], one value per piece)."""
+    pieces = rng.randint(1, 4)
+    q = rng.randint(1, 12)
+    cuts = sorted(rng.sample(range(1, 4 * q), k=pieces - 1)) if pieces > 1 else []
+    breaks = (F(0),) + tuple(F(c, 4 * q) for c in cuts) + (F(1),)
+    return breaks, tuple(F(rng.randint(-3 * q, 3 * q), q) for _ in range(pieces))
+
+
+def _ref_lp_pairing(x, breaks, values):
+    """The integral of x(t1,t2) * z(t1) over [0,1]x[0,1], z the 1-d step function."""
+    total = Fraction(0)
+    cuts = sorted(set(x.x_breaks) | set(breaks))
+    for u, v in zip(cuts, cuts[1:]):
+        if u >= 1:
+            break
+        xi = bisect_right(x.x_breaks, u) - 1
+        zi = min(bisect_right(breaks, u) - 1, len(values) - 1)
+        y_integral = sum(
+            ((x.y_breaks[j + 1] - x.y_breaks[j]) * x.values[xi][j] for j in range(len(x.y_breaks) - 1)),
+            Fraction(0),
+        )
+        total += (v - u) * values[zi] * y_integral
+    return total
+
+
+def _ref_disjoint(x, parts, p):
+    p = F(p)
+    n = len(parts)
+    xs, ys = _ref_grid([x, *parts])
+    rx = _ref_refined(x, xs, ys)
+    rparts = [_ref_refined(f, xs, ys) for f in parts]
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            holders = [k for k, f in enumerate(rparts) if f.values[i][j] != 0]
+            if len(holders) > 1:
+                raise OverlappingSupportsError(f"parts {holders[0]} and {holders[1]} overlap on cell ({i},{j})")
+    v_vals = tuple(
+        tuple(sum((f.values[i][j] for f in rparts), Fraction(0)) for j in range(len(ys) - 1))
+        for i in range(len(xs) - 1)
+    )
+    v = StepFn2D(xs, ys, v_vals)
+
+    def sub(f, g):
+        return _ref_combine2d(f, g, lambda a, b: a - b)
+
+    if p.denominator == 1:
+        pe = int(p)
+        lhs = _ref_power_sum(sub(rx, v), pe)
+        rhs = sum((_ref_power_sum(sub(rx, f), pe) for f in rparts), Fraction(0)) - (n - 1) * _ref_power_sum(rx, pe)
+        ok = lhs == rhs
+    else:
+        pf = float(p)
+        lhs = _ref_power_sum_float(sub(rx, v), pf)
+        rhs = sum(_ref_power_sum_float(sub(rx, f), pf) for f in rparts) - (n - 1) * _ref_power_sum_float(rx, pf)
+        ok = abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+    return WitnessReport(
+        check="disjoint-support-identity",
+        params={"p": p, "tol": 1e-12},
+        verdict="pass" if ok else "fail",
+        witness=None if ok else {"lhs": lhs, "rhs": rhs},
+        counts={"lhs": lhs, "rhs": rhs, "parts": n, "exact": p.denominator == 1},
+        caveat=FIRST_POWER_CAVEAT,
+    )
+
+
+def _first_coordinate(breaks, values) -> StepFn2D:
+    return StepFn2D(breaks + (2,), (0, 1), tuple((v,) for v in values) + ((F(0),),))
+
+
+def test_random_step_1d_folds_the_reference_draws():
+    rng, ref = random.Random(31), random.Random(31)
+    for _ in range(300):
+        assert random_step_1d(rng) == _first_coordinate(*_ref_random_step_1d(ref))
+    assert rng.getstate() == ref.getstate()
+
+
+def test_aligned_reads_each_function_on_the_common_grid():
+    rng = random.Random(43)
+    for _ in range(200):
+        fns = [random_disjoint_parts(rng, 1)[0], random_step_1d(rng), mean_zero_square()]
+        xs, ys, areas, values = aligned(fns)
+        assert (xs, ys) == _ref_grid(fns)
+        for f, vals in zip(fns, values):
+            assert list(_ref_cells(_ref_refined(f, xs, ys))) == list(zip(areas, vals))
+
+
+def test_arithmetic_and_pairing_match_the_reference():
+    rng = random.Random(37)
+    prev = mean_zero_square()
+    for _ in range(200):
+        x, parts = random_disjoint_parts(rng, rng.randint(1, 3))
+        breaks, values = _ref_random_step_1d(rng)
+        z = _first_coordinate(breaks, values)
+        for f, g in ((x, prev), (x, z), (z, prev), (parts[0], x)):
+            assert sub2d(f, g) == _ref_combine2d(f, g, lambda a, b: a - b)
+            assert add2d(f, g) == _ref_combine2d(f, g, lambda a, b: a + b)
+            assert combine2d(f, g, max) == _ref_combine2d(f, g, max)
+        for w in (x, prev, *parts, mean_zero_square(), right_slab_indicator()):
+            assert lp_pairing(w, z) == _ref_lp_pairing(w, breaks, values)
+        prev = x
+
+
+def _outcome(identity, x, parts, p):
+    try:
+        rep = identity(x, parts, p)
+    except OverlappingSupportsError as exc:
+        return f"overlap: {exc}"
+    lhs, rhs = rep.counts["lhs"], rep.counts["rhs"]
+    bits = (lhs.hex(), rhs.hex()) if isinstance(lhs, float) else (lhs, rhs)
+    return report_json(rep), bits
+
+
+def test_disjoint_identity_matches_the_reference():
+    """Bit-identical float lhs/rhs at p = 3/2 and 5/2, equal exact reports
+    at integer p, and the same overlap message, on instances that share one
+    grid, instances whose x lies on another grid, and overlapping ones."""
+    rng = random.Random(41)
+    prev = mean_zero_square()
+    kinds = {"exact": 0, "float": 0, "overlap": 0}
+    for t in range(200):
+        x, parts = random_disjoint_parts(rng, rng.randint(1, 3))
+        if t % 4 == 1:
+            x = prev  # a grid the parts do not share
+        elif t % 4 == 3:
+            parts = [*parts, x]  # x itself joins the parts: an overlap
+        for p in (1, 2, 3, F(3, 2), F(5, 2)):
+            got = _outcome(disjoint_support_identity, x, parts, p)
+            assert got == _outcome(_ref_disjoint, x, parts, p), (t, p)
+            kind = "overlap" if isinstance(got, str) else "exact" if F(p).denominator == 1 else "float"
+            kinds[kind] += 1
+        prev = x
+    assert min(kinds.values()) >= 50, kinds
 
 
 # -- radial profiles -----------------------------------------------------------------

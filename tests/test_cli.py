@@ -55,6 +55,23 @@ BOUNDARY = [
     ["rado", "basis", "--code", "1:1,1:2"],
     ["profile", "check", "builtin:vee", "--horizon", "zz"],
     ["profile", "agree", "builtin:vee", "builtin:vee", "--lo", "q", "--hi", "1"],
+    # a span that holds no vertex once gave a vacuous `pass` with no members
+    ["rado", "basis", "--code", "0:1", "--scan", "5..2"],
+    ["rado", "basis", "--code", "0:1", "--scan", "-3"],
+    ["rado", "basis", "--code", "0:1", "--scan", "0"],
+]
+
+# A malformed value of each argument type, and the form its usage error
+# names; the messages once named the private parser ("invalid _indices
+# value", "invalid parse_rational value").
+USAGE_NAMES = [
+    (["rado", "witness", "--u", "1,x"], "invalid index list value: '1,x'"),
+    (["urysohn", "bf", APPROX, "--pairs", "0", "--eps", "1/2", "--probe", "1"], "invalid pairs value: '0'"),
+    (["rado", "basis", "--code", "0:1", "--scan", "a..b"], "invalid span value: 'a..b'"),
+    (["hilbert", "--u", "1,x", "--v", "0,1", "--z", "1,0"], "invalid vector value: '1,x'"),
+    (["rado", "basis", "--code", "1:x"], "invalid basis code value: '1:x'"),
+    (["lp", "--p", "foo"], "invalid rational value: 'foo'"),
+    (["lp", "--p", "3", "--pairings", "x"], "invalid int value: 'x'"),
 ]
 
 # sha256 of the stdout of `mslab urysohn build --denom 2 --rounds 2`
@@ -83,6 +100,19 @@ def test_out_of_range_argument_exits_2(argv, approx_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", BOUNDARY, ids=" ".join)
+def test_usage_errors_do_not_name_a_private_parser(argv, approx_file, capsys):
+    run([approx_file if a == APPROX else a for a in argv])
+    err = capsys.readouterr().err
+    assert "invalid _" not in err and "parse_rational" not in err
+
+
+@pytest.mark.parametrize("argv,message", USAGE_NAMES, ids=[" ".join(argv) for argv, _ in USAGE_NAMES])
+def test_usage_error_names_the_expected_form(argv, message, approx_file, capsys):
+    assert run([approx_file if a == APPROX else a for a in argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_in_range_arguments_still_run(approx_file, capsys):
@@ -132,6 +162,33 @@ def test_non_metric_space_file_exits_2(argv, non_metric_files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "does not hold a metric space: nonpositive-off-diagonal at (1, 2)" in captured.err
+
+
+# A round-1 approximant whose seed points a, b are at distance 0: the file
+# is a symmetric matrix with a zero diagonal that no log record reads, so
+# only the metric check refuses it. Each row once reported a verdict on it.
+READS_AN_APPROXIMANT = [
+    ["urysohn", "check", APPROX, "--k", "1"],
+    ["urysohn", "prop53", APPROX, "--pairs", "2:2", "--eps", "1", "--probe", "3"],
+    ["urysohn", "bf", APPROX, "--pairs", "2:2", "--eps", "1", "--probe", "3"],
+]
+
+
+@pytest.fixture(scope="module")
+def non_metric_approx(tmp_path_factory, approx_file):
+    data = json.loads(Path(approx_file).read_text())
+    data["d"][0][1] = data["d"][1][0] = "0"
+    path = tmp_path_factory.mktemp("non-metric-approx") / "approx.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", READS_AN_APPROXIMANT, ids=" ".join)
+def test_non_metric_approximant_file_exits_2(argv, non_metric_approx, capsys):
+    assert run([non_metric_approx if a == APPROX else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not hold a metric space: nonpositive-off-diagonal at (0, 1)" in captured.err
 
 
 def test_validate_reports_a_non_metric_as_a_fail(non_metric_files, capsys):
@@ -266,7 +323,7 @@ def test_every_subcommand_runs_one_handler():
 
 # the argparse types; a handler that calls one of them on `args.<name>`
 # parses an argument a second time, outside the usage-error boundary
-PARSERS = {"parse_rational", "_indices", "_pairs", "_span", "_vector", "BasisCode.parse"}
+PARSERS = {"parse_rational", "_rational", "_indices", "_pairs", "_span", "_vector", "_code", "BasisCode.parse"}
 
 
 def test_no_handler_parses_an_argument():

@@ -441,7 +441,7 @@ def test_kuratowski_singleton():
 def test_truncate_max_stays_katetov():
     rng = random.Random(19)
     for _ in range(100):
-        space = random_metric_space(rng, max_points=6, max_denom=8, min_diam_steps=2)
+        space = random_metric_space(rng, max_points=6, max_denom=8)
         q = space.grid.denom
         fn = KatetovFn(space, random_katetov_values(rng, space, q))
         lam = F(rng.randint(1, int(space.diam_bound * 2 * q) - 1), 2 * q)
@@ -467,7 +467,7 @@ def test_truncate_lambda_out_of_range():
 def test_truncations_are_sup_contractions():
     rng = random.Random(23)
     for _ in range(100):
-        space = random_metric_space(rng, max_points=6, max_denom=8, min_diam_steps=2)
+        space = random_metric_space(rng, max_points=6, max_denom=8)
         q = space.grid.denom
         f = KatetovFn(space, random_katetov_values(rng, space, q))
         g = KatetovFn(space, random_katetov_values(rng, space, q))

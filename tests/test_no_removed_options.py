@@ -2,9 +2,10 @@
 tolerance `tol` (the two comparisons still made in floats read the
 constants `banach.HILBERT_TOL` and `banach.DISJOINT_TOL`), the
 `basis_refinement_check` modes `sample_codes` and `require_intersection`,
-or the sampler bounds `max_pieces` and `denom_bound` (now the constants
+the sampler bounds `max_pieces` and `denom_bound` (now the constants
 `banach.STEP_MAX_PIECES`, `banach.STEP_DENOM_BOUND` and
-`randgen.PARTS_DENOM_BOUND`)."""
+`randgen.PARTS_DENOM_BOUND`), or `random_metric_space`'s `min_diam_steps`,
+whose floor of 2 grid steps no caller raised."""
 
 import ast
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import mslab
 
 SOURCES = sorted(Path(mslab.__file__).parent.glob("*.py"))
-REMOVED = {"tol", "sample_codes", "require_intersection", "max_pieces", "denom_bound"}
+REMOVED = {"tol", "sample_codes", "require_intersection", "max_pieces", "denom_bound", "min_diam_steps"}
 
 
 def test_no_function_takes_a_removed_option():
