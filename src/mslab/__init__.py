@@ -35,7 +35,6 @@ from .banach import (
 from .errors import MslabError
 from .metric import (
     KatetovFn,
-    KatetovVerdict,
     MetricSpace,
     MetricVerdict,
     PartialIsometry,
@@ -49,7 +48,6 @@ from .metric import (
     sup_distance,
     truncate_katetov,
     validate_metric,
-    validate_pseudometric,
 )
 from .rado import (
     BasisCode,
@@ -65,7 +63,6 @@ from .report import WitnessReport, canonical_json, report_json
 from .urysohn import (
     Approximant,
     BFState,
-    MARequest,
     back_and_forth_extend,
     finite_injectivity_check,
     fraisse_step,
@@ -77,7 +74,6 @@ from .urysohn import (
 )
 from .weak import (
     LandmarkSet,
-    WeakSeminorm,
     gromov_approximant,
     gromov_net_indices,
     proximity_test,

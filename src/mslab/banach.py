@@ -201,9 +201,6 @@ class PNormValue:
             return cls.from_rational(prim ** int(exponent))
         return cls(prim, exponent)
 
-    def same_value(self, other: "PNormValue") -> bool:
-        return self == other
-
     def describe(self) -> str:
         if self.exponent == 1:
             return str(self.base)
@@ -270,10 +267,6 @@ def sub2d(f: StepFn2D, g: StepFn2D) -> StepFn2D:
     return combine2d(f, g, lambda a, b: a - b)
 
 
-def add2d(f: StepFn2D, g: StepFn2D) -> StepFn2D:
-    return combine2d(f, g, lambda a, b: a + b)
-
-
 def _power_integral(areas: Sequence[Fraction], values: Sequence[Fraction], p: Fraction):
     """The integral of |f|^p over aligned cells, summed in their order: an
     exact Fraction for integer p, otherwise a float (the module's one float
@@ -283,12 +276,6 @@ def _power_integral(areas: Sequence[Fraction], values: Sequence[Fraction], p: Fr
         return sum((a * abs(v) ** e for a, v in zip(areas, values)), Fraction(0))
     pf = float(p)
     return sum(float(a) * abs(float(v)) ** pf for a, v in zip(areas, values))
-
-
-def power_sum(f: StepFn2D, p: int) -> Fraction:
-    """Exact integral of |f|^p for integer p >= 1."""
-    _, _, areas, (vals,) = aligned([f])
-    return _power_integral(areas, vals, Fraction(p))
 
 
 def lp_norm(f: StepFn2D, p: RationalLike) -> PNormValue:
@@ -397,7 +384,7 @@ def lp_counterexample(p: RationalLike, n_pairings: int = 100, seed: int = 42) ->
 
     norm_mean_zero = lp_norm(sub2d(w, v), p)
     norm_slab = lp_norm(sub2d(w_slab, v), p)
-    separated = not norm_mean_zero.same_value(norm_slab)
+    separated = norm_mean_zero != norm_slab
 
     rng = random.Random(seed)
     bad_pairing = None

@@ -50,7 +50,6 @@ from .serialization import (
 from .urysohn import (
     Approximant,
     BFState,
-    MARequest,
     back_and_forth_extend,
     finite_injectivity_check,
     fraisse_step,
@@ -216,8 +215,7 @@ def cmd_katetov_check(args) -> WitnessReport:
 
 
 def cmd_katetov_extend(args) -> WitnessReport:
-    fn_data = _load_katetov(args.fn)
-    out, idx = extend_by_katetov(fn_data.space, fn_data)
+    out, idx = extend_by_katetov(_load_values(args.fn))  # checks the values once
     rep = _built("katetov-extend", {"new_index": idx}, out)
     if args.out:
         _dump_json(space_to_dict(out), args.out)
@@ -282,7 +280,7 @@ def cmd_urysohn_check(args) -> WitnessReport:
 
 def cmd_urysohn_ma(args) -> WitnessReport:
     space = _load_space(args.space)
-    out, yp = ma_extension(MARequest(space, tuple(args.f), args.x, args.y, args.delta))
+    out, yp = ma_extension(space, args.f, args.x, args.y, args.delta)
     return _built("urysohn-ma", {"x": args.x, "y": args.y, "delta": args.delta}, out, {"new_index": yp})
 
 
@@ -323,12 +321,12 @@ def cmd_urysohn_nonproper(args) -> WitnessReport:
 
 
 def cmd_weak_seminorm(args) -> WitnessReport:
-    sem = weak_seminorm(LandmarkSet(_load_space(args.space), tuple(args.landmarks)))
+    matrix = weak_seminorm(LandmarkSet(_load_space(args.space), tuple(args.landmarks)))
     return WitnessReport(
         check="weak-seminorm",
         params={"landmarks": args.landmarks},
         verdict="pass",
-        result={"matrix": jsonable([list(row) for row in sem.matrix])},
+        result={"matrix": jsonable([list(row) for row in matrix])},
     )
 
 
@@ -338,8 +336,7 @@ def cmd_weak_proximity(args) -> WitnessReport:
 
 
 def cmd_weak_net(args) -> WitnessReport:
-    space = _load_space(args.space)
-    reps = gromov_net_indices(space, LandmarkSet(space, tuple(args.landmarks)), args.eps)
+    reps = gromov_net_indices(LandmarkSet(_load_space(args.space), tuple(args.landmarks)), args.eps)
     return WitnessReport(
         check="weak-net",
         params={"eps": args.eps, "landmarks": args.landmarks},
@@ -360,9 +357,12 @@ def cmd_weak_restrict(args) -> WitnessReport:
 
 
 def cmd_hilbert(args) -> WitnessReport:
+    explicit = (args.u, args.v, args.z)
     if args.random:
+        if explicit != (None, None, None):
+            raise FormatError("--random N runs random triples; it conflicts with --u/--v/--z")
         return suite.battery_hilbert(args.seed, args.random)
-    if None in (args.u, args.v, args.z):
+    if None in explicit:
         raise FormatError("either --random N or all of --u/--v/--z are required")
     return banach.hilbert_check(args.u, args.v, args.z)
 
@@ -376,6 +376,8 @@ def cmd_disjoint(args) -> WitnessReport:
         x_fn = load_stepfn2d(args.x)
         parts = [load_stepfn2d(path) for path in args.part]
         return banach.disjoint_support_identity(x_fn, parts, args.p)
+    if args.part:
+        raise FormatError("--part needs --x: random mode reads no part files")
     rng = random.Random(args.seed)
     for t in range(args.trials):
         x_fn, parts = random_disjoint_parts(rng, args.n)
@@ -425,11 +427,14 @@ def cmd_rado_adj(args) -> WitnessReport:
 
 def cmd_rado_metric(args) -> WitnessReport:
     if args.scan is not None:
+        if (args.i, args.j) != (None, None):
+            raise FormatError("--scan N validates the vertices 0..N-1; it conflicts with the vertices i j")
         _, rows, bound = rado.rado_metric_space(range(args.scan)).grid
         return _verdict_report("rado-metric-scan", {"points": args.scan}, validate_metric(rows, bound))
+    i, j = args.i or 0, args.j or 0
     return WitnessReport(
-        check="rado-metric", params={"i": args.i, "j": args.j},
-        verdict="pass", counts={"distance": rado.rado_metric(args.i, args.j)},
+        check="rado-metric", params={"i": i, "j": j},
+        verdict="pass", counts={"distance": rado.rado_metric(i, j)},
     )
 
 
@@ -597,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("i", type=int)
     r.add_argument("j", type=int)
     r = leaf(rsub, "metric", cmd_rado_metric)
-    r.add_argument("i", type=int, nargs="?", default=0)
-    r.add_argument("j", type=int, nargs="?", default=0)
+    r.add_argument("i", type=int, nargs="?", default=None)
+    r.add_argument("j", type=int, nargs="?", default=None)
     r.add_argument("--scan", type=_count, default=None, help="instead validate the metric on 0..N-1")
     r = leaf(rsub, "witness", cmd_rado_witness)
     r.add_argument("--u", type=_indices, default="")

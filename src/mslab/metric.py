@@ -84,21 +84,13 @@ class MetricVerdict:
     `reason` is one of: not-square, not-symmetric, nonzero-diagonal,
     nonpositive-off-diagonal, exceeds-diameter, triangle; `witness` holds
     the first violating index pair/triple in lexicographic order. A
-    triangle witness (i, j, k) means d(i,j) > d(i,k) + d(k,j).
+    triangle witness (i, j, k) means d(i,j) > d(i,k) + d(k,j). `is_katetov`
+    gives the reasons range (witness (i,): a value outside 0..diam_bound),
+    lipschitz (|xi(i) - xi(j)| > d(i,j)) and sum (xi(i) + xi(j) < d(i,j)).
     """
 
     ok: bool
     reason: str | None = None
-    witness: tuple[int, ...] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class KatetovVerdict:
-    ok: bool
-    reason: str | None = None  # range | lipschitz | sum
     witness: tuple[int, ...] | None = None
 
     def __bool__(self) -> bool:
@@ -113,17 +105,12 @@ def _square(d: Sequence[Sequence]) -> tuple[tuple, ...]:
     return rows
 
 
-def _coerce_matrix(d: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction, ...], ...]:
-    rows = _square(d)
-    if set(map(type, chain.from_iterable(rows))) - {Fraction}:
-        rows = tuple(tuple(map(as_fraction, row)) for row in rows)
-    return rows
-
-
 def _fraction_grid(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> Grid:
     """The matrix and the bound as integers on their least common grid 1/q:
     numerator * (q // denominator), exact."""
-    rows = _coerce_matrix(d)
+    rows = _square(d)
+    if set(map(type, chain.from_iterable(rows))) - {Fraction}:
+        rows = tuple(tuple(map(as_fraction, row)) for row in rows)
     bound = as_fraction(diam_bound)
     q = lcm(bound.denominator, *{v.denominator for row in rows for v in row})
     scaled = [[v.numerator * (q // v.denominator) for v in row] for row in rows]
@@ -240,28 +227,6 @@ def validate_scaled(e: Sequence[Sequence[int]], bound: int) -> MetricVerdict:
         hit = _triangle_scan_numpy(arr) if verdict is None else None
     if verdict is not None:
         return verdict
-    if hit is not None:
-        return MetricVerdict(False, "triangle", hit)
-    return MetricVerdict(True)
-
-
-def validate_pseudometric(d: Sequence[Sequence[RationalLike]]) -> MetricVerdict:
-    """Like validate_metric but zero off-diagonal entries are allowed
-    and there is no diameter bound."""
-    rows = _coerce_matrix(d)
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                return MetricVerdict(False, "not-symmetric", (i, j))
-    for i in range(n):
-        if rows[i][i] != 0:
-            return MetricVerdict(False, "nonzero-diagonal", (i,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] < 0:
-                return MetricVerdict(False, "nonpositive-off-diagonal", (i, j))
-    hit = _triangle_scan_int(rows)
     if hit is not None:
         return MetricVerdict(False, "triangle", hit)
     return MetricVerdict(True)
@@ -553,7 +518,7 @@ class KatetovFn:
         return self.values[i]
 
 
-def is_katetov(values: Sequence[RationalLike], space: MetricSpace) -> KatetovVerdict:
+def is_katetov(values: Sequence[RationalLike], space: MetricSpace) -> MetricVerdict:
     """Check the two-sided inequalities and the 0..diam_bound range, on the
     space's grid lifted to hold the values.
 
@@ -566,15 +531,15 @@ def is_katetov(values: Sequence[RationalLike], space: MetricSpace) -> KatetovVer
         raise LengthMismatchError(f"{len(vals)} values over a {n}-point space")
     for i, v in enumerate(vals):
         if v < 0 or v > bound:
-            return KatetovVerdict(False, "range", (i,))
+            return MetricVerdict(False, "range", (i,))
     for i in range(n):
         for j in range(i + 1, n):
             dij = d[i][j]
             if abs(vals[i] - vals[j]) > dij:
-                return KatetovVerdict(False, "lipschitz", (i, j))
+                return MetricVerdict(False, "lipschitz", (i, j))
             if vals[i] + vals[j] < dij:
-                return KatetovVerdict(False, "sum", (i, j))
-    return KatetovVerdict(True)
+                return MetricVerdict(False, "sum", (i, j))
+    return MetricVerdict(True)
 
 
 def elementary_katetov(space: MetricSpace, z: int) -> KatetovFn:
@@ -583,17 +548,15 @@ def elementary_katetov(space: MetricSpace, z: int) -> KatetovFn:
     return KatetovFn(space, grid_fractions([space.grid.rows[z]], space.grid.denom)[0])
 
 
-def extend_by_katetov(space: MetricSpace, fn: KatetovFn) -> tuple[MetricSpace, int]:
-    """Realize a Katetov function as a genuinely new point.
+def extend_by_katetov(fn: KatetovFn) -> tuple[MetricSpace, int]:
+    """Realize a Katetov function as a genuinely new point of its space.
 
-    Rejects profiles that vanish somewhere (the new point would duplicate
-    an existing one, breaking strict positivity).
+    Rejects values that break the Katetov inequalities (`KatetovFn.over`)
+    and profiles that vanish somewhere (the new point would duplicate an
+    existing one, breaking strict positivity).
     """
-    if fn.space != space:
-        raise SpaceMismatchError("function lives over a different space")
-    verdict = is_katetov(fn.values, space)
-    if not verdict:
-        raise KatetovViolationError(f"not Katetov: {verdict.reason} at {verdict.witness}")
+    space = fn.space
+    KatetovFn.over(space, fn.values)
     for i, v in enumerate(fn.values):
         if v == 0:
             raise DuplicatePointError(f"profile vanishes at point {i}; realization would duplicate it")

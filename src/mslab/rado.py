@@ -114,12 +114,6 @@ class BasisCode:
     def domain(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.assignment)
 
-    def value(self, vertex: int) -> int:
-        for a, v in self.assignment:
-            if a == vertex:
-                return v
-        raise KeyError(vertex)
-
     def extends(self, other: "BasisCode") -> bool:
         mine = dict(self.assignment)
         return all(mine.get(a) == v for a, v in other.assignment)

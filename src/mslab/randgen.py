@@ -7,6 +7,10 @@ Random metric spaces and random Katetov vectors are grown coordinate by
 coordinate, each value drawn uniformly from the feasible interval of
 `metric.katetov_interval` (the one the exhaustive enumeration walks), so
 the growth never backtracks and every denominator divides the chosen grid.
+
+Each sampler returns plain values: a `MetricSpace`, a tuple of Fractions,
+step functions, or, for the almost-matching recipe, the argument tuple
+`(space, F, x, y, delta)` of `urysohn.ma_extension`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import Sequence
 
 from .banach import StepFn2D, stereographic_point
 from .metric import MetricSpace, katetov_interval, scale_space
-from .urysohn import MARequest
 
 Rng = random.Random
 PARTS_DENOM_BOUND = 8
@@ -71,8 +74,11 @@ def random_katetov_values(
     return tuple(Fraction(v, denom) for v in _feasible_profile(rng, d_scaled, bound_scaled, not allow_zero))
 
 
-def random_ma_request(rng: Rng, max_points: int = 8, max_denom: int = 24) -> MARequest:
-    """A random precondition-satisfying almost-matching request.
+def random_ma_request(
+    rng: Rng, max_points: int = 8, max_denom: int = 24
+) -> tuple[MetricSpace, tuple[int, ...], int, int, Fraction]:
+    """A random precondition-satisfying almost-matching request, as the
+    arguments (space, F, x, y, delta) of `urysohn.ma_extension`.
 
     delta is drawn from the grid points strictly above the largest
     landmark gap (condition a), at most the smallest two-leg sum
@@ -92,7 +98,7 @@ def random_ma_request(rng: Rng, max_points: int = 8, max_denom: int = 24) -> MAR
         lo = max((abs(d[x][z] - d[y][z]) for z in F), default=0) + 1
         hi = min([d[x][z] + d[y][z] for z in F] + [bound - 1])
         if lo <= hi:
-            return MARequest(space, F, x, y, Fraction(rng.randint(lo, hi), q))
+            return space, F, x, y, Fraction(rng.randint(lo, hi), q)
 
 
 def random_sphere_point(rng: Rng, dim: int) -> tuple[Fraction, ...]:

@@ -59,13 +59,13 @@ def battery_extensions(seed: int = 42, trials: int = 10000) -> WitnessReport:
     params = {"seed": seed, "trials": trials, "max_points": 8, "max_denom": 24}
     rng = random.Random(seed)
     for t in range(trials):
-        req = random_ma_request(rng, max_points=8, max_denom=24)
+        space, F, x, y, delta = random_ma_request(rng, max_points=8, max_denom=24)
         try:
-            out, yp = ma_extension(req)
+            out, yp = ma_extension(space, F, x, y, delta)
         except MslabError as exc:
             return _fail("extension-batteries", params, {"op": "ma", "trial": t, "error": str(exc)}, {})
-        xi = sorted(set(req.F) | {req.x}).index(req.x)
-        if out.dist(yp, xi) != req.delta:
+        xi = sorted(set(F) | {x}).index(x)
+        if out.dist(yp, xi) != delta:
             return _fail("extension-batteries", params, {"op": "ma", "trial": t, "got": out.dist(yp, xi)}, {})
 
     rng2 = random.Random(seed + 1)
@@ -200,7 +200,7 @@ def battery_lp(seed: int = 42) -> WitnessReport:
         norm2 = banach.lp_norm(banach.sub2d(banach.right_slab_indicator(), banach.left_square_indicator()), p)
         expected1 = banach.PNormValue.exact(2, (p - 1) / p)
         expected2 = banach.PNormValue.exact(2, 1 / p)
-        if not (norm1.same_value(expected1) and norm2.same_value(expected2)):
+        if not (norm1 == expected1 and norm2 == expected2):
             return _fail("lp-separation", params, {"p": p, "got": [norm1.describe(), norm2.describe()]}, {})
         if rep.verdict != "pass":
             return _fail("lp-separation", params, {"p": p, "report": rep.witness}, {})

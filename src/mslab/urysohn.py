@@ -15,7 +15,10 @@ MetricSpace view is made on demand from those ints (`from_grid`).
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
 one- or k-point metric extension from a prescribed distance recipe and
-re-validate the result; they certify recipes, they never repair them. The
+re-validate the result; they certify recipes, they never repair them. Each
+takes plain arguments, the space (or a `BFState`), point indices and the
+prescribed rational, as in `ma_extension(space, F, x, y, delta)`, and
+returns the extension with the index or indices of its new points. The
 MA, UWMT, Prop 5.3 and level-companion recipes run on the integer grid of
 their input space: they read its scaled rows, refine the grid only when a
 prescribed value (delta, lambda, or the eps of Prop 5.3) falls off it
@@ -205,14 +208,14 @@ class _Realizations:
         for per, v in zip(self._by_anchor.values(), values):
             per[v] = per.get(v, 0) | bit
 
-    def realized(self, subset: Sequence[int], values: Sequence[int]) -> int | None:
-        """The least point at the given distances from the subset, or None."""
+    def realized(self, subset: Sequence[int], values: Sequence[int]) -> bool:
+        """Does some point lie at the given distances from the subset?"""
         mask = -1
         for s, v in zip(subset, values):
             mask &= self._by_anchor[s].get(v, 0)
             if not mask:
-                return None
-        return (mask & -mask).bit_length() - 1
+                return False
+        return True
 
 
 def _profile_walk(among: Sequence[Sequence[int]], points: Sequence[int], max_size: int, bound: int):
@@ -233,7 +236,10 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     realizing point, integrated by the one-point free-amalgam formula
     g(w) = min(bound, min over s in S of xi(s) + d(s, w)). Records are
     processed in lexicographic (subset, profile) order, so the output is
-    reproducible bit for bit.
+    reproducible bit for bit for one fixed order of the seed points. Round
+    sizes depend on that order: a point added early can realize a later
+    profile, so relabelling the seed can change how many points a round
+    adds (from 36 to 42 points in round 1 for one small seed at denom 2).
     """
     out = a.copy()
     n0 = n = out.n_points
@@ -246,7 +252,7 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     # distances among step-start points never change
     for subset, profiles in _profile_walk(buf.tolist(), range(n0), out.subset_bound, bound):
         for values in profiles:
-            if lookup.realized(subset, values) is not None:
+            if lookup.realized(subset, values):
                 continue
             if n + 1 > budget:
                 raise BudgetExceededError(
@@ -302,7 +308,7 @@ def finite_injectivity_check(
         n_subsets += 1
         for values in profiles:
             n_functions += 1
-            if lookup.realized(subset, values) is None:
+            if not lookup.realized(subset, values):
                 witness = {"subset": list(subset), "values": [Fraction(v, denom) for v in values]}
                 break
         if witness is not None:
@@ -319,34 +325,20 @@ def finite_injectivity_check(
 # -- explicit one-point extensions ------------------------------------------
 
 
-@dataclass(frozen=True)
-class MARequest:
-    """Inputs for the almost-matching one-point extension: move y to a new
-    point y' at prescribed distance delta from x while keeping its
-    distances to the finite set F."""
-
-    space: MetricSpace
-    F: tuple[int, ...]
-    x: int
-    y: int
-    delta: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "F", tuple(int(i) for i in self.F))
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-
-
-def ma_extension(req: MARequest) -> tuple[MetricSpace, int]:
-    """Realize the prescribed point y': d(y', x) = delta and
-    d(y', z) = d(y, z) for z in F, over the restriction to F and x.
+def ma_extension(
+    space: MetricSpace, F: Sequence[int], x: int, y: int, delta: RationalLike
+) -> tuple[MetricSpace, int]:
+    """Almost matching: move y to a new point y' with d(y', x) = delta and
+    d(y', z) = d(y, z) for z in the finite set F, over the restriction to
+    F and x.
 
     Preconditions (checked, with the violating landmark carried):
       (a)  |d(x,z) - d(y,z)| < delta  for all z in F
       (b)  delta <= d(x,z) + d(y,z)   for all z in F
     plus 0 < delta < diam_bound.
     """
-    space, F, x, y, delta = req.space, req.F, req.x, req.y, req.delta
-    check_points(space.n_points, [x, y, *F])
+    delta = as_fraction(delta)
+    F = check_points(space.n_points, [x, y, *F])[2:]
     if x in F or y in F:
         raise IndexClashError("x and y must not belong to F")
     if len(set(F)) != len(F):
@@ -517,10 +509,11 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
             raise UnsaturatedError(
                 f"profile value {Fraction(v, grid.denom)} at point {w} is off the 1/{ap.denom} grid"
             )
-    hit = _Realizations(keep, ap.matrix.take(keep, 0)).realized(keep, [v // f for v in profile])
-    if hit is None:
+    want = np.array([v // f for v in profile], dtype=ap.matrix.dtype)
+    hits = np.flatnonzero((ap.matrix.take(keep, 0) == want[:, None]).all(axis=0))
+    if not hits.size:
         raise UnsaturatedError("no existing point realizes the transported profile")
-    return BFState.create(ap, st.pairs + ((z, hit),), st.eps)
+    return BFState.create(ap, st.pairs + ((z, int(hits[0])),), st.eps)
 
 
 def injectivity_chain(

@@ -7,6 +7,12 @@ points. Proximity tests and greedy landmark nets below are one-sided
 evidence only: a pass at one (F, eps) scale never certifies proximity in
 the full uniformity, which quantifies over all finite landmark sets and
 all positive eps.
+
+Every operation takes the landmark set, which carries its space, and
+returns plain values: `weak_seminorm` the rho_F matrix itself (exact
+Fractions, symmetric, zero on the diagonal, triangle-valid and dominated
+by d entrywise), `gromov_net_indices` a list of point indices and
+`gromov_approximant` a list of Katetov functions over that space.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptySubsetError, IndexClashError, PreconditionError, SpaceMismatchError
+from .errors import EmptySubsetError, IndexClashError, PreconditionError
 from .metric import KatetovFn, MetricSpace, check_points, elementary_katetov, grid_fractions, lift
 from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
@@ -41,30 +47,17 @@ class LandmarkSet:
         check_points(self.space.n_points, self.F, "landmark")
 
 
-@dataclass(frozen=True)
-class WeakSeminorm:
-    """The landmark pseudometric matrix rho_F; always symmetric, zero on
-    the diagonal, triangle-valid, and dominated by d entrywise."""
-
-    landmarks: LandmarkSet
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-
 def _gap(rows, a: int, b: int, F: Sequence[int]) -> int:
     """The landmark gap of points a and b on a grid with these scaled rows."""
     return max(abs(rows[a][z] - rows[b][z]) for z in F)
 
 
-def landmark_gap(space: MetricSpace, a: int, b: int, F: Sequence[int]) -> Fraction:
-    denom, rows, _ = space.grid
-    return Fraction(_gap(rows, a, b, F), denom)
-
-
-def weak_seminorm(landmarks: LandmarkSet) -> WeakSeminorm:
+def weak_seminorm(landmarks: LandmarkSet) -> tuple[tuple[Fraction, ...], ...]:
+    """The landmark pseudometric matrix rho_F over the landmarks' space."""
     denom, rows, _ = landmarks.space.grid
     n = len(rows)
     gaps = [[0 if i == j else _gap(rows, i, j, landmarks.F) for j in range(n)] for i in range(n)]
-    return WeakSeminorm(landmarks, grid_fractions(gaps, denom))
+    return grid_fractions(gaps, denom)
 
 
 def proximity_test(
@@ -108,11 +101,11 @@ def proximity_test(
     )
 
 
-def gromov_net_indices(space: MetricSpace, landmarks: LandmarkSet, eps: RationalLike) -> list[int]:
-    """Greedy (index-ordered) maximal eps-separated set of points under the
-    landmark seminorm; every point lies within eps of some representative."""
-    if landmarks.space != space:
-        raise SpaceMismatchError("gromov_net_indices needs landmarks over the same space")
+def gromov_net_indices(landmarks: LandmarkSet, eps: RationalLike) -> list[int]:
+    """Greedy (index-ordered) maximal eps-separated set of the landmarks'
+    space under the landmark seminorm; every point lies within eps of some
+    representative."""
+    space = landmarks.space
     eps = as_fraction(eps)
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
@@ -124,12 +117,10 @@ def gromov_net_indices(space: MetricSpace, landmarks: LandmarkSet, eps: Rational
     return reps
 
 
-def gromov_approximant(
-    space: MetricSpace, landmarks: LandmarkSet, eps: RationalLike
-) -> list[KatetovFn]:
+def gromov_approximant(landmarks: LandmarkSet, eps: RationalLike) -> list[KatetovFn]:
     """Finite stand-in for the closure of the elementary functions: the
     elementary Katetov functions of a greedy landmark eps-net."""
-    return [elementary_katetov(space, z) for z in gromov_net_indices(space, landmarks, eps)]
+    return [elementary_katetov(landmarks.space, z) for z in gromov_net_indices(landmarks, eps)]
 
 
 def restrict_katetov(fn: KatetovFn, subset: Sequence[int]) -> KatetovFn:

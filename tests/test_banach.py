@@ -1,5 +1,6 @@
 """banach-examples: sphere identity, step-function norms, profiles."""
 
+import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -13,7 +14,7 @@ from mslab.banach import (
     PNormValue,
     RadialProfile,
     StepFn2D,
-    add2d,
+    _power_integral,
     aligned,
     combine2d,
     convex_by_midpoint_scan,
@@ -30,7 +31,6 @@ from mslab.banach import (
     profile_half_slope_then_offset,
     profile_vee,
     profiles_agree_on,
-    power_sum,
     radial_profile_check,
     random_step_1d,
     right_slab_indicator,
@@ -94,20 +94,20 @@ def test_hilbert_rejects_dimension_mismatch():
 
 
 def test_pnorm_canonicalizes_perfect_powers():
-    assert PNormValue.exact(4, F(1, 2)).same_value(PNormValue.from_rational(2))
-    assert PNormValue.exact(8, F(1, 3)).same_value(PNormValue.from_rational(2))
-    assert PNormValue.exact(F(1, 2), F(1, 3)).same_value(PNormValue.exact(2, F(-1, 3)))
+    assert PNormValue.exact(4, F(1, 2)) == PNormValue.from_rational(2)
+    assert PNormValue.exact(8, F(1, 3)) == PNormValue.from_rational(2)
+    assert PNormValue.exact(F(1, 2), F(1, 3)) == PNormValue.exact(2, F(-1, 3))
 
 
 def test_pnorm_same_base_compares_by_exponent():
     a = PNormValue.exact(2, F(2, 3))
     b = PNormValue.exact(2, F(1, 3))
-    assert not a.same_value(b)
-    assert a.same_value(PNormValue.exact(4, F(1, 3)))
+    assert a != b
+    assert a == PNormValue.exact(4, F(1, 3))
 
 
 def test_pnorm_rational_never_equals_irrational_power():
-    assert not PNormValue.exact(2, F(1, 2)).same_value(PNormValue.from_rational(F(3, 2)))
+    assert PNormValue.exact(2, F(1, 2)) != PNormValue.from_rational(F(3, 2))
 
 
 # -- step functions and norms -----------------------------------------------------
@@ -121,7 +121,7 @@ def test_unit_norm_for_every_p():
 
 def test_zero_function_norm():
     zero = StepFn2D((0, 2), (0, 1), ((F(0),),))
-    assert lp_norm(zero, 3).same_value(PNormValue.from_rational(0))
+    assert lp_norm(zero, 3) == PNormValue.from_rational(0)
 
 
 def test_norm_gap_exponents():
@@ -138,7 +138,8 @@ def test_integer_p_mixed_values_exact_fractional_p_refused():
     )
     # cell areas 1/6, 1/3, 1/2, 1 in row-major order
     cubes = F(1, 6) * F(1, 2) ** 3 + F(1, 3) * 3**3 + F(1, 2) * 0 + 1 * F(1, 4) ** 3
-    assert power_sum(f, 3) == cubes
+    _, _, areas, (vals,) = aligned([f])
+    assert _power_integral(areas, vals, F(3)) == cubes
     assert lp_norm(f, 3) == PNormValue.exact(cubes, F(1, 3))
     with pytest.raises(PreconditionError, match="not a single rational power"):
         lp_norm(f, F(3, 2))
@@ -171,11 +172,11 @@ def test_pairing_is_bilinear():
         z1, z2 = random_step_1d(rng), random_step_1d(rng)
         a = F(rng.randint(-6, 6), rng.randint(1, 6))
         f, g = mean_zero_square(), left_square_indicator()
-        fg = add2d(f, g)
+        fg = combine2d(f, g, operator.add)
         za = StepFn2D(z1.x_breaks, z1.y_breaks, tuple(tuple(a * v for v in row) for row in z1.values))
         assert lp_pairing(fg, z1) == lp_pairing(f, z1) + lp_pairing(g, z1)
         assert lp_pairing(g, za) == a * lp_pairing(g, z1)
-        assert lp_pairing(g, z1) + lp_pairing(g, z2) == lp_pairing(g, add2d(z1, z2))
+        assert lp_pairing(g, z1) + lp_pairing(g, z2) == lp_pairing(g, combine2d(z1, z2, operator.add))
 
 
 def test_lp_counterexample_p3():
@@ -374,7 +375,7 @@ def test_arithmetic_and_pairing_match_the_reference():
         z = _first_coordinate(breaks, values)
         for f, g in ((x, prev), (x, z), (z, prev), (parts[0], x)):
             assert sub2d(f, g) == _ref_combine2d(f, g, lambda a, b: a - b)
-            assert add2d(f, g) == _ref_combine2d(f, g, lambda a, b: a + b)
+            assert combine2d(f, g, operator.add) == _ref_combine2d(f, g, lambda a, b: a + b)
             assert combine2d(f, g, max) == _ref_combine2d(f, g, max)
         for w in (x, prev, *parts, mean_zero_square(), right_slab_indicator()):
             assert lp_pairing(w, z) == _ref_lp_pairing(w, breaks, values)

@@ -17,6 +17,14 @@ APPROX = "APPROX"  # replaced by the path of a round-1 approximant file
 SPACE = "SPACE"  # replaced by the path of a non-metric space file
 FN = "FN"  # replaced by the path of a Katetov file over that space
 
+# Two modes asked for at once, and the message that names the conflict; each
+# once ran one mode with a `pass` and silently dropped the other's input.
+CONFLICTS = [
+    (["disjoint", "--p", "2", "--part", "/nonexistent.json", "--trials", "3"], "--part needs --x"),
+    (["hilbert", "--u", "1,0", "--random", "2"], "conflicts with --u/--v/--z"),
+    (["rado", "metric", "3", "5", "--scan", "4"], "conflicts with the vertices i j"),
+]
+
 # Each row once crashed with a traceback, reported a mathematical verdict or
 # a `pass`; an argument outside its range must be a usage error (exit 2).
 BOUNDARY = [
@@ -59,6 +67,16 @@ BOUNDARY = [
     ["rado", "basis", "--code", "0:1", "--scan", "5..2"],
     ["rado", "basis", "--code", "0:1", "--scan", "-3"],
     ["rado", "basis", "--code", "0:1", "--scan", "0"],
+    *(argv for argv, _ in CONFLICTS),
+]
+
+# A back-and-forth state that `BFState.create` refuses, and its message.
+BF_REFUSED = [
+    (["--pairs", "0:1", "--eps", "1/4"], "pair 0 is 1/2 apart, above eps 1/4"),
+    (["--pairs", "0:0,0:1", "--eps", "1"], "duplicate domain indices in pairs"),
+    (["--pairs", "0:0,1:0", "--eps", "1"], "pairs 0 and 1 break the isometry condition"),
+    (["--pairs", "0:0", "--eps", "0"], "eps must be positive"),
+    (["--pairs", "0:0", "--eps", "-1"], "eps must be positive"),
 ]
 
 # A malformed value of each argument type, and the form its usage error
@@ -115,12 +133,29 @@ def test_usage_error_names_the_expected_form(argv, message, approx_file, capsys)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", CONFLICTS, ids=[" ".join(argv) for argv, _ in CONFLICTS])
+def test_conflicting_modes_name_the_conflict(argv, message, capsys):
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bf", "prop53"])
+@pytest.mark.parametrize("state,message", BF_REFUSED, ids=[" ".join(state) for state, _ in BF_REFUSED])
+def test_refused_back_and_forth_state_exits_2(command, state, message, approx_file, capsys):
+    assert run(["urysohn", command, approx_file, *state, "--probe", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_in_range_arguments_still_run(approx_file, capsys):
     assert run(["urysohn", "check", approx_file, "--k", "1", "--round", "0"]) == 0
     assert run(["urysohn", "check", approx_file, "--k", "2", "--round", "1", "--denom", "2"]) == 1
     assert run(["urysohn", "build", "--rounds", "0", "--subset-bound", "1"]) == 0
     assert run(["hilbert", "--random", "1"]) == 0
     assert run(["rado", "metric", "--scan", "0"]) == 0
+    capsys.readouterr()
+    assert run(["rado", "metric"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"] == {"distance": 0}
 
 
 def test_build_stdout_is_pinned(capsys):

@@ -23,9 +23,7 @@ from mslab import (
     Approximant,
     BFState,
     KatetovFn,
-    KatetovVerdict,
     LandmarkSet,
-    MARequest,
     MetricSpace,
     MetricVerdict,
     PartialIsometry,
@@ -68,7 +66,6 @@ from mslab.metric import fresh_label, require_metric, scale_space
 from mslab.randgen import _grow_scaled_matrix, random_katetov_values, random_ma_request, random_metric_space
 from mslab.rationals import ParseMemo, as_fraction
 from mslab.serialization import _dump_json, load_space, space_from_dict, space_to_dict
-from mslab.weak import landmark_gap
 
 F = Fraction
 BIG_Q = 2**62 - 57  # scaled values past int64 under one addition
@@ -130,11 +127,10 @@ def oracle_random_ma_request(rng, max_points=8, max_denom=24):
         hi_step = min(int(hi * q), int(space.diam_bound * q) - 1)
         if lo_step > hi_step:
             continue
-        return MARequest(space, F_, x, y, F(rng.randint(lo_step, hi_step), q))
+        return space, F_, x, y, F(rng.randint(lo_step, hi_step), q)
 
 
-def oracle_ma(req):
-    space, F_, x, y, delta = req.space, req.F, req.x, req.y, req.delta
+def oracle_ma(space, F_, x, y, delta):
     if x in F_ or y in F_:
         raise IndexClashError("x and y must not belong to F")
     if len(set(F_)) != len(F_):
@@ -331,8 +327,7 @@ def test_random_metric_space_matches_the_fraction_builder(seed):
 def test_random_ma_request_matches_the_fraction_builder(seed):
     rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(200):
-        got, want = random_ma_request(rng), oracle_random_ma_request(ref)
-        assert (got.space, got.F, got.x, got.y, got.delta) == (want.space, want.F, want.x, want.y, want.delta)
+        assert random_ma_request(rng) == oracle_random_ma_request(ref)
     assert rng.random() == ref.random()
 
 
@@ -345,15 +340,15 @@ def test_ma_matches_the_fraction_recipe(seed):
     results = []
     lifted = 0
     for _ in range(150):
-        req = random_ma_request(rng)
-        results.append(same(ma_extension, oracle_ma, req))
+        space, landmarks, x, y, delta = random_ma_request(rng)
+        results.append(same(ma_extension, oracle_ma, space, landmarks, x, y, delta))
         # the same request at a delta that may lie off the space's grid and
         # break a precondition, with and without its landmarks
-        grid = req.space.grid.denom
+        grid = space.grid.denom
         q = grid * rng.randint(2, 5)
-        delta = F(rng.randint(1, int(req.space.diam_bound * q)), q)
-        for F_ in (req.F, ()):
-            got = same(ma_extension, oracle_ma, MARequest(req.space, F_, req.x, req.y, delta))
+        delta = F(rng.randint(1, int(space.diam_bound * q)), q)
+        for F_ in (landmarks, ()):
+            got = same(ma_extension, oracle_ma, space, F_, x, y, delta)
             results.append(got)
             lifted += got[0] not in (PreconditionAError, PreconditionBError, DiameterExceededError) and off_grid(
                 got, grid
@@ -446,7 +441,7 @@ def test_recipes_near_2_62_match(seed):
         level = F(rng.randint(1, BIG_Q), BIG_Q)
         same(nonproper_witness, oracle_nonproper, space, x, Z, level)
         delta = F(rng.randint(1, 2 * BIG_Q), 3 * BIG_Q)
-        same(ma_extension, oracle_ma, MARequest(space, tuple(Z), x, y, delta))
+        same(ma_extension, oracle_ma, space, Z, x, y, delta)
         for st_, z in prop53_states(rng, space, rng.choice([1, 3])):
             same(prop53_extension, oracle_prop53, st_, z)
 
@@ -461,8 +456,7 @@ def test_non_metric_inputs_fail_with_the_same_message(seed):
         x, y, *Z = pick(rng, n, rng.randint(3, n))
         results.append(same(uwmt_extension, oracle_uwmt, space, x, y, Z))
         results.append(same(nonproper_witness, oracle_nonproper, space, x, [y, *Z], F(1, 2)))
-        req = MARequest(space, tuple(Z), x, y, F(rng.randint(1, 7), 4))
-        results.append(same(ma_extension, oracle_ma, req))
+        results.append(same(ma_extension, oracle_ma, space, Z, x, y, F(rng.randint(1, 7), 4)))
         # an approximant file may hold a non-metric; Prop 5.3 then fails
         a = Approximant.from_space(space, space.grid.denom, 2)
         st_ = BFState.create(a, [(p, p) for p in [x, *Z]], F(1))
@@ -504,8 +498,8 @@ def spaces_from_every_builder(seed):
     st_, z = next(prop53_states(rng, space, 3))
     a = Approximant.from_space(space, space.grid.denom * 2, 2)
     yield space
-    yield req.space
-    yield ma_extension(req)[0]
+    yield req[0]
+    yield ma_extension(*req)[0]
     yield uwmt_extension(space, x, y, Z)[0]
     yield nonproper_witness(space, x, Z, space.diam_bound / 3)[0]
     yield prop53_extension(st_, z)[0]
@@ -582,15 +576,15 @@ def oracle_is_katetov(values, space):
         raise LengthMismatchError(f"{len(vals)} values over a {n}-point space")
     for i in range(n):
         if vals[i] < 0 or vals[i] > space.diam_bound:
-            return KatetovVerdict(False, "range", (i,))
+            return MetricVerdict(False, "range", (i,))
     for i in range(n):
         for j in range(i + 1, n):
             dij = space.d[i][j]
             if abs(vals[i] - vals[j]) > dij:
-                return KatetovVerdict(False, "lipschitz", (i, j))
+                return MetricVerdict(False, "lipschitz", (i, j))
             if vals[i] + vals[j] < dij:
-                return KatetovVerdict(False, "sum", (i, j))
-    return KatetovVerdict(True)
+                return MetricVerdict(False, "sum", (i, j))
+    return MetricVerdict(True)
 
 
 def oracle_sup_distance(f, g):
@@ -612,7 +606,8 @@ def oracle_with_point(space, label, profile):
     return MetricSpace(space.labels + (fresh_label(label, set(space.labels)),), tuple(rows), space.diam_bound)
 
 
-def oracle_extend_by_katetov(space, fn):
+def oracle_extend_by_katetov(fn):
+    space = fn.space
     verdict = oracle_is_katetov(fn.values, space)
     if not verdict:
         raise KatetovViolationError(f"not Katetov: {verdict.reason} at {verdict.witness}")
@@ -778,7 +773,7 @@ def test_katetov_calculus_matches_the_fraction_oracles(seed):
                 continue
             fn = KatetovFn(space, values)
             agree(sup_distance, oracle_sup_distance, fn, KatetovFn(space, katetov))
-            agree(extend_by_katetov, oracle_extend_by_katetov, space, fn)
+            agree(extend_by_katetov, oracle_extend_by_katetov, fn)
     assert verdicts >= {None, "range", "lipschitz", "sum", LengthMismatchError}
 
 
@@ -857,12 +852,13 @@ def test_landmark_calculus_matches_the_fraction_oracles(seed):
         landmarks = LandmarkSet(space, tuple(pick(rng, n, rng.randint(1, n))))
         eps = grid_values(rng, space, 1)[0] or F(1, 5 * space.grid.denom)
         a, b = rng.randrange(n), rng.randrange(n)
-        assert landmark_gap(space, a, b, landmarks.F) == oracle_landmark_gap(space, a, b, landmarks.F)
-        assert weak_seminorm(landmarks).matrix == oracle_weak_seminorm(landmarks)
+        rho = weak_seminorm(landmarks)
+        assert rho == oracle_weak_seminorm(landmarks)
+        assert rho[a][b] == oracle_landmark_gap(space, a, b, landmarks.F)
         A, B = pick(rng, n, rng.randint(1, n)), pick(rng, n, rng.randint(1, n))
         report = proximity_test(A, B, landmarks, eps)
         want = oracle_proximity(A, B, landmarks, eps)
         assert (report.witness if report.ok else None) == (None if want is None else {"a": want[0], "b": want[1]})
         passes.add(report.ok)
-        assert gromov_net_indices(space, landmarks, eps) == oracle_net(space, landmarks, eps)
+        assert gromov_net_indices(landmarks, eps) == oracle_net(space, landmarks, eps)
     assert passes == {True, False}

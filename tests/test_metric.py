@@ -347,7 +347,7 @@ def test_elementary_spec_values():
 
 def test_extend_midpoint():
     space = two_point()
-    out, idx = extend_by_katetov(space, KatetovFn.over(space, [F(1, 2), F(1, 2)]))
+    out, idx = extend_by_katetov(KatetovFn.over(space, [F(1, 2), F(1, 2)]))
     assert out.n_points == 3
     assert out.d[idx][0] == out.d[idx][1] == F(1, 2)
 
@@ -355,18 +355,18 @@ def test_extend_midpoint():
 def test_extend_rejects_vanishing_profile():
     space = two_point()
     with pytest.raises(DuplicatePointError):
-        extend_by_katetov(space, elementary_katetov(space, 0))
+        extend_by_katetov(elementary_katetov(space, 0))
 
 
 def test_extend_rejects_invalid_profile():
     space = two_point()
     with pytest.raises(KatetovViolationError):
-        extend_by_katetov(space, KatetovFn(space, (F(0), F(0))))
+        extend_by_katetov(KatetovFn(space, (F(0), F(0))))
 
 
 def test_extend_constant_one_keeps_diameter():
     space = equilateral(F(1))
-    out, _ = extend_by_katetov(space, KatetovFn.over(space, [1, 1, 1]))
+    out, _ = extend_by_katetov(KatetovFn.over(space, [1, 1, 1]))
     assert validate_metric(out.d, 1).ok
 
 
@@ -375,7 +375,7 @@ def test_extend_elementary_roundtrip():
     for _ in range(50):
         space = random_metric_space(rng, max_points=6, max_denom=10)
         values = random_katetov_values(rng, space, space.grid.denom, allow_zero=False)
-        out, idx = extend_by_katetov(space, KatetovFn.over(space, values))
+        out, idx = extend_by_katetov(KatetovFn.over(space, values))
         back = elementary_katetov(out, idx)
         assert back.values[: space.n_points] == values
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mslab import Approximant, BFState, MetricSpace, fraisse_step, prop53_extension
+from mslab import Approximant, BFState, MetricSpace, back_and_forth_extend, fraisse_step, prop53_extension
 from mslab import urysohn
 from mslab.cli import main
 from mslab.errors import BudgetExceededError, MetricFailureError, PreconditionError
@@ -165,6 +165,19 @@ def test_object_dtype_past_uint64_is_exact():
     assert out.d[zp][0] == d and out.d[zp][1] == d
     with pytest.raises(BudgetExceededError):
         fraisse_step(a, budget=6)
+
+
+
+def test_back_and_forth_probe_on_object_dtype():
+    # the seed above plus a fourth point w at distance d from a and b: the
+    # probe b transported along (a, a) must land on w
+    denom = 2**66
+    d = F(2**64 + 1, denom)
+    rows = ((0, d, 1, d), (d, 0, 1 - d, d), (1, 1 - d, 0, 1), (d, d, 1, 0))
+    a = Approximant.from_space(MetricSpace(("a", "b", "c", "w"), rows, 1), denom, 1)
+    assert a.matrix.dtype == object
+    st = back_and_forth_extend(BFState.create(a, [(0, 0)], d), 1)
+    assert st.pairs == ((0, 0), (1, 3))
 
 
 def reference_injectivity(rows, over, k, factor, bound):

@@ -8,7 +8,6 @@ import pytest
 from mslab import (
     Approximant,
     BFState,
-    MARequest,
     MetricSpace,
     back_and_forth_extend,
     finite_injectivity_check,
@@ -46,7 +45,7 @@ def space_of(labels, rows, bound):
 
 def test_ma_spec_example():
     sp = space_of("xyz", [[0, F(1, 10), F(1, 2)], [F(1, 10), 0, F(3, 5)], [F(1, 2), F(3, 5), 0]], 1)
-    out, yp = ma_extension(MARequest(sp, (2,), 0, 1, F(1, 4)))
+    out, yp = ma_extension(sp, (2,), 0, 1, F(1, 4))
     # restriction keeps {x, z}; the new point sits at delta from x
     assert out.d[yp][0] == F(1, 4)
     assert out.d[yp][1] == F(3, 5)
@@ -55,36 +54,36 @@ def test_ma_spec_example():
 
 def test_ma_empty_landmarks():
     sp = space_of("xy", [[0, F(1, 2)], [F(1, 2), 0]], 1)
-    out, yp = ma_extension(MARequest(sp, (), 0, 1, F(1, 3)))
+    out, yp = ma_extension(sp, (), 0, 1, F(1, 3))
     assert out.n_points == 2 and out.d[yp][0] == F(1, 3)
 
 
 def test_ma_precondition_b():
     sp = space_of("xyz", [[0, F(1, 8), F(1, 10)], [F(1, 8), 0, F(1, 10)], [F(1, 10), F(1, 10), 0]], 1)
     with pytest.raises(PreconditionBError) as err:
-        ma_extension(MARequest(sp, (2,), 0, 1, F(1, 2)))
+        ma_extension(sp, (2,), 0, 1, F(1, 2))
     assert err.value.z == 2
 
 
 def test_ma_precondition_a():
     sp = space_of("xyz", [[0, F(1, 2), F(1, 8)], [F(1, 2), 0, F(5, 8)], [F(1, 8), F(5, 8), 0]], 1)
     with pytest.raises(PreconditionAError):
-        ma_extension(MARequest(sp, (2,), 0, 1, F(1, 4)))
+        ma_extension(sp, (2,), 0, 1, F(1, 4))
 
 
 def test_ma_delta_at_diameter_rejected():
     sp = space_of("xy", [[0, F(1, 2)], [F(1, 2), 0]], 1)
     with pytest.raises(DiameterExceededError):
-        ma_extension(MARequest(sp, (), 0, 1, 1))
+        ma_extension(sp, (), 0, 1, 1)
 
 
 def test_ma_random_battery_small():
     rng = random.Random(1)
     for _ in range(300):
-        req = random_ma_request(rng, max_points=6, max_denom=12)
-        out, yp = ma_extension(req)
-        xi = sorted(set(req.F) | {req.x}).index(req.x)
-        assert out.d[yp][xi] == req.delta
+        space, F_, x, y, delta = random_ma_request(rng, max_points=6, max_denom=12)
+        out, yp = ma_extension(space, F_, x, y, delta)
+        xi = sorted(set(F_) | {x}).index(x)
+        assert out.d[yp][xi] == delta
 
 
 # -- uwmt_extension ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """weak-uniformity: landmark seminorms, proximity, nets, restriction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,20 +10,37 @@ from mslab import (
     KatetovFn,
     LandmarkSet,
     MetricSpace,
+    MetricVerdict,
     elementary_katetov,
     gromov_approximant,
     gromov_net_indices,
     proximity_test,
     restrict_katetov,
     sup_distance,
-    validate_pseudometric,
     weak_seminorm,
 )
-from mslab.errors import EmptySubsetError, IndexClashError, SpaceMismatchError
+from mslab.errors import EmptySubsetError, IndexClashError
 from mslab.randgen import random_katetov_values, random_metric_space
-from mslab.weak import PROXIMITY_CAVEAT, landmark_gap
+from mslab.weak import PROXIMITY_CAVEAT
 
 F = Fraction
+
+
+def validate_pseudometric(d) -> MetricVerdict:
+    """Oracle: the checks of `validate_metric` on a Fraction matrix, with
+    zero off-diagonal entries allowed and no diameter bound."""
+    n = len(d)
+    pairs = list(itertools.combinations(range(n), 2))
+    if bad := [(i, j) for i, j in pairs if d[i][j] != d[j][i]]:
+        return MetricVerdict(False, "not-symmetric", bad[0])
+    if bad := [i for i in range(n) if d[i][i] != 0]:
+        return MetricVerdict(False, "nonzero-diagonal", (bad[0],))
+    if bad := [(i, j) for i, j in pairs if d[i][j] < 0]:
+        return MetricVerdict(False, "nonpositive-off-diagonal", bad[0])
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if d[i][j] > d[i][k] + d[k][j]:
+            return MetricVerdict(False, "triangle", (i, j, k))
+    return MetricVerdict(True)
 
 
 def equilateral():
@@ -45,14 +63,13 @@ def test_seminorm_all_landmarks_recovers_metric():
     rng = random.Random(2)
     for _ in range(40):
         sp = random_metric_space(rng, max_points=6, max_denom=10)
-        sem = weak_seminorm(LandmarkSet(sp, tuple(range(sp.n_points))))
-        assert sem.matrix == sp.d
+        assert weak_seminorm(LandmarkSet(sp, tuple(range(sp.n_points)))) == sp.d
 
 
 def test_seminorm_single_landmark_equidistant_pair():
-    sem = weak_seminorm(LandmarkSet(equilateral_unit(), (0,)))
-    assert sem.matrix[1][2] == 0
-    assert sem.matrix[0][1] == 1
+    rho = weak_seminorm(LandmarkSet(equilateral_unit(), (0,)))
+    assert rho[1][2] == 0
+    assert rho[0][1] == 1
 
 
 def test_seminorm_is_pseudometric_and_dominated():
@@ -61,11 +78,11 @@ def test_seminorm_is_pseudometric_and_dominated():
         sp = random_metric_space(rng, max_points=6, max_denom=10)
         k = rng.randint(1, sp.n_points)
         F_set = tuple(sorted(random.Random(k).sample(range(sp.n_points), k)))
-        sem = weak_seminorm(LandmarkSet(sp, F_set))
-        assert validate_pseudometric(sem.matrix).ok
+        rho = weak_seminorm(LandmarkSet(sp, F_set))
+        assert validate_pseudometric(rho).ok
         for i in range(sp.n_points):
             for j in range(sp.n_points):
-                assert sem.matrix[i][j] <= sp.d[i][j]
+                assert rho[i][j] <= sp.d[i][j]
 
 
 def test_seminorm_monotone_in_landmarks():
@@ -76,8 +93,8 @@ def test_seminorm_monotone_in_landmarks():
         rng.shuffle(pts)
         small = tuple(sorted(pts[:1]))
         big = tuple(sorted(pts[: rng.randint(2, sp.n_points)]))
-        sm = weak_seminorm(LandmarkSet(sp, small)).matrix
-        bg = weak_seminorm(LandmarkSet(sp, big)).matrix
+        sm = weak_seminorm(LandmarkSet(sp, small))
+        bg = weak_seminorm(LandmarkSet(sp, big))
         for i in range(sp.n_points):
             for j in range(sp.n_points):
                 assert sm[i][j] <= bg[i][j]
@@ -126,13 +143,13 @@ def test_proximity_more_landmarks_only_harder():
 
 def test_net_single_representative_for_huge_eps():
     sp = equilateral_unit()
-    reps = gromov_net_indices(sp, LandmarkSet(sp, (0, 1, 2)), 2)
+    reps = gromov_net_indices(LandmarkSet(sp, (0, 1, 2)), 2)
     assert reps == [0]
 
 
 def test_net_all_points_when_eps_below_min_distance():
     sp = equilateral_unit()
-    reps = gromov_net_indices(sp, LandmarkSet(sp, (0, 1, 2)), F(1, 2))
+    reps = gromov_net_indices(LandmarkSet(sp, (0, 1, 2)), F(1, 2))
     assert reps == [0, 1, 2]
 
 
@@ -144,12 +161,13 @@ def test_net_is_separated_maximal_and_covering():
         land = LandmarkSet(sp, tuple(sorted(rng.sample(range(sp.n_points), k))))
         q = sp.grid.denom
         eps = F(rng.randint(1, 2 * int(sp.diam_bound * q)), q)
-        reps = gromov_net_indices(sp, land, eps)
+        reps = gromov_net_indices(land, eps)
+        rho = weak_seminorm(land)
         for i, r1 in enumerate(reps):
             for r2 in reps[i + 1 :]:
-                assert landmark_gap(sp, r1, r2, land.F) >= eps
+                assert rho[r1][r2] >= eps
         for z in range(sp.n_points):
-            assert any(landmark_gap(sp, z, r, land.F) < eps for r in reps)
+            assert any(rho[z][r] < eps for r in reps)
 
 
 def test_net_size_nonincreasing_in_eps():
@@ -157,20 +175,14 @@ def test_net_size_nonincreasing_in_eps():
     for _ in range(40):
         sp = random_metric_space(rng, max_points=7, max_denom=10)
         land = LandmarkSet(sp, tuple(range(sp.n_points)))
-        small = len(gromov_net_indices(sp, land, F(1, 4)))
-        large = len(gromov_net_indices(sp, land, F(1, 2)))
+        small = len(gromov_net_indices(land, F(1, 4)))
+        large = len(gromov_net_indices(land, F(1, 2)))
         assert large <= small
-
-
-def test_net_rejects_landmarks_over_another_space():
-    big = random_metric_space(random.Random(3), min_points=4)
-    with pytest.raises(SpaceMismatchError):
-        gromov_net_indices(equilateral(), LandmarkSet(big, (3,)), F(1, 4))
 
 
 def test_gromov_approximant_returns_elementary_functions():
     sp = equilateral_unit()
-    fns = gromov_approximant(sp, LandmarkSet(sp, (0,)), F(1, 2))
+    fns = gromov_approximant(LandmarkSet(sp, (0,)), F(1, 2))
     assert all(fn.values in {sp.d[z] for z in range(3)} for fn in fns)
 
 
