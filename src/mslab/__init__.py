@@ -55,6 +55,7 @@ from .rado import (
     basis_refinement_check,
     rado_adjacent,
     rado_extension_witness,
+    rado_extension_witnesses,
     rado_metric,
     rado_metric_space,
 )

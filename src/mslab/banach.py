@@ -324,7 +324,7 @@ def lp_pairing(x: StepFn2D, z: StepFn2D) -> Fraction:
     function z (zero on the right half, as random_step_1d draws) this is
     the integral of x(t1,t2) * z(t1) over [0,1]x[0,1]."""
     _, _, areas, (xv, zv) = aligned([x, z])
-    return sum((a * s * t for a, s, t in zip(areas, xv, zv)), Fraction(0))
+    return sum((a * s * t for a, s, t in zip(areas, xv, zv) if s and t), Fraction(0))
 
 
 # -- the decisive separation computation --------------------------------------

@@ -7,6 +7,13 @@ non-edges) turns any finite vertex set into an exact diameter-2 metric
 space. Points of the boundary factor are represented only by their finite
 partial data (a vertex-to-{1,2} assignment); membership queries that
 would depend on unseen coordinates raise rather than guess.
+
+A finite vertex set is also an integer mask: bit e set means vertex e is
+in the set. `rado_extension_witnesses` computes and checks the extension
+witnesses of a whole array of (U, V) mask pairs in numpy; the one-pair
+`rado_extension_witness` applies it to a single pair, so the witness
+contract is checked in one place. That check and `rado_adjacent` share one
+edge test, `_bit`, on ints and elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -14,15 +21,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     IncompatibleCodesError,
     MetricFailureError,
+    MslabError,
     PreconditionError,
     SelfLoopError,
     UndeterminedMembershipError,
 )
 from .metric import MetricSpace
 from .report import WitnessReport
+
+
+def _bit(hi, lo):
+    """Bit lo of hi, as 0 or 1: the BIT graph's edge test for lo < hi. It
+    works on ints and elementwise on numpy arrays."""
+    return (hi >> lo) & 1
 
 
 def rado_adjacent(i: int, j: int) -> bool:
@@ -32,7 +48,7 @@ def rado_adjacent(i: int, j: int) -> bool:
     if i == j:
         raise SelfLoopError(f"no loops: both endpoints are {i}")
     lo, hi = (i, j) if i < j else (j, i)
-    return (hi >> lo) & 1 == 1
+    return _bit(hi, lo) == 1
 
 
 def rado_metric(i: int, j: int) -> int:
@@ -50,28 +66,85 @@ def rado_metric_space(vertices: Sequence[int]) -> MetricSpace:
     return MetricSpace.from_grid([str(v) for v in verts], [[rado_metric(a, b) for b in verts] for a in verts], 1, 2)
 
 
-def rado_extension_witness(U: Iterable[int], V: Iterable[int]) -> int:
-    """A vertex adjacent to everything in U and nothing in V.
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    mask = int(mask)
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
 
-    Takes w = sum of 2^u over U plus one high bit 2^N with N above all of
-    U and V; the high bit pushes w beyond both sets, and since all
-    elements are below N (hence below w) adjacency to e is just bit e of
-    w. The contract is re-verified through rado_adjacent before returning.
+
+def _about_pair(exc: MslabError, k) -> MslabError:
+    """exc, with the index of the pair it is about as `pair`."""
+    exc.pair = int(k)
+    return exc
+
+
+def _mask_array(masks) -> np.ndarray:
+    """masks as an array in their own integer dtype, or else as Python ints:
+    numpy stores a list that mixes int64 and uint64 values as floats."""
+    array = np.asarray(masks)
+    return array if array.dtype.kind in "iuO" else np.array(masks, dtype=object)
+
+
+def rado_extension_witnesses(U, V) -> np.ndarray:
+    """The extension witness of every pair (U[k], V[k]) of disjoint vertex
+    masks: w = U | 2^top, with top the bit length of U | V.
+
+    Every vertex of U | V lies below top, hence below w, so w is adjacent
+    to e exactly when bit e of w is set: to all of U and to nothing in V.
+    That contract is re-checked with the edge test (bit min of max) on
+    every bit of U | V before returning. The result, like the arithmetic,
+    is int64 while every witness fits and `object` (Python ints) otherwise.
+
+    A negative mask or an overlap raises PreconditionError; a broken
+    contract raises MetricFailureError naming the witness and the vertex.
+    Either error is about the first offending pair in input order, whose
+    index it carries as `pair`; within a pair, U's vertices are checked in
+    ascending order before V's.
     """
-    U, V = sorted(set(U)), sorted(set(V))
-    if set(U) & set(V):
-        raise PreconditionError(f"U and V overlap: {sorted(set(U) & set(V))}")
-    if any(x < 0 for x in U + V):
-        raise PreconditionError("vertices are non-negative integers")
-    top = max(U + V) + 1 if U + V else 0
-    w = sum(1 << u for u in U) + (1 << top)
-    for u in U:
-        if not rado_adjacent(u, w):
-            raise MetricFailureError(f"witness {w} is not adjacent to {u} in U")
-    for v in V:
-        if rado_adjacent(v, w):
-            raise MetricFailureError(f"witness {w} is adjacent to {v} in V")
+    U, V = _mask_array(U), _mask_array(V)
+    if U.ndim != 1 or U.shape != V.shape:
+        raise PreconditionError("U and V must be two equal-length 1-d arrays of masks")
+    negative = np.flatnonzero((U < 0) | (V < 0))
+    if negative.size:
+        raise _about_pair(PreconditionError("vertices are non-negative integers"), negative[0])
+    width = int(max(U.max(initial=0), V.max(initial=0))).bit_length()
+    # a witness has width + 1 bits, so int64 holds it while width <= 62
+    dtype = np.int64 if width <= 62 else object
+    U, V = U.astype(dtype), V.astype(dtype)
+    overlap = np.flatnonzero(U & V)
+    if overlap.size:
+        k = overlap[0]
+        raise _about_pair(PreconditionError(f"U and V overlap: {mask_vertices(U[k] & V[k])}"), k)
+
+    both, top = U | V, np.zeros_like(U)
+    vertices = mask_vertices(np.bitwise_or.reduce(both))  # every vertex of some U | V
+    for e in vertices:
+        top[(both >> e) != 0] = e + 1
+    w = U | (np.ones_like(U) << top)
+    # the vertices of U that w misses and of V that it hits, as masks
+    bad_u, bad_v = np.zeros_like(U), np.zeros_like(U)
+    for e in vertices:
+        adjacent = _bit(np.maximum(e, w), np.minimum(e, w))
+        bad_u |= ((U >> e) & 1 & (1 - adjacent)) << e
+        bad_v |= ((V >> e) & 1 & adjacent) << e
+    breach = np.flatnonzero(bad_u | bad_v)
+    if breach.size:
+        k = breach[0]
+        if bad_u[k]:
+            u = mask_vertices(bad_u[k])[0]
+            raise _about_pair(MetricFailureError(f"witness {w[k]} is not adjacent to {u} in U"), k)
+        v = mask_vertices(bad_v[k])[0]
+        raise _about_pair(MetricFailureError(f"witness {w[k]} is adjacent to {v} in V"), k)
     return w
+
+
+def rado_extension_witness(U: Iterable[int], V: Iterable[int]) -> int:
+    """A vertex adjacent to everything in U and nothing in V: the witness
+    of `rado_extension_witnesses` for the one pair of masks of U and V."""
+    U, V = set(U), set(V)
+    if min(U | V, default=0) < 0:
+        raise PreconditionError("vertices are non-negative integers")
+    return int(rado_extension_witnesses([sum(1 << u for u in U)], [sum(1 << v for v in V)])[0])
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,35 @@ def test_build_stdout_is_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BUILD_SHA
 
 
+# `rado witness` stdout and refusals, byte for byte, as before the batch check
+RADO_WITNESS_OUT = [
+    (["--u", "100,3", "--v", "70"],
+     '{"check":"rado-witness","counts":{},"params":{"u":[100,3],"v":[70]},'
+     '"result":{"witness":3802951800684688204490109616136},"verdict":"pass","witness":null}\n'),
+    (["--u", "1,3", "--v", "0,2"],
+     '{"check":"rado-witness","counts":{},"params":{"u":[1,3],"v":[0,2]},'
+     '"result":{"witness":26},"verdict":"pass","witness":null}\n'),
+]
+RADO_WITNESS_REFUSED = [
+    (["--u", "1", "--v", "1"], "U and V overlap: [1]"),
+    (["--u", "-1", "--v", "2"], "vertices are non-negative integers"),
+]
+
+
+@pytest.mark.parametrize("argv,out", RADO_WITNESS_OUT, ids=[" ".join(argv) for argv, _ in RADO_WITNESS_OUT])
+def test_rado_witness_stdout_is_pinned(argv, out, capsys):
+    assert main(["rado", "witness", *argv]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv,message", RADO_WITNESS_REFUSED, ids=[" ".join(argv) for argv, _ in RADO_WITNESS_REFUSED])
+def test_rado_witness_refusal_keeps_its_message(argv, message, capsys):
+    assert run(["rado", "witness", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"[mslab] error: {message}\n"
+
+
 # d(b, c) = 0 and d(a, c) = 2 > d(a, b) + d(b, c); the Katetov file's values
 # pass the Katetov inequalities over that matrix. Each subcommand below once
 # ran on the non-metric and reported a verdict (most of them `pass`).
