@@ -10,10 +10,11 @@ Four independent pieces share this module:
   `aligned`, which computes the common grid once and reads each
   function's values on its cells in row-major order; every p-th power
   integral is one helper over those cells, exact for integer p and the
-  module's one float path otherwise. p-norms are carried in exact
-  base^exponent form (the decisive comparison 2^((p-1)/p) vs 2^(1/p) is
-  settled by exact exponent arithmetic, no floats); a norm with no such
-  form is refused, never approximated;
+  module's one float path otherwise. p-norms are exact base^exponent
+  values in one canonical form, whose base is no perfect power (found by
+  integer roots, not factoring), so the decisive comparison 2^((p-1)/p)
+  vs 2^(1/p) is exact exponent arithmetic; a norm with no such form is
+  refused, never approximated;
 * the disjoint-support identity for p-th power integrals, on one
   alignment of x and its parts;
 * piecewise-linear radial profiles with exact slope-based flags
@@ -134,33 +135,38 @@ def hilbert_check(
 # -- exact p-norm values ------------------------------------------------------
 
 
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _iroot(a: int, k: int) -> int:
+    """floor(a ** (1/k)) for a >= 0, by Newton's method on integers."""
+    if a < 2:
+        return a
+    x = 1 << -(-a.bit_length() // k)  # above the root
+    while True:
+        y = ((k - 1) * x + a // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _largest_exponent(a: int) -> int:
+    """The largest k with a positive integer a a perfect k-th power; 0 for
+    a = 1, which is a k-th power for every k."""
+    if a == 1:
+        return 0
+    for k in range(a.bit_length() - 1, 1, -1):
+        if _iroot(a, k) ** k == a:
+            return k
+    return 1
 
 
 def _primitive_power(q: Fraction) -> tuple[Fraction, int]:
-    """Write q > 1 as base**k with base not itself a perfect power."""
-    exps = {p: e for p, e in _factor(q.numerator).items()}
-    for p, e in _factor(q.denominator).items():
-        exps[p] = exps.get(p, 0) - e
-    g = 0
-    for e in exps.values():
-        g = math.gcd(g, abs(e))
-    if g == 0:
-        return Fraction(1), 1
-    base = Fraction(1)
-    for p, e in exps.items():
-        base *= Fraction(p) ** (e // g)
-    return base, g
+    """Write q > 0 as base**k with base not itself a perfect power.
+
+    In lowest terms a/b is a k-th power exactly when a and b both are, so
+    k is the gcd of their largest exponents and base the quotient of the
+    integer k-th roots; nothing is factored."""
+    a, b = q.numerator, q.denominator
+    k = math.gcd(_largest_exponent(a), _largest_exponent(b)) or 1
+    return Fraction(_iroot(a, k), _iroot(b, k)), k
 
 
 @dataclass(frozen=True)
@@ -279,43 +285,26 @@ def _power_integral(areas: Sequence[Fraction], values: Sequence[Fraction], p: Fr
 
 
 def lp_norm(f: StepFn2D, p: RationalLike) -> PNormValue:
-    """The exact p-norm of a step function on the strip.
+    """The exact p-norm of a step function on the strip, as base^exponent.
 
-    If every nonzero cell shares one absolute value c the norm is
-    c * mu^(1/p) (mu the covered area), expressed over a common primitive
-    base; for integer p the full power sum S is exact and the norm is
-    S^(1/p). Any other norm is not a single rational power, and asking for
-    it raises PreconditionError.
+    If every nonzero cell shares one absolute value c (c = 0 for the zero
+    function), the norm is c * mu^(1/p) with mu the covered area, which for
+    p = m/n in lowest terms is the one rational power (c^m * mu^n)^(1/m).
+    Otherwise, for integer p, the power sum S is exact and the norm is
+    S^(1/p). Any other norm is refused with PreconditionError.
     """
     p = as_fraction(p)
     if p < 1:
         raise PreconditionError(f"p must be >= 1, got {p}")
     _, _, areas, (vals,) = aligned([f])
     cells = [(area, abs(v)) for area, v in zip(areas, vals) if v != 0]
-    if not cells:
-        return PNormValue.from_rational(0)
-
     distinct = {v for _, v in cells}
-    mu = sum((area for area, _ in cells), Fraction(0))
-    if len(distinct) == 1:
-        c = next(iter(distinct))
-        if mu == 1:
-            return PNormValue.from_rational(c)
-        if c == 1:
-            return PNormValue.exact(mu, 1 / p)
-        cb, ck = _primitive_power(c if c > 1 else 1 / c)
-        mb, mk = _primitive_power(mu if mu > 1 else 1 / mu)
-        if cb == mb:
-            ce = ck if c > 1 else -ck
-            me = mk if mu > 1 else -mk
-            return PNormValue.exact(cb, ce + Fraction(me) / p)
-        # fall through to the integral path
-
+    if len(distinct) <= 1:
+        c = max(distinct, default=0)
+        mu = sum((area for area, _ in cells), Fraction(0))
+        return PNormValue.exact(c**p.numerator * mu**p.denominator, Fraction(1, p.numerator))
     if p.denominator == 1:
-        s = _power_integral(areas, vals, p)
-        if p == 1:
-            return PNormValue.from_rational(s)
-        return PNormValue.exact(s, 1 / p)
+        return PNormValue.exact(_power_integral(areas, vals, p), 1 / p)
     raise PreconditionError(f"the {p}-norm of this function is not a single rational power")
 
 

@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         "saturation, landmark seminorms, step-function norms, graph model",
     )
     parser.add_argument("--seed", type=int, default=42, help="seed for all randomized batteries")
-    parser.add_argument("--budget", type=int, default=5000, help="point-count ceiling for saturation")
+    parser.add_argument("--budget", type=_at_least(1), default=5000, help="point-count ceiling for saturation")
     sub = parser.add_subparsers(required=True)
 
     def leaf(group, name: str, run, **kwargs) -> argparse.ArgumentParser:

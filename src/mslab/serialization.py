@@ -120,6 +120,14 @@ def approximant_to_dict(a: Approximant) -> dict:
     }
 
 
+def _json_int(value: Any, what: str) -> int:
+    """value if it is a JSON integer; a float, string or bool is refused,
+    never rounded or read as a number."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def approximant_from_dict(data: dict) -> Approximant:
     """Parse an approximant straight onto its 1/denom grid and check that
     the file is one: a square symmetric matrix with zero diagonal and
@@ -128,7 +136,7 @@ def approximant_from_dict(data: dict) -> Approximant:
     log records of rounds 1..`rounds` that index existing points and agree
     with the matrix."""
     try:
-        denom = int(data["denom"])
+        denom = _json_int(data["denom"], "denom")
         if denom < 1:
             raise FormatError(f"approximant denominator must be >= 1, got {denom}")
         grid = _grid_parser(denom)
@@ -137,15 +145,16 @@ def approximant_from_dict(data: dict) -> Approximant:
         n = len(labels)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise FormatError(f"approximant matrix is not {n} x {n}")
-        a = Approximant.from_grid(labels, rows, denom, grid[data["diam"]], int(data["subset_bound"]))
-        a.rounds = int(data.get("rounds", 0))
-        a.round_sizes = [int(v) for v in data.get("round_sizes", [n])]
+        subset_bound = _json_int(data["subset_bound"], "subset_bound")
+        a = Approximant.from_grid(labels, rows, denom, grid[data["diam"]], subset_bound)
+        a.rounds = _json_int(data.get("rounds", 0), "rounds")
+        a.round_sizes = [_json_int(v, "a round size") for v in data.get("round_sizes", [n])]
         a.log = [
             RealizationRecord(
-                round=int(rec["round"]),
-                subset=tuple(int(i) for i in rec["subset"]),
+                round=_json_int(rec["round"], "a log record's round"),
+                subset=tuple(_json_int(i, "a log record's subset index") for i in rec["subset"]),
                 values=tuple(map(grid.__getitem__, rec["values"])),
-                point=int(rec["point"]),
+                point=_json_int(rec["point"], "a log record's point"),
             )
             for rec in data.get("log", [])
         ]

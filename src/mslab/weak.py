@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .errors import EmptySubsetError, IndexClashError, PreconditionError
@@ -78,24 +79,16 @@ def proximity_test(
     A = check_points(space.n_points, sorted(set(A)))
     B = check_points(space.n_points, sorted(set(B)))
     _, rows, _, (e,) = lift(space, [eps])
-    checked = 0
-    for a in A:
-        for b in B:
-            checked += 1
-            if _gap(rows, a, b, landmarks.F) < e:
-                return WitnessReport(
-                    check="proximity",
-                    params={"eps": eps, "landmarks": list(landmarks.F)},
-                    verdict="pass",
-                    witness={"a": a, "b": b},
-                    counts={"pairs_checked": checked},
-                    caveat=PROXIMITY_CAVEAT,
-                )
+    close = None
+    for checked, (a, b) in enumerate(product(A, B), 1):
+        if _gap(rows, a, b, landmarks.F) < e:
+            close = {"a": a, "b": b}
+            break
     return WitnessReport(
         check="proximity",
         params={"eps": eps, "landmarks": list(landmarks.F)},
-        verdict="fail",
-        witness={"note": "no pair within eps in all landmark coordinates"},
+        verdict="fail" if close is None else "pass",
+        witness=close or {"note": "no pair within eps in all landmark coordinates"},
         counts={"pairs_checked": checked},
         caveat=PROXIMITY_CAVEAT,
     )

@@ -1,7 +1,9 @@
 """banach-examples: sphere identity, step-function norms, profiles."""
 
+import math
 import operator
 import random
+import time
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from mslab.banach import (
     RadialProfile,
     StepFn2D,
     _power_integral,
+    _primitive_power,
     aligned,
     combine2d,
     convex_by_midpoint_scan,
@@ -110,6 +113,66 @@ def test_pnorm_rational_never_equals_irrational_power():
     assert PNormValue.exact(2, F(1, 2)) != PNormValue.from_rational(F(3, 2))
 
 
+# The normal form as it was first computed, by trial-division factoring; the
+# integer-root `_primitive_power` must agree with it everywhere.
+
+
+def factor_by_trial_division(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def primitive_power_by_factoring(q: F) -> tuple[F, int]:
+    exps = dict(factor_by_trial_division(q.numerator))
+    for p, e in factor_by_trial_division(q.denominator).items():
+        exps[p] = exps.get(p, 0) - e
+    g = 0
+    for e in exps.values():
+        g = math.gcd(g, abs(e))
+    if g == 0:
+        return F(1), 1
+    base = F(1)
+    for p, e in exps.items():
+        base *= F(p) ** (e // g)
+    return base, g
+
+
+def random_rational(rng: random.Random) -> F:
+    """A positive rational, a perfect power of a small rational in about
+    half the draws."""
+    if rng.random() < 0.5:
+        return F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+    root = F(rng.randint(1, 40), rng.randint(1, 40))
+    return root ** rng.randint(1, 12)
+
+
+def test_primitive_power_matches_factoring():
+    rng = random.Random(13)
+    for _ in range(10_000):
+        q = random_rational(rng)
+        assert _primitive_power(q) == primitive_power_by_factoring(q), q
+
+
+@pytest.mark.parametrize("q", [F(1), F(2), F(4), F(1, 4), F(8, 27), F(72), F(2**60), F(6**12, 5**18), F(10**12 + 39)])
+def test_primitive_power_edge_cases(q):
+    assert _primitive_power(q) == primitive_power_by_factoring(q)
+
+
+def test_pnorm_of_a_large_prime_needs_no_factoring():
+    start = time.perf_counter()
+    value = PNormValue.exact(10**18 + 3, F(1, 2))
+    assert time.perf_counter() - start < 0.1
+    assert value == PNormValue(F(10**18 + 3), F(1, 2))
+
+
 # -- step functions and norms -----------------------------------------------------
 
 
@@ -121,7 +184,8 @@ def test_unit_norm_for_every_p():
 
 def test_zero_function_norm():
     zero = StepFn2D((0, 2), (0, 1), ((F(0),),))
-    assert lp_norm(zero, 3) == PNormValue.from_rational(0)
+    for p in (1, F(3, 2), 3):
+        assert lp_norm(zero, p) == PNormValue.from_rational(0)
 
 
 def test_norm_gap_exponents():
@@ -143,6 +207,93 @@ def test_integer_p_mixed_values_exact_fractional_p_refused():
     assert lp_norm(f, 3) == PNormValue.exact(cubes, F(1, 3))
     with pytest.raises(PreconditionError, match="not a single rational power"):
         lp_norm(f, F(3, 2))
+
+
+def test_single_value_norm_that_is_one_rational_power():
+    # 2 on [0,3/2]x[0,1]: the norm is 2 * (3/2)^(1/p); the first form
+    # refused both as "not a single rational power"
+    f = StepFn2D((0, F(3, 2), 2), (0, 1), ((2,), (0,)))
+    assert lp_norm(f, F(3, 2)) == PNormValue(F(18), F(1, 3))
+    assert lp_norm(f, F(5, 2)) == PNormValue(F(72), F(1, 5))
+
+
+def reference_exact(base: F, exponent: F) -> PNormValue:
+    """PNormValue.exact over the factoring normal form, for a base > 0."""
+    if base == 1 or exponent == 0:
+        return PNormValue.from_rational(1)
+    if base < 1:
+        base, exponent = 1 / base, -exponent
+    prim, k = primitive_power_by_factoring(base)
+    exponent = exponent * k
+    if exponent.denominator == 1:
+        return PNormValue.from_rational(prim ** int(exponent))
+    return PNormValue(prim, exponent)
+
+
+def reference_lp_norm(f: StepFn2D, p: F) -> PNormValue:
+    """lp_norm in its first form: three single-value cases, then the
+    integer-p power sum, else a refusal."""
+    _, _, areas, (vals,) = aligned([f])
+    cells = [(area, abs(v)) for area, v in zip(areas, vals) if v != 0]
+    if not cells:
+        return PNormValue.from_rational(0)
+    distinct = {v for _, v in cells}
+    mu = sum((area for area, _ in cells), F(0))
+    if len(distinct) == 1:
+        c = next(iter(distinct))
+        if mu == 1:
+            return PNormValue.from_rational(c)
+        if c == 1:
+            return reference_exact(mu, 1 / p)
+        cb, ck = primitive_power_by_factoring(c if c > 1 else 1 / c)
+        mb, mk = primitive_power_by_factoring(mu if mu > 1 else 1 / mu)
+        if cb == mb:
+            ce = ck if c > 1 else -ck
+            me = mk if mu > 1 else -mk
+            return reference_exact(cb, ce + F(me) / p)
+    if p.denominator == 1:
+        s = _power_integral(areas, vals, p)
+        if p == 1:
+            return PNormValue.from_rational(s)
+        return reference_exact(s, 1 / p)
+    raise PreconditionError(f"the {p}-norm of this function is not a single rational power")
+
+
+def random_breaks(rng: random.Random, hi: int) -> tuple[F, ...]:
+    q = rng.randint(1, 6)
+    cuts = rng.sample(range(1, hi * q), k=rng.randint(0, min(3, hi * q - 1)))
+    return (F(0), *sorted(F(c, q) for c in cuts), F(hi))
+
+
+def random_single_valued(rng: random.Random) -> tuple[StepFn2D, F, F]:
+    """A step function whose nonzero cells all have absolute value c, with
+    c and the covered area mu."""
+    xs, ys = random_breaks(rng, 2), random_breaks(rng, 1)
+    c = F(rng.randint(1, 12), rng.randint(1, 12))
+    values = [[rng.choice((0, c, -c)) for _ in ys[1:]] for _ in xs[1:]]
+    values[rng.randrange(len(values))][rng.randrange(len(ys) - 1)] = c
+    mu = sum(
+        (b - a) * (t - s) for (a, b), row in zip(zip(xs, xs[1:]), values) for (s, t), v in zip(zip(ys, ys[1:]), row) if v
+    )
+    return StepFn2D(xs, ys, values), c, mu
+
+
+def test_single_value_norms_match_the_closed_form_and_the_first_form():
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(500):
+        f, c, mu = random_single_valued(rng)
+        for p in (F(1), F(4, 3), F(3, 2), F(2), F(5, 2), F(3), F(5)):
+            norm = lp_norm(f, p)
+            m, n = p.numerator, p.denominator
+            # norm^m == c^m * mu^n, exactly
+            power = norm.exponent * m
+            assert power.denominator == 1 and norm.base ** int(power) == c**m * mu**n
+            try:
+                assert norm == reference_lp_norm(f, p)
+            except PreconditionError:
+                refused += 1
+    assert refused > 0  # the draws include norms the first form refused
 
 
 def test_lp_norm_rejects_small_p():

@@ -67,6 +67,9 @@ BOUNDARY = [
     ["rado", "basis", "--code", "0:1", "--scan", "5..2"],
     ["rado", "basis", "--code", "0:1", "--scan", "-3"],
     ["rado", "basis", "--code", "0:1", "--scan", "0"],
+    # a budget below one point once ran the whole suite to battery 8's `fail`
+    ["--budget", "0", "suite"],
+    ["--budget", "-1", "suite"],
     *(argv for argv, _ in CONFLICTS),
 ]
 
@@ -365,6 +368,23 @@ def test_exit_code(argv, code, files, capsys):
     assert run_with(files, argv) == code
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == ("pass" if code == 0 else "fail")
+
+
+# `weak proximity` stdout of the two rows above, byte for byte, as before
+# its pass and fail reports were built as one
+PROXIMITY = '{"caveat":"one-sided evidence: a pass at this (F, eps) certifies only non-separation at this \
+scale; proximity proper quantifies over all finite landmark sets and all eps > 0","check":"proximity",\
+"counts":{"pairs_checked":1},"params":{"eps":"1/4","landmarks":[0]},'
+PROXIMITY_OUT = [
+    ("1", "2", PROXIMITY + '"verdict":"pass","witness":{"a":1,"b":2}}\n'),
+    ("0", "1", PROXIMITY + '"verdict":"fail","witness":{"note":"no pair within eps in all landmark coordinates"}}\n'),
+]
+
+
+@pytest.mark.parametrize("a,b,out", PROXIMITY_OUT, ids=["pass", "fail"])
+def test_proximity_stdout_is_pinned(a, b, out, files, capsys):
+    run_with(files, ["weak", "proximity", POINTS, "--a", a, "--b", b, "--landmarks", "0", "--eps", "1/4"])
+    assert capsys.readouterr().out == out
 
 
 def subcommands(parser, prefix=()):

@@ -221,12 +221,52 @@ def _diam_zero_denominator(data):
     data["diam"] = "1/0"
 
 
+# Each integer field below once went through int(), so the file loaded with
+# the value rounded or reinterpreted and `urysohn check` passed on it.
+
+
+def _denominator_string(data):
+    data["denom"] = "2"
+
+
+def _subset_bound_float(data):
+    data["subset_bound"] = 2.9
+
+
+def _rounds_true(data):
+    # a valid round-1 file but for `rounds`, which reads as 1 through int()
+    n = data["round_sizes"][1]
+    data["points"] = data["points"][:n]
+    data["d"] = [row[:n] for row in data["d"][:n]]
+    data["round_sizes"] = data["round_sizes"][:2]
+    data["log"] = [rec for rec in data["log"] if rec["round"] == 1]
+    data["rounds"] = True
+
+
+def _round_size_float(data):
+    data["round_sizes"][-1] = float(data["round_sizes"][-1])
+
+
+def _log_round_float(data):
+    data["log"][-1]["round"] = float(data["log"][-1]["round"])
+
+
+def _log_point_float(data):
+    data["log"][-1]["point"] = float(data["log"][-1]["point"])
+
+
+def _log_subset_true(data):
+    rec = next(rec for rec in data["log"] if 1 in rec["subset"])
+    rec["subset"][rec["subset"].index(1)] = True
+
+
 CORRUPTIONS = [
     _non_square, _extra_row, _asymmetric, _nonzero_diagonal, _off_grid, _above_diam, _negative,
     _diam_off_grid, _sizes_decreasing, _sizes_wrong_end, _sizes_empty, _log_point_out_of_range,
     _log_point_negative, _log_subset_out_of_range, _log_values_differ, _log_values_too_short,
     _log_value_off_grid, _denominator_zero, _rounds_disagree_with_sizes, _log_round_out_of_range,
-    _entry_zero_denominator, _diam_zero_denominator,
+    _entry_zero_denominator, _diam_zero_denominator, _denominator_string, _subset_bound_float,
+    _rounds_true, _round_size_float, _log_round_float, _log_point_float, _log_subset_true,
 ]
 
 
