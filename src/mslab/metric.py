@@ -38,11 +38,19 @@ of Fraction arithmetic; an int matrix with an int bound is on the grid
 1/1 already. `validate_scaled` is the scan itself; a space's own grid goes
 to it directly (`require_metric`), since scaling by a positive factor
 keeps every comparison, hence every verdict and witness. Matrices of at
-least `_NUMPY_MIN_POINTS` points run every check as int64 numpy passes,
-unless the scaled bound reaches `_INT64_SAFE` (a sum of two entries could
-then overflow) or an entry does not fit in int64. Small matrices and that
-exact fallback run the same checks as loops over Python ints, which never
-overflow.
+least `_NUMPY_MIN_POINTS` points run every check in numpy, unless the
+scaled bound reaches `_INT64_SAFE` or an entry does not fit in int64. The
+symmetry, diagonal, sign and bound checks are int64 passes. Only once they
+hold does the triangle check run, so every entry then lies in 0..bound
+and a sum of two entries is at most 2 * bound: the matrix is cast to the
+narrowest unsigned dtype that holds 2 * bound (uint8 for the approximants
+and the Rado space), where no sum can overflow. A pair (i, j) breaks the
+triangle inequality exactly when d(i,j) exceeds min over k of d(i,k) +
+d(k,j), the (i, j) entry of the min-plus square of d (Floyd 1962,
+"Algorithm 97: Shortest path"); the square takes one vector step per k,
+and only the first row with a break is scanned for its witness. Small
+matrices and the exact fallback run the same checks as loops over Python
+ints, which never overflow.
 """
 
 from __future__ import annotations
@@ -185,17 +193,18 @@ def _triangle_scan_int(e: Sequence[Sequence[int]]) -> tuple[int, int, int] | Non
     return None
 
 
-def _triangle_scan_numpy(d: np.ndarray) -> tuple[int, int, int] | None:
-    # Runs after the precondition checks: with a zero diagonal and positive
-    # entries elsewhere, k = i, k = j and j = i can never violate, so row i
-    # violates iff d[i,j] > min over k of d[i,k] + d[k,j] for some j.
-    for i in range(d.shape[0]):
-        sums = d[i][:, None] + d  # sums[k, j] = d[i,k] + d[k,j]
-        if (d[i] > sums.min(axis=0)).any():
-            # viol[j, k]; its first True in row-major order is the first (j, k)
-            viol = d[i][:, None] > sums.T
-            j, k = np.unravel_index(np.argmax(viol), viol.shape)
-            return (i, int(j), int(k))
+def _triangle_scan_numpy(d: np.ndarray, bound: int) -> tuple[int, int, int] | None:
+    # After the precondition scan every entry lies in 0..bound, so a sum of
+    # two fits the narrowest unsigned dtype holding 2 * bound. (i, j) breaks
+    # iff d[i,j] > least[i,j], the min-plus square built from row k = column k.
+    d = d.astype(np.min_scalar_type(2 * bound))
+    least, sums = d.copy(), np.empty_like(d)
+    for row in d:
+        np.minimum(least, np.add(row[:, None], row, out=sums), out=least)
+    if (bad := (d > least).any(axis=1)).any():
+        i = int(np.argmax(bad))  # viol[j, k] = d[i,j] > d[i,k] + d[k,j]
+        j, k = np.unravel_index(np.argmax(d[i][:, None] > d[i] + d), d.shape)
+        return (i, int(j), int(k))
     return None
 
 
@@ -224,7 +233,7 @@ def validate_scaled(e: Sequence[Sequence[int]], bound: int) -> MetricVerdict:
         hit = _triangle_scan_int(e) if verdict is None else None
     else:
         verdict = _precondition_scan_numpy(arr, bound)
-        hit = _triangle_scan_numpy(arr) if verdict is None else None
+        hit = _triangle_scan_numpy(arr, bound) if verdict is None else None
     if verdict is not None:
         return verdict
     if hit is not None:

@@ -10,6 +10,10 @@ Approximant:   MetricSpace keys plus {"denom", "subset_bound", "rounds",
                 "round_sizes", "log"}
 StepFn2D:      {"x_breaks": [...], "y_breaks": [...], "values": [[...]]}
 RadialProfile: {"breakpoints": [...], "values": [...], "tail_slope": "p/q"}
+
+Point labels are distinct JSON strings and "diam" is at least 0; a file
+that breaks either is refused with FormatError, as is any other malformed
+payload.
 """
 
 from __future__ import annotations
@@ -51,6 +55,14 @@ def space_to_dict(space: MetricSpace) -> dict:
     }
 
 
+def _diam(grid: ParseMemo, text: Any) -> int:
+    """The diameter bound scaled by `grid`; a negative bound is refused."""
+    bound = grid[text]
+    if bound < 0:
+        raise FormatError(f"diam must be >= 0, got {text!r}")
+    return bound
+
+
 def _grid_parser(denom: int) -> ParseMemo:
     """memo[text]: the rational `text` scaled to the 1/denom grid, which
     must hold it."""
@@ -71,7 +83,8 @@ def space_from_dict(data: dict) -> MetricSpace:
         denom = lcm(*(parse_rational(v).denominator for v in {data["diam"], *chain.from_iterable(rows)}))
         grid = _grid_parser(denom)
         return MetricSpace.from_grid(
-            data["points"], [list(map(grid.__getitem__, row)) for row in rows], denom, grid[data["diam"]]
+            _json_labels(data["points"]), [list(map(grid.__getitem__, row)) for row in rows], denom,
+            _diam(grid, data["diam"]),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad metric space payload: {exc}") from exc
@@ -128,25 +141,40 @@ def _json_int(value: Any, what: str) -> int:
     return value
 
 
+def _json_labels(value: Any) -> list[str]:
+    """value if it is a list of distinct JSON strings; a null, number or
+    bool label is refused, never turned into text by str()."""
+    if type(value) is not list:
+        raise FormatError(f"points must be a list of strings, got {type(value).__name__}")
+    seen = set()
+    for label in value:
+        if type(label) is not str:
+            raise FormatError(f"a point label must be a string, got {label!r}")
+        if label in seen:
+            raise FormatError(f"point label {label!r} appears more than once")
+        seen.add(label)
+    return value
+
+
 def approximant_from_dict(data: dict) -> Approximant:
     """Parse an approximant straight onto its 1/denom grid and check that
-    the file is one: a square symmetric matrix with zero diagonal and
-    entries on the grid in [0, diam], non-decreasing `round_sizes` ending
-    at the point count, one more entry in `round_sizes` than `rounds`, and
-    log records of rounds 1..`rounds` that index existing points and agree
-    with the matrix."""
+    the file is one: distinct string labels, a nonnegative bound, a square
+    symmetric matrix with zero diagonal and entries on the grid in
+    [0, diam], non-decreasing `round_sizes` ending at the point count, one
+    more entry in `round_sizes` than `rounds`, and log records of rounds
+    1..`rounds` that index existing points and agree with the matrix."""
     try:
         denom = _json_int(data["denom"], "denom")
         if denom < 1:
             raise FormatError(f"approximant denominator must be >= 1, got {denom}")
         grid = _grid_parser(denom)
-        labels = [str(s) for s in data["points"]]
+        labels = _json_labels(data["points"])
         rows = [list(map(grid.__getitem__, row)) for row in data["d"]]
         n = len(labels)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise FormatError(f"approximant matrix is not {n} x {n}")
         subset_bound = _json_int(data["subset_bound"], "subset_bound")
-        a = Approximant.from_grid(labels, rows, denom, grid[data["diam"]], subset_bound)
+        a = Approximant.from_grid(labels, rows, denom, _diam(grid, data["diam"]), subset_bound)
         a.rounds = _json_int(data.get("rounds", 0), "rounds")
         a.round_sizes = [_json_int(v, "a round size") for v in data.get("round_sizes", [n])]
         a.log = [
