@@ -43,14 +43,14 @@ scaled bound reaches `_INT64_SAFE` or an entry does not fit in int64. The
 symmetry, diagonal, sign and bound checks are int64 passes. Only once they
 hold does the triangle check run, so every entry then lies in 0..bound
 and a sum of two entries is at most 2 * bound: the matrix is cast to the
-narrowest unsigned dtype that holds 2 * bound (uint8 for the approximants
-and the Rado space), where no sum can overflow. A pair (i, j) breaks the
-triangle inequality exactly when d(i,j) exceeds min over k of d(i,k) +
-d(k,j), the (i, j) entry of the min-plus square of d (Floyd 1962,
-"Algorithm 97: Shortest path"); the square takes one vector step per k,
-and only the first row with a break is scanned for its witness. Small
-matrices and the exact fallback run the same checks as loops over Python
-ints, which never overflow.
+narrowest unsigned dtype that holds 2 * bound (uint8 while 2 * bound <
+256, as for the default approximants and the Rado space), where no sum
+can overflow. A pair (i, j) breaks the triangle inequality exactly when
+d(i,j) exceeds min over k of d(i,k) + d(k,j), the (i, j) entry of the
+min-plus square of d (Floyd 1962, "Algorithm 97: Shortest path"); the
+square takes one vector step per k, and only the first row with a break
+is scanned for its witness. Small matrices and the exact fallback run the
+same checks as loops over Python ints, which never overflow.
 """
 
 from __future__ import annotations
@@ -194,9 +194,8 @@ def _triangle_scan_int(e: Sequence[Sequence[int]]) -> tuple[int, int, int] | Non
 
 
 def _triangle_scan_numpy(d: np.ndarray, bound: int) -> tuple[int, int, int] | None:
-    # After the precondition scan every entry lies in 0..bound, so a sum of
-    # two fits the narrowest unsigned dtype holding 2 * bound. (i, j) breaks
-    # iff d[i,j] > least[i,j], the min-plus square built from row k = column k.
+    # The preconditions hold, so entries lie in 0..bound and a sum of two fits
+    # the dtype holding 2 * bound; least is the min-plus square (module notes).
     d = d.astype(np.min_scalar_type(2 * bound))
     least, sums = d.copy(), np.empty_like(d)
     for row in d:

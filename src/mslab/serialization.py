@@ -55,14 +55,6 @@ def space_to_dict(space: MetricSpace) -> dict:
     }
 
 
-def _diam(grid: ParseMemo, text: Any) -> int:
-    """The diameter bound scaled by `grid`; a negative bound is refused."""
-    bound = grid[text]
-    if bound < 0:
-        raise FormatError(f"diam must be >= 0, got {text!r}")
-    return bound
-
-
 def _grid_parser(denom: int) -> ParseMemo:
     """memo[text]: the rational `text` scaled to the 1/denom grid, which
     must hold it."""
@@ -82,9 +74,10 @@ def space_from_dict(data: dict) -> MetricSpace:
         rows = data["d"]
         denom = lcm(*(parse_rational(v).denominator for v in {data["diam"], *chain.from_iterable(rows)}))
         grid = _grid_parser(denom)
+        if (bound := grid[data["diam"]]) < 0:
+            raise FormatError(f"diam must be >= 0, got {data['diam']!r}")
         return MetricSpace.from_grid(
-            _json_labels(data["points"]), [list(map(grid.__getitem__, row)) for row in rows], denom,
-            _diam(grid, data["diam"]),
+            _json_labels(data["points"]), [list(map(grid.__getitem__, row)) for row in rows], denom, bound
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad metric space payload: {exc}") from exc
@@ -142,8 +135,8 @@ def _json_int(value: Any, what: str) -> int:
 
 
 def _json_labels(value: Any) -> list[str]:
-    """value if it is a list of distinct JSON strings; a null, number or
-    bool label is refused, never turned into text by str()."""
+    """value if it is a list of distinct JSON strings; anything else is
+    refused, never turned into labels by str()."""
     if type(value) is not list:
         raise FormatError(f"points must be a list of strings, got {type(value).__name__}")
     seen = set()
@@ -158,11 +151,11 @@ def _json_labels(value: Any) -> list[str]:
 
 def approximant_from_dict(data: dict) -> Approximant:
     """Parse an approximant straight onto its 1/denom grid and check that
-    the file is one: distinct string labels, a nonnegative bound, a square
-    symmetric matrix with zero diagonal and entries on the grid in
-    [0, diam], non-decreasing `round_sizes` ending at the point count, one
-    more entry in `round_sizes` than `rounds`, and log records of rounds
-    1..`rounds` that index existing points and agree with the matrix."""
+    the file is one: distinct string labels, a square symmetric matrix
+    with zero diagonal and entries on the grid in [0, diam], non-decreasing
+    `round_sizes` ending at the point count, one more entry in
+    `round_sizes` than `rounds`, and log records of rounds 1..`rounds`
+    that index existing points and agree with the matrix."""
     try:
         denom = _json_int(data["denom"], "denom")
         if denom < 1:
@@ -174,7 +167,7 @@ def approximant_from_dict(data: dict) -> Approximant:
         if len(rows) != n or any(len(row) != n for row in rows):
             raise FormatError(f"approximant matrix is not {n} x {n}")
         subset_bound = _json_int(data["subset_bound"], "subset_bound")
-        a = Approximant.from_grid(labels, rows, denom, _diam(grid, data["diam"]), subset_bound)
+        a = Approximant.from_grid(labels, rows, denom, grid[data["diam"]], subset_bound)
         a.rounds = _json_int(data.get("rounds", 0), "rounds")
         a.round_sizes = [_json_int(v, "a round size") for v in data.get("round_sizes", [n])]
         a.log = [

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,7 +35,9 @@ from mslab.errors import (
     PreconditionError,
     SpaceMismatchError,
 )
+from mslab.rado import rado_metric_space
 from mslab.randgen import _grow_scaled_matrix, random_katetov_values, random_metric_space
+from mslab.urysohn import Approximant, fraisse_step
 
 F = Fraction
 
@@ -213,6 +216,126 @@ def test_validate_numpy_path_matches_naive_on_corruptions(seed):
         got = validate_metric(rows, 2)
         assert got.reason == reason
         assert (got.reason, got.witness) == naive_validate(rows, 2)
+
+
+# The numpy triangle scan sums two entries in the narrowest unsigned dtype
+# that holds 2 * bound. Each pair of bounds puts 2 * bound at the top of
+# uint8, uint16 or uint32 and just past it.
+DTYPE_EDGES = [(127, np.uint8), (128, np.uint16), (32767, np.uint16), (32768, np.uint32),
+               (2**31 - 1, np.uint32), (2**31, np.uint64)]
+
+
+def at_bound(n, bound):
+    return [[0 if i == j else bound for j in range(n)] for i in range(n)]
+
+
+def upper_half(rng, n, bound):
+    """Every distance in [bound/2, bound]: a metric whatever the draw."""
+    rows = at_bound(n, bound)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint((bound + 1) // 2, bound)
+    return rows
+
+
+def plant_break(rng, rows, bound):
+    """Pull two legs a-c, c-b below a quarter of the bound, under d(a, b)."""
+    a, b, c = rng.sample(range(len(rows)), 3)
+    rows[a][c] = rows[c][a] = rows[c][b] = rows[b][c] = rng.randint(1, bound // 4 - 1)
+
+
+def scans_agree(rows, bound):
+    got = validate_metric(rows, bound)
+    hit = metric._triangle_scan_int(rows)
+    assert (got.reason, got.witness) == (naive_validate(rows, bound) or (None, None))
+    assert (got.reason, got.witness) == (("triangle", hit) if hit else (None, None))
+    return got
+
+
+@pytest.mark.parametrize("bound, dtype", DTYPE_EDGES, ids=[str(b) for b, _ in DTYPE_EDGES])
+def test_triangle_scan_at_dtype_edges_matches_naive(bound, dtype):
+    assert np.min_scalar_type(2 * bound) == dtype and 2 * bound < metric._INT64_SAFE
+    rng = random.Random(bound)
+    n = metric._NUMPY_MIN_POINTS
+    rows = at_bound(n, bound)
+    assert scans_agree(rows, bound).ok  # every sum of two legs is 2 * bound
+    plant_break(rng, rows, bound)
+    assert scans_agree(rows, bound).reason == "triangle"
+    rows = upper_half(rng, n, bound)
+    for _ in range(2):
+        plant_break(rng, rows, bound)
+    assert scans_agree(rows, bound).reason == "triangle"
+
+
+def first_triangle_break(rows):
+    """Independent oracle for large matrices: the first (i, j, k) in lex
+    order with j != i, k not in (i, j) and d(i,j) > d(i,k) + d(k,j),
+    scanned one row i at a time on int64."""
+    d = np.array(rows, dtype=np.int64)
+    for i in range(len(d)):
+        viol = d[i][:, None] > d[i] + d.T  # viol[j, k]
+        viol[i, :] = viol[:, i] = False
+        np.fill_diagonal(viol, False)
+        if viol.any():
+            j, k = np.unravel_index(np.argmax(viol), viol.shape)
+            return (i, int(j), int(k))
+    return None
+
+
+def first_relay(d, i, j):
+    """The least d(i,k) + d(k,j) over k not in (i, j), and its first k."""
+    sums = [(d[i][k] + d[k][j], k) for k in range(len(d)) if k not in (i, j)]
+    return min(sums)
+
+
+def raise_pair(d, i, j):
+    """Raise d(i,j) one above its least relay, so that only (i, j) breaks,
+    through exactly the k that reach that least relay."""
+    least, k = first_relay(d, i, j)
+    d[i][j] = d[j][i] = least + 1
+    return k
+
+
+@pytest.fixture(scope="module")
+def big_spaces():
+    seed = MetricSpace(("a", "b"), ((0, F(1, 2)), (F(1, 2), 0)), 1)
+    approx = fraisse_step(fraisse_step(Approximant.from_space(seed, 4, 2)))
+    assert approx.n_points == 323
+    return {"approx323": approx.as_metric_space().grid, "rado256": rado_metric_space(range(256)).grid}
+
+
+# rows (early, late) of each space and the columns searched for their breaks
+SEVERAL_ROWS = {"approx323": (3, 5), "rado256": (2, 3)}
+
+
+@pytest.mark.parametrize("name", SEVERAL_ROWS)
+def test_triangle_witness_is_lex_first_when_several_rows_break(name, big_spaces):
+    _, grid_rows, bound = big_spaces[name]
+    bound = 2 * bound + 1  # room for every raised pair
+    d = [list(row) for row in grid_rows]
+    n = len(d)
+    early, late = SEVERAL_ROWS[name]
+    cols = range(n - 40, n)
+    # the early row breaks through a larger k than the late row
+    j1 = max(cols, key=lambda j: (first_relay(d, early, j)[1], -j))
+    j2 = min(cols, key=lambda j: (first_relay(d, late, j)[1], j))
+    k1, k2 = raise_pair(d, early, j1), raise_pair(d, late, j2)
+    assert k1 > k2
+    got = validate_metric(d, bound)
+    assert (got.reason, got.witness) == ("triangle", first_triangle_break(d)) == ("triangle", (early, j1, k1))
+    assert metric._triangle_scan_int(d) == got.witness
+
+
+@pytest.mark.parametrize("name", SEVERAL_ROWS)
+def test_triangle_witness_between_the_last_two_points(name, big_spaces):
+    # (n-1, n-2, k) breaks only where (n-2, n-1, k) does: the witness is
+    # in the row before last, at the last column
+    _, grid_rows, bound = big_spaces[name]
+    d = [list(row) for row in grid_rows]
+    n = len(d)
+    k = raise_pair(d, n - 2, n - 1)
+    got = validate_metric(d, 2 * bound + 1)
+    assert (got.reason, got.witness) == ("triangle", first_triangle_break(d)) == ("triangle", (n - 2, n - 1, k))
 
 
 # the common denominator of these entries is near 2**62, so the scaled

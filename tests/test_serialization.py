@@ -20,6 +20,7 @@ from mslab.serialization import (
     load_approximant,
     load_katetov,
     load_space,
+    space_from_dict,
     space_to_dict,
 )
 
@@ -61,6 +62,46 @@ def test_non_string_entry_after_equal_string_exits_2(tmp_path, late, capsys):
 def test_json_true_is_not_a_rational(tmp_path):
     payload = {"points": ["a", "b"], "diam": True, "d": [["0", "1"], ["1", "0"]]}
     assert main(["validate", write(tmp_path, payload)]) == 2
+
+
+# The loaders once passed each label through str(): null, numbers and bools
+# loaded as "None", "7" and "True", a string as its characters, and a
+# repeated label loaded too, so `validate` passed on such files.
+BAD_POINTS = {"null": ["a", None], "number": ["a", 7], "bool": ["a", True], "repeated": ["a", "a"], "string": "ab"}
+
+
+@pytest.mark.parametrize("points", BAD_POINTS.values(), ids=BAD_POINTS)
+def test_space_labels_are_distinct_strings(points, tmp_path, capsys):
+    payload = {"points": points, "diam": "1", "d": [["0", "1"], ["1", "0"]]}
+    with pytest.raises(FormatError, match="point"):
+        space_from_dict(payload)
+    assert main(["validate", write(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "point" in captured.err
+
+
+# One point has no pair for the bound check to catch a negative diam on.
+NEGATIVE_DIAM = {"points": ["a"], "diam": "-1", "d": [["0"]]}
+NEGATIVE_DIAM_APPROX = {**NEGATIVE_DIAM, "denom": 1, "subset_bound": 1, "rounds": 0, "round_sizes": [1], "log": []}
+
+
+@pytest.mark.parametrize(
+    "load, payload, argv",
+    [
+        (space_from_dict, NEGATIVE_DIAM, ["validate", "FILE"]),
+        (approximant_from_dict, NEGATIVE_DIAM_APPROX, ["urysohn", "check", "FILE", "--k", "1"]),
+    ],
+    ids=["space", "approximant"],
+)
+def test_negative_diam_is_a_format_error(load, payload, argv, tmp_path, capsys):
+    with pytest.raises(FormatError, match="-1"):
+        load(payload)
+    path = write(tmp_path, payload)
+    assert main([path if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-1" in captured.err
 
 
 # -- approximant files -------------------------------------------------------
@@ -260,6 +301,22 @@ def _log_subset_true(data):
     rec["subset"][rec["subset"].index(1)] = True
 
 
+def _label_null(data):
+    data["points"][3] = None
+
+
+def _label_number(data):
+    data["points"][3] = 7
+
+
+def _label_bool(data):
+    data["points"][3] = True
+
+
+def _label_repeated(data):
+    data["points"][5] = data["points"][2]
+
+
 CORRUPTIONS = [
     _non_square, _extra_row, _asymmetric, _nonzero_diagonal, _off_grid, _above_diam, _negative,
     _diam_off_grid, _sizes_decreasing, _sizes_wrong_end, _sizes_empty, _log_point_out_of_range,
@@ -267,6 +324,7 @@ CORRUPTIONS = [
     _log_value_off_grid, _denominator_zero, _rounds_disagree_with_sizes, _log_round_out_of_range,
     _entry_zero_denominator, _diam_zero_denominator, _denominator_string, _subset_bound_float,
     _rounds_true, _round_size_float, _log_round_float, _log_point_float, _log_subset_true,
+    _label_null, _label_number, _label_bool, _label_repeated,
 ]
 
 
