@@ -21,16 +21,16 @@ import time
 from fractions import Fraction
 
 from . import banach, rado, suite
-from .errors import MetricFailureError, MslabError
+from .errors import MslabError
 from .metric import (
     KatetovFn,
     MetricSpace,
     enumerate_katetov,
     extend_by_katetov,
     is_katetov,
-    require_metric,
     truncate_katetov,
     validate_metric,
+    validate_scaled,
 )
 from .randgen import random_disjoint_parts
 from .rationals import parse_rational
@@ -157,23 +157,24 @@ def _built(check: str, params: dict, space: MetricSpace, extra: dict | None = No
     return WitnessReport(check=check, params=params, verdict="pass", result=result)
 
 
-def _metric_from(path: str, space: MetricSpace) -> MetricSpace:
-    """A space read from a file, refused as malformed input (exit 2) unless
-    it is a metric; only `validate` reports a non-metric as a verdict."""
-    try:
-        return require_metric(space, f"{path} does not hold a metric space")
-    except MetricFailureError as exc:
-        raise FormatError(str(exc)) from exc
+def _refuse_non_metric(path: str, rows, bound: int):
+    """Refuse a file's scaled matrix as malformed input (exit 2) unless it
+    is a metric; only `validate` reports a non-metric as a verdict."""
+    verdict = validate_scaled(rows, bound)
+    if not verdict:
+        raise FormatError(f"{path} does not hold a metric space: {verdict.reason} at {verdict.witness}")
 
 
 def _load_space(path: str) -> MetricSpace:
-    return _metric_from(path, load_space(path))
+    space = load_space(path)
+    _refuse_non_metric(path, space.grid.rows, space.grid.bound)
+    return space
 
 
 def _load_values(path: str) -> KatetovFn:
     """A Katetov file's values over a metric space, not yet checked."""
     fn = load_katetov(path)
-    _metric_from(path, fn.space)
+    _refuse_non_metric(path, fn.space.grid.rows, fn.space.grid.bound)
     return fn
 
 
@@ -186,7 +187,7 @@ def _load_katetov(path: str) -> KatetovFn:
 def _load_approximant(path: str) -> Approximant:
     """An approximant file, refused (exit 2) unless its matrix is a metric."""
     approx = load_approximant(path)
-    _metric_from(path, approx.as_metric_space())
+    _refuse_non_metric(path, approx.matrix, approx.bound_scaled)
     return approx
 
 

@@ -35,22 +35,21 @@ suite against the naive Fraction loop. `validate_metric` rescales a
 Fraction matrix and bound to the grid 1/q, with q the lcm of their
 distinct denominators, as numerator * (q // denominator): exact, and free
 of Fraction arithmetic; an int matrix with an int bound is on the grid
-1/1 already. `validate_scaled` is the scan itself; a space's own grid goes
-to it directly (`require_metric`), since scaling by a positive factor
-keeps every comparison, hence every verdict and witness. Matrices of at
-least `_NUMPY_MIN_POINTS` points run every check in numpy, unless the
-scaled bound reaches `_INT64_SAFE` or an entry does not fit in int64. The
-symmetry, diagonal, sign and bound checks are int64 passes. Only once they
-hold does the triangle check run, so every entry then lies in 0..bound
-and a sum of two entries is at most 2 * bound: the matrix is cast to the
-narrowest unsigned dtype that holds 2 * bound (uint8 while 2 * bound <
-256, as for the default approximants and the Rado space), where no sum
-can overflow. A pair (i, j) breaks the triangle inequality exactly when
-d(i,j) exceeds min over k of d(i,k) + d(k,j), the (i, j) entry of the
-min-plus square of d (Floyd 1962, "Algorithm 97: Shortest path"); the
-square takes one vector step per k, and only the first row with a break
-is scanned for its witness. Small matrices and the exact fallback run the
-same checks as loops over Python ints, which never overflow.
+1/1 already. `validate_scaled` is the scan itself; a space's grid and an
+approximant's numpy matrix go to it directly, since scaling by a positive
+factor keeps every verdict and witness. Its one fork is size: below
+`_NUMPY_MIN_POINTS` points it loops over Python ints (`tolist` first),
+which never overflow; from there on it runs numpy on `int_matrix`, the one
+exact conversion (int64 when every entry fits, else `object` Python ints,
+and an integer ndarray as it is). The symmetry, diagonal, sign and bound
+checks run first, so the triangle check sees entries in 0..bound, sums of
+two at most 2 * bound, and casts to the narrowest dtype that holds 2 * bound
+(uint8 while 2 * bound < 256, as for the default approximants and the Rado
+space; `object` from 2**64 on), where no sum can overflow. A pair (i, j)
+breaks the triangle inequality exactly when d(i,j) exceeds min over k of
+d(i,k) + d(k,j), the (i, j) entry of the min-plus square of d (Floyd 1962,
+"Algorithm 97: Shortest path"); the square takes one vector step per k,
+and only the first row with a break is scanned for its witness.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ from .rationals import RationalLike, as_fraction
 
 # Matrices at least this large take the vectorized integer path.
 _NUMPY_MIN_POINTS = 48
-# The scaled bound must stay comfortably inside int64 under one addition.
-_INT64_SAFE = 2**61
 
 
 @dataclass(frozen=True)
@@ -125,16 +122,16 @@ def _fraction_grid(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike
     return Grid(q, tuple(map(tuple, scaled)), bound.numerator * (q // bound.denominator))
 
 
-def _int64_matrix(e: Sequence[Sequence[int]], bound: int) -> np.ndarray | None:
-    """The scaled matrix as int64, or None when an entry does not fit or the
-    bound reaches _INT64_SAFE. The triangle scan adds two entries only after
-    every entry has been checked against the bound, so it cannot overflow."""
-    if abs(bound) >= _INT64_SAFE:
-        return None
+def int_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """An integer matrix as numpy, exactly: an ndarray as it is (an
+    approximant's matrix), otherwise int64 when every entry fits and
+    `object` dtype holding the Python ints when one does not."""
+    if isinstance(rows, np.ndarray):
+        return rows
     try:
-        return np.array(e, dtype=np.int64).reshape(len(e), len(e))
+        return np.array(rows, dtype=np.int64)
     except OverflowError:
-        return None
+        return np.array(rows, dtype=object)
 
 
 def _precondition_scan_int(e: Sequence[Sequence[int]], bound: int) -> MetricVerdict | None:
@@ -223,14 +220,16 @@ def validate_metric(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLik
     return validate_scaled(e, bound)
 
 
-def validate_scaled(e: Sequence[Sequence[int]], bound: int) -> MetricVerdict:
+def validate_scaled(e: Sequence[Sequence[int]] | np.ndarray, bound: int) -> MetricVerdict:
     """The checks of `validate_metric` on a square matrix and a bound that
-    are already integers on one grid."""
-    arr = _int64_matrix(e, bound) if len(e) >= _NUMPY_MIN_POINTS else None
-    if arr is None:
-        verdict = _precondition_scan_int(e, bound)
-        hit = _triangle_scan_int(e) if verdict is None else None
+    are already integers on one grid: int rows or an approximant's numpy
+    matrix, forked on size only (module notes)."""
+    if len(e) < _NUMPY_MIN_POINTS:
+        rows = e.tolist() if isinstance(e, np.ndarray) else e
+        verdict = _precondition_scan_int(rows, bound)
+        hit = _triangle_scan_int(rows) if verdict is None else None
     else:
+        arr = int_matrix(e)
         verdict = _precondition_scan_numpy(arr, bound)
         hit = _triangle_scan_numpy(arr, bound) if verdict is None else None
     if verdict is not None:

@@ -6,11 +6,13 @@ realized by an actual point (the finite-scale one-point extension
 property). Distances are kept internally as integers on a common 1/denom
 grid, in one square numpy matrix whose dtype is the smallest that holds the
 scaled diameter bound (uint8 for the default grids, `object` holding Python
-ints past uint64, so huge denominators stay exact). A saturation round
-writes each new point's row and column in place into spare capacity that
-doubles when full and never exceeds the round's point budget. Readers take
-values out as Python ints, one `tolist` or fancy index per call; a
-MetricSpace view is made on demand from those ints (`from_grid`).
+ints past uint64, so huge denominators stay exact). The seed rows enter
+numpy through `metric.int_matrix`, and the matrix is validated as it is,
+never through a MetricSpace. A saturation round writes each new point's
+row and column in place into spare capacity that doubles when full and
+never exceeds the round's point budget. Readers take values out as Python
+ints, one `tolist` or fancy index per call; a MetricSpace view is made on
+demand from those ints (`from_grid`).
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -61,8 +63,8 @@ from .errors import (
     UnsaturatedError,
 )
 from .metric import (
-    Grid, MetricSpace, _grid_profiles, append_points, cap_metric, check_points, fresh_label, katetov_completion, lift,
-    require_metric, scale_space,
+    Grid, MetricSpace, _grid_profiles, append_points, cap_metric, check_points, fresh_label, int_matrix,
+    katetov_completion, lift, require_metric, scale_space,
 )
 from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
@@ -88,8 +90,10 @@ class Approximant:
     `matrix` is the symmetric n x n distance matrix scaled by `denom`, a
     numpy array of dtype `np.min_scalar_type(bound_scaled)`: every entry
     lies in [0, bound_scaled], so the dtype holds it, and it is `object`
-    (Python ints) once the bound passes uint64. After a saturation round it
-    is a view into a buffer of at most the round's `budget` points.
+    (Python ints) once the bound passes uint64; `validate_scaled` takes it
+    as it is, since an int64 cast would wrap a uint64 entry past 2**63.
+    After a saturation round it is a view into a buffer of at most the
+    round's `budget` points.
     `round_sizes` records the point count after each completed saturation
     round (entry 0 is the seed size), so older generations are index
     prefixes. Equality is identity: compare `matrix.tolist()` for values.
@@ -111,24 +115,16 @@ class Approximant:
 
     @classmethod
     def from_grid(
-        cls,
-        labels: Sequence[str],
-        rows: Sequence[Sequence[int]],
-        denom: int,
-        bound_scaled: int,
-        subset_bound: int,
+        cls, labels: Sequence[str], rows: Sequence[Sequence[int]], denom: int, bound_scaled: int, subset_bound: int
     ) -> "Approximant":
         """A round-0 approximant from a square matrix of distances already
-        scaled by `denom`; each must lie in [0, bound_scaled]."""
+        scaled by `denom`; each must lie in [0, bound_scaled]. The exact
+        `int_matrix` is range-checked, then narrowed to the bound's dtype."""
         if subset_bound < 1:
             raise PreconditionError(f"subset bound must be >= 1, got {subset_bound}")
         n = len(labels)
-        # int64 holds every in-range value below 2**63; past that, Python ints
-        try:
-            m = np.array(rows, dtype=np.int64 if bound_scaled < 2**63 else object).reshape(n, n)
-        except OverflowError:
-            m = None
-        if m is None or (n and not (m.min() >= 0 and m.max() <= bound_scaled)):
+        m = int_matrix(rows).reshape(n, n)
+        if n and not (m.min() >= 0 and m.max() <= bound_scaled):
             raise PreconditionError(f"seed distances must lie in [0, {Fraction(bound_scaled, denom)}]")
         return cls(
             labels=list(labels),

@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from mslab.errors import MslabError
-from mslab.metric import MetricSpace, katetov_completion
-from mslab.randgen import random_ma_request, random_metric_space
-from mslab.urysohn import ma_extension, nonproper_witness, uwmt_extension
+from mslab.metric import KatetovFn, MetricSpace, PartialIsometry, amalgamate, extend_by_katetov, katetov_completion
+from mslab.randgen import random_katetov_values, random_ma_request, random_metric_space
+from mslab.urysohn import Approximant, BFState, ma_extension, nonproper_witness, prop53_extension, uwmt_extension
 from mslab.weak import LandmarkSet, weak_seminorm
 
 TRIALS = 600
@@ -169,6 +169,88 @@ def test_nonproper_witness_commutes_with_relabelling():
     kinds = compare(4, draw_nonproper, nonproper)
     assert "ok" in kinds and len(kinds) > 1, kinds
 
+
+def with_point(space, label, profile):
+    out = space.with_point(label, profile)
+    return one_new_point((out, out.n_points - 1))
+
+
+def draw_with_point(rng):
+    space = random_metric_space(rng, 1, 6, 8)
+    n = space.n_points
+    if rng.random() < 0.5:
+        profile = random_katetov_values(rng, space, space.grid.denom * rng.randint(1, 3))
+    else:  # any values, sometimes one too many or too few
+        profile = [some_level(rng) for _ in range(n + rng.choice([-1, 0, 0, 1]))]
+    label = rng.choice([*space.labels, "y"])  # a taken label gets primed
+
+    def relabel(sigma, label, profile):
+        if len(profile) != len(sigma):
+            return label, profile  # refused either way
+        moved = [None] * len(sigma)
+        for old, new in enumerate(sigma):
+            moved[new] = profile[old]
+        return label, moved
+
+    return space, (label, profile), relabel
+
+
+def test_with_point_commutes_with_relabelling():
+    kinds = compare(6, draw_with_point, with_point)
+    assert "ok" in kinds and len(kinds) > 1, kinds
+
+
+def amalgam(space, y_space, glue, bound):
+    return distances(amalgamate(space, y_space, glue, bound))
+
+
+def draw_amalgam(rng):
+    """X, and a Y that copies some of X's points in a random order plus one
+    new point; the glue matches a prefix of the copies, or a shuffle of it."""
+    space = random_metric_space(rng, 1, 6, 8)
+    n = space.n_points
+    shared = rng.sample(range(n), rng.randint(1, n))
+    y_space = space.restrict(shared)
+    y_space, _ = extend_by_katetov(KatetovFn(y_space, random_katetov_values(rng, y_space, 2 * y_space.grid.denom, False)))
+    g = rng.randint(0, len(shared))
+    image = list(range(g))
+    if rng.random() < 0.3:
+        rng.shuffle(image)  # often no longer a partial isometry
+    bound = rng.choice([None, space.diam_bound, 2 * space.diam_bound, some_level(rng)])
+
+    def relabel(sigma, y_space, glue, bound):
+        return y_space, PartialIsometry([sigma[s] for s in glue.domain], glue.image), bound
+
+    return space, (y_space, PartialIsometry(shared[:g], image), bound), relabel
+
+
+def test_amalgamate_commutes_with_relabelling():
+    kinds = compare(7, draw_amalgam, amalgam)
+    assert {"ok", "EmptyGlueError", "PreconditionError"} <= kinds, kinds
+
+
+def prop53(space, pairs, eps, z):
+    st = BFState.create(Approximant.from_space(space, space.grid.denom, 1), pairs, eps)
+    return one_new_point(prop53_extension(st, z))
+
+
+def draw_prop53(rng):
+    space = random_metric_space(rng, 2, 6, 8)
+    n = space.n_points
+    pairs = [(a, a) for a in some_points(rng, n)]
+    if rng.random() < 0.5:  # a moving pair, sometimes past eps or off the isometry
+        pairs.append((rng.randrange(n), rng.randrange(n)))
+    args = (pairs, some_level(rng), rng.randrange(n))
+
+    def relabel(sigma, pairs, eps, z):
+        return [(sigma[a], sigma[b]) for a, b in pairs], eps, sigma[z]
+
+    return space, args, relabel
+
+
+def test_prop53_extension_commutes_with_relabelling():
+    kinds = compare(8, draw_prop53, prop53)
+    assert "ok" in kinds and len(kinds) > 2, kinds
 
 def seminorm(space, F):
     rho = weak_seminorm(LandmarkSet(space, F))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslab import metric
+from mslab.cli import main
 from mslab import (
     KatetovFn,
     MetricSpace,
@@ -37,6 +38,7 @@ from mslab.errors import (
 )
 from mslab.rado import rado_metric_space
 from mslab.randgen import _grow_scaled_matrix, random_katetov_values, random_metric_space
+from mslab.serialization import _dump_json, approximant_to_dict
 from mslab.urysohn import Approximant, fraisse_step
 
 F = Fraction
@@ -254,7 +256,7 @@ def scans_agree(rows, bound):
 
 @pytest.mark.parametrize("bound, dtype", DTYPE_EDGES, ids=[str(b) for b, _ in DTYPE_EDGES])
 def test_triangle_scan_at_dtype_edges_matches_naive(bound, dtype):
-    assert np.min_scalar_type(2 * bound) == dtype and 2 * bound < metric._INT64_SAFE
+    assert np.min_scalar_type(2 * bound) == dtype
     rng = random.Random(bound)
     n = metric._NUMPY_MIN_POINTS
     rows = at_bound(n, bound)
@@ -339,23 +341,26 @@ def test_triangle_witness_between_the_last_two_points(name, big_spaces):
 
 
 # the common denominator of these entries is near 2**62, so the scaled
-# entries pass _INT64_SAFE and the exact Python-int scan must take over
+# entries and the sums of two fill most of 64 bits: the scan must stay exact
+# on both sides of the size fork, the Python-int scan below
+# _NUMPY_MIN_POINTS and numpy from there on
 BIG_Q = 2**62 - 57
 
 
 @pytest.mark.parametrize("n", [12, 48])
 def test_validate_exact_fallback_past_int64(n, monkeypatch):
-    def no_numpy(*args):
-        raise AssertionError("the int64 scan must not run past _INT64_SAFE")
+    def forbidden(*args):
+        raise AssertionError(f"a {n}-point matrix took the other side of the size fork")
 
-    monkeypatch.setattr(metric, "_triangle_scan_numpy", no_numpy)
-    monkeypatch.setattr(metric, "_precondition_scan_numpy", no_numpy)
+    small = n < metric._NUMPY_MIN_POINTS
+    for scan in ("_triangle_scan", "_precondition_scan"):
+        monkeypatch.setattr(metric, scan + ("_numpy" if small else "_int"), forbidden)
     rng = random.Random(n)
     rows = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = F(rng.randint(BIG_Q // 2, BIG_Q), BIG_Q)
-    assert BIG_Q > metric._INT64_SAFE
+    assert np.min_scalar_type(2 * BIG_Q) == np.uint64
     assert validate_metric(rows, 1).ok
     a, b = n // 3, n // 2
     rows[a][b] = rows[b][a] = F(1, BIG_Q)
@@ -371,6 +376,88 @@ def test_validate_entry_past_int64_takes_exact_scan():
     got = validate_metric(rows, 1)
     assert (got.reason, got.witness) == ("exceeds-diameter", (5, 20)) == naive_validate(rows, 1)
 
+
+
+# An approximant matrix goes to validate_scaled as it is. A scaled bound in
+# [2**63, 2**64) gives it dtype uint64, where an int64 cast would wrap every
+# entry from 2**63 on to a negative number.
+U64_BOUND = 2**64 - 59
+
+
+def approximant_between(n, low, bound, denom):
+    """A round-0 approximant with every distance drawn from [low, bound]:
+    a metric whenever low is at least bound / 2."""
+    rng = random.Random(n + bound)
+    rows = at_bound(n, bound)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(low, bound)
+    return Approximant.from_grid([f"p{i}" for i in range(n)], rows, denom, bound, 1)
+
+
+def with_break(matrix):
+    """A copy with one triangle break: both legs of the largest distance
+    d(a, b) through another point c pulled down to a quarter of it."""
+    d = matrix.copy()
+    a, b = map(int, np.unravel_index(np.argmax(d), d.shape))
+    c = next(k for k in range(len(d)) if k not in (a, b))
+    d[a, c] = d[c, a] = d[c, b] = d[b, c] = max(1, d[a, b] // 4)
+    return d
+
+
+@pytest.fixture(scope="module")
+def approximants():
+    seed = MetricSpace(("a", "b"), ((0, F(1, 2)), (F(1, 2), 0)), 1)
+    round1 = fraisse_step(Approximant.from_space(seed, 4, 2))
+    n = metric._NUMPY_MIN_POINTS
+    return {
+        "uint8-323": fraisse_step(round1),
+        "uint8-round1": round1,
+        "uint64": approximant_between(n, 2**63, U64_BOUND, U64_BOUND),
+        "object": approximant_between(n, 2**65, 2**66, 2**66),
+    }
+
+
+# the uint64 approximant has its own test below, against the naive oracle
+APPROXIMANT_DTYPES = {"uint8-323": np.uint8, "uint8-round1": np.uint8, "object": object}
+
+
+@pytest.mark.parametrize("name", APPROXIMANT_DTYPES)
+def test_validate_scaled_reads_an_approximant_matrix_as_its_rows(name, approximants):
+    a = approximants[name]
+    assert a.matrix.dtype == APPROXIMANT_DTYPES[name]
+    assert (a.n_points < metric._NUMPY_MIN_POINTS) == (name == "uint8-round1")
+    for d, reason in ((a.matrix, None), (with_break(a.matrix), "triangle")):
+        got = metric.validate_scaled(d, a.bound_scaled)
+        rows = metric.validate_scaled(d.tolist(), a.bound_scaled)
+        assert (got.reason, got.witness) == (rows.reason, rows.witness)
+        assert got.reason == reason
+
+
+def test_uint64_approximant_is_validated_without_wrapping(approximants, tmp_path, capsys):
+    a = approximants["uint64"]
+    upper = a.matrix[np.triu_indices(a.n_points, 1)]
+    assert a.n_points >= metric._NUMPY_MIN_POINTS and upper.min() >= 2**63
+    broken = a.copy()
+    broken.matrix = with_break(a.matrix)
+    witness = {}
+    for name, b in (("good", a), ("broken", broken)):
+        got = metric.validate_scaled(b.matrix, b.bound_scaled)
+        naive = naive_validate(b.matrix.tolist(), b.bound_scaled)
+        assert (got.reason, got.witness) == (naive or (None, None))
+        witness[name] = naive
+        _dump_json(approximant_to_dict(b), tmp_path / f"{name}.json")
+    assert witness["good"] is None and witness["broken"][0] == "triangle"
+    good, bad = str(tmp_path / "good.json"), str(tmp_path / "broken.json")
+    # the loader accepts the good file: prop53 passes on it, and the check
+    # reaches its verdict, a fail, since 48 points cannot realize every
+    # value over one point on a grid of 2**64 - 59 steps
+    assert main(["urysohn", "prop53", good, "--pairs", "0:0", "--eps", "1", "--probe", "1"]) == 0
+    assert main(["urysohn", "check", good, "--k", "1"]) == 1
+    capsys.readouterr()
+    assert main(["urysohn", "check", bad, "--k", "1"]) == 2
+    reason, at = witness["broken"]
+    assert f"does not hold a metric space: {reason} at {at}" in capsys.readouterr().err
 
 # -- cap_metric ----------------------------------------------------------------
 
