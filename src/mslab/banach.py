@@ -29,6 +29,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Sequence
 
 from .errors import (
@@ -149,13 +150,22 @@ def _iroot(a: int, k: int) -> int:
 
 def _largest_exponent(a: int) -> int:
     """The largest k with a positive integer a a perfect k-th power; 0 for
-    a = 1, which is a k-th power for every k."""
+    a = 1, which is a k-th power for every k.
+
+    With a = b**k and b not itself a perfect power, a is a p-th power for a
+    prime p exactly when p divides k. So only primes p < bit length are
+    tried, smallest first, and each exact root found replaces a, with p
+    multiplied into k, before the same p is tried again."""
     if a == 1:
         return 0
-    for k in range(a.bit_length() - 1, 1, -1):
-        if _iroot(a, k) ** k == a:
-            return k
-    return 1
+    k, p = 1, 2
+    while p < a.bit_length():
+        root = _iroot(a, p)
+        if root**p == a:
+            a, k = root, k * p
+        else:
+            p = next(q for q in count(p + 1) if all(q % f for f in range(2, math.isqrt(q) + 1)))
+    return k
 
 
 def _primitive_power(q: Fraction) -> tuple[Fraction, int]:

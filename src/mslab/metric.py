@@ -18,8 +18,12 @@ hold ints hand them over (`MetricSpace.from_grid`, which reduces them to
 the least grid); the Fraction constructor `MetricSpace(labels, d,
 diam_bound)` converts once, at that edge. The exact `.d` matrix and
 `diam_bound` are read-only views made on first read, with one Fraction per
-distinct value. The metric and Katetov calculus reads the grid; `lift`
-refines it just enough when a Fraction value falls off it.
+distinct value. The `.d` view is a `FractionMatrix`: a tuple of Fraction
+rows that keeps the grid it was made from, so a view handed back to the
+constructor or to `validate_metric` is read as that grid, with only the
+bound lifted onto it, and no Fraction of it is read. The metric and Katetov
+calculus reads the grid; `lift` refines it just enough when a Fraction
+value falls off it.
 
 Every explicit extension (`with_point`, `amalgamate` and the recipes in
 `urysohn`) is built by two grid helpers. `katetov_completion` is Katetov's
@@ -34,10 +38,11 @@ below implements that same scan on integers, cross-checked in the test
 suite against the naive Fraction loop. `validate_metric` rescales a
 Fraction matrix and bound to the grid 1/q, with q the lcm of their
 distinct denominators, as numerator * (q // denominator): exact, and free
-of Fraction arithmetic; an int matrix with an int bound is on the grid
-1/1 already. `validate_scaled` is the scan itself; a space's grid and an
-approximant's numpy matrix go to it directly, since scaling by a positive
-factor keeps every verdict and witness. Its one fork is size: below
+of Fraction arithmetic; a space's view is on its space's grid already, and
+an int matrix (or integer ndarray) with an int bound is on the grid 1/1.
+`validate_scaled` is the scan itself; a space's grid and an approximant's
+numpy matrix go to it directly, since scaling by a positive factor keeps
+every verdict and witness. Its one fork is size: below
 `_NUMPY_MIN_POINTS` points it loops over Python ints (`tolist` first),
 which never overflow; from there on it runs numpy on `int_matrix`, the one
 exact conversion (int64 when every entry fits, else `object` Python ints,
@@ -111,8 +116,27 @@ def _square(d: Sequence[Sequence]) -> tuple[tuple, ...]:
 
 
 def _fraction_grid(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> Grid:
-    """The matrix and the bound as integers on their least common grid 1/q:
-    numerator * (q // denominator), exact."""
+    """The matrix and the bound as integers on their least common grid 1/q.
+
+    A space's view holds that space's grid already: only the bound is lifted
+    onto it, and no entry is read. Any other matrix is rescaled entry by
+    entry (`_rescale`)."""
+    if not isinstance(d, FractionMatrix):
+        return _rescale(d, diam_bound)
+    denom, rows, own = d.grid
+    bound = as_fraction(diam_bound)
+    q = lcm(denom, bound.denominator)
+    scaled = bound.numerator * (q // bound.denominator)
+    if (q, scaled) == (denom, own):
+        return d.grid
+    if q != denom:
+        rows = tuple(tuple(v * (q // denom) for v in row) for row in rows)
+    return _least_grid(q, rows, scaled)
+
+
+def _rescale(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> Grid:
+    """Any rational matrix and bound on their least common grid 1/q, with q
+    the lcm of their denominators: numerator * (q // denominator), exact."""
     rows = _square(d)
     if set(map(type, chain.from_iterable(rows))) - {Fraction}:
         rows = tuple(tuple(map(as_fraction, row)) for row in rows)
@@ -204,18 +228,31 @@ def _triangle_scan_numpy(d: np.ndarray, bound: int) -> tuple[int, int, int] | No
     return None
 
 
-def validate_metric(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> MetricVerdict:
+def validate_metric(
+    d: Sequence[Sequence[RationalLike]] | np.ndarray, diam_bound: RationalLike
+) -> MetricVerdict:
     """Brute-force check of all MetricSpace invariants.
 
     Checks, in order: symmetry, zero diagonal, strictly positive
     off-diagonal, entries <= diam_bound, triangle inequality over all
     ordered triples. The first violation in lexicographic index order is
     returned as the witness. An int matrix with an int bound is scanned as
-    it is.
+    it is, and so is an integer ndarray (or an `object` one of Python ints,
+    such as an approximant's matrix); a space's view `space.d` is scanned on
+    the grid it was made from, with the bound lifted onto it.
     """
-    rows = _square(d)
-    if type(diam_bound) is int and set(map(type, chain.from_iterable(rows))) <= {int}:
-        return validate_scaled(rows, diam_bound)  # already on the grid 1/1
+    if isinstance(d, FractionMatrix):
+        rows = d
+    elif type(diam_bound) is int and isinstance(d, np.ndarray) and (
+        d.dtype.kind in "iu" or (d.dtype == object and set(map(type, d.flat)) <= {int})
+    ):
+        if d.shape != (len(d),) * 2:
+            raise NonSquareError(f"matrix is not square: shape {d.shape}")
+        return validate_scaled(d, diam_bound)  # already on the grid 1/1
+    else:
+        rows = _square(d)
+        if type(diam_bound) is int and set(map(type, chain.from_iterable(rows))) <= {int}:
+            return validate_scaled(rows, diam_bound)  # already on the grid 1/1
     _, e, bound = _fraction_grid(rows, diam_bound)
     return validate_scaled(e, bound)
 
@@ -264,10 +301,25 @@ def grid_fractions(rows: Sequence[Sequence[int]], denom: int) -> tuple[tuple[Fra
     return tuple(tuple(map(made.__getitem__, row)) for row in rows)
 
 
+class FractionMatrix(tuple):
+    """A space's exact distances, `MetricSpace.d`: a tuple of Fraction rows
+    made from the space's grid (one Fraction per distinct value), which it
+    keeps as `grid`, so that a check of the view runs on that grid."""
+
+    grid: Grid
+
+    def __new__(cls, grid: Grid) -> "FractionMatrix":
+        view = super().__new__(cls, grid_fractions(grid.rows, grid.denom))
+        view.grid = grid
+        return view
+
+
 @dataclass(frozen=True, init=False)
 class MetricSpace:
     """Finite point set with an exact symmetric distance matrix and a
-    declared diameter bound, held on its least grid (see the module notes)."""
+    declared diameter bound, held on its least grid (see the module notes).
+    The constructor reads any rational matrix, and reads a space's `.d`
+    view as the grid it keeps."""
 
     labels: tuple[str, ...]
     grid: Grid
@@ -293,9 +345,11 @@ class MetricSpace:
         return space
 
     @cached_property
-    def d(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact distances, made on first read."""
-        return grid_fractions(self.grid.rows, self.grid.denom)
+    def d(self) -> FractionMatrix:
+        """The exact distances, made on first read: Fraction rows that keep
+        the space's grid, so `validate_metric(space.d, b)` and
+        `MetricSpace(labels, space.d, b)` read no Fraction back."""
+        return FractionMatrix(self.grid)
 
     @cached_property
     def diam_bound(self) -> Fraction:

@@ -16,6 +16,8 @@ from mslab.banach import (
     PNormValue,
     RadialProfile,
     StepFn2D,
+    _iroot,
+    _largest_exponent,
     _power_integral,
     _primitive_power,
     aligned,
@@ -164,6 +166,41 @@ def test_primitive_power_matches_factoring():
 @pytest.mark.parametrize("q", [F(1), F(2), F(4), F(1, 4), F(8, 27), F(72), F(2**60), F(6**12, 5**18), F(10**12 + 39)])
 def test_primitive_power_edge_cases(q):
     assert _primitive_power(q) == primitive_power_by_factoring(q)
+
+
+def largest_exponent_by_every_k(a: int) -> int:
+    """`_largest_exponent` as it was first written: one integer k-th root
+    for every k below the bit length, largest first."""
+    if a == 1:
+        return 0
+    for k in range(a.bit_length() - 1, 1, -1):
+        if _iroot(a, k) ** k == a:
+            return k
+    return 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 12, 30])
+def test_largest_exponent_matches_the_every_k_scan(k):
+    for a in range(1, 61):
+        assert _largest_exponent(a**k) == largest_exponent_by_every_k(a**k), (a, k)
+
+
+@pytest.mark.parametrize(
+    "a", [2**6 * 3**4, 2**6 * 3**4 * 5**2, (2**6 * 3**4) ** 5, 2**12 * 3**18, 6**35, 2**64 * 5**96, 10**18 + 3, 2**61 - 1]
+)
+def test_largest_exponent_of_products_matches_the_every_k_scan(a):
+    assert _largest_exponent(a) == largest_exponent_by_every_k(a)
+
+
+def test_norm_at_p_just_above_one_is_one_rational_power():
+    # 5/7 on [0,3/2]x[0,1] at p = 1001/1000: the base (5/7)^1001 (3/2)^1000
+    # has 3910 bits, where one root per k below the bit length took seconds
+    q = F(5, 7) ** 1001 * F(3, 2) ** 1000
+    base, k = _primitive_power(q)
+    assert base**k == q
+    f = StepFn2D((0, F(3, 2), 2), (0, 1), ((F(5, 7),), (0,)))
+    assert lp_norm(f, F(1001, 1000)) == PNormValue(q, F(1, 1001))
+    assert _primitive_power(F(6, 5) ** 462) == (F(6, 5), 462) == primitive_power_by_factoring(F(6, 5) ** 462)
 
 
 def test_pnorm_of_a_large_prime_needs_no_factoring():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import numpy as np
 import pytest
@@ -37,8 +38,9 @@ from mslab.errors import (
     SpaceMismatchError,
 )
 from mslab.rado import rado_metric_space
+from mslab.rationals import as_fraction
 from mslab.randgen import _grow_scaled_matrix, random_katetov_values, random_metric_space
-from mslab.serialization import _dump_json, approximant_to_dict
+from mslab.serialization import _dump_json, approximant_to_dict, load_space, space_to_dict
 from mslab.urysohn import Approximant, fraisse_step
 
 F = Fraction
@@ -189,6 +191,42 @@ def nonpositive(rng, rows):
     rows[a][b] = rows[b][a] = F(rng.randint(-1, 0), 3)
 
 
+def space_holding(rows, bound):
+    """The space whose view is rows, with diameter bound `bound`:
+    `from_grid` does not validate, so it holds a corrupted matrix too."""
+    q = lcm(F(bound).denominator, *(F(v).denominator for row in rows for v in row))
+    grid = [[int(v * q) for v in row] for row in rows]
+    return MetricSpace.from_grid([f"p{i}" for i in range(len(rows))], grid, q, int(bound * q))
+
+
+def view_bounds(space):
+    # its own bound; an int, a str, and a bound with a denominator (143)
+    # prime to every grid here, which must be lifted onto the grid; 2 - 1/143
+    # sits below a pair moved up to 2
+    return (space.diam_bound, 3, "5/2", F(2) - F(1, 143))
+
+
+def view_agrees(rows, bound):
+    """validate_metric on the view of the space holding rows gives the
+    naive verdict, and the same verdict, witness or error as on a
+    plain-tuple copy of the view; so does building a space from it."""
+    space = space_holding(rows, bound)
+    view, copy = space.d, tuple(map(tuple, space.d))
+    assert view.grid is space.grid and type(copy) is tuple and view == copy == tuple(map(tuple, rows))
+    for b in view_bounds(space):
+        got = validate_metric(view, b)
+        assert (got.reason, got.witness) == (naive_validate(rows, as_fraction(b)) or (None, None))
+        assert got == validate_metric(copy, b)
+        assert MetricSpace(space.labels, view, b) == MetricSpace(space.labels, copy, b)
+    for build in (validate_metric, lambda d, b: MetricSpace(space.labels, d, b)):
+        errors = []
+        for d in (view, copy):
+            with pytest.raises(TypeError) as err:
+                build(d, 2.0)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+
 @given(st.integers(0, 10**9))
 @settings(max_examples=30, deadline=None)
 def test_validate_int_scan_witness_matches_naive(seed):
@@ -202,6 +240,7 @@ def test_validate_int_scan_witness_matches_naive(seed):
         triangle_only(rng, rows)
     got = validate_metric(rows, 2)
     assert (got.reason, got.witness) == (naive_validate(rows, 2) or (None, None))
+    view_agrees(rows, 2)
 
 
 @given(st.integers(0, 10**9))
@@ -218,6 +257,7 @@ def test_validate_numpy_path_matches_naive_on_corruptions(seed):
         got = validate_metric(rows, 2)
         assert got.reason == reason
         assert (got.reason, got.witness) == naive_validate(rows, 2)
+        view_agrees(rows, 2)
 
 
 # The numpy triangle scan sums two entries in the narrowest unsigned dtype
@@ -413,13 +453,14 @@ def approximants():
     return {
         "uint8-323": fraisse_step(round1),
         "uint8-round1": round1,
+        "uint16": approximant_between(n, 500, 1000, 1000),
         "uint64": approximant_between(n, 2**63, U64_BOUND, U64_BOUND),
         "object": approximant_between(n, 2**65, 2**66, 2**66),
     }
 
 
 # the uint64 approximant has its own test below, against the naive oracle
-APPROXIMANT_DTYPES = {"uint8-323": np.uint8, "uint8-round1": np.uint8, "object": object}
+APPROXIMANT_DTYPES = {"uint8-323": np.uint8, "uint8-round1": np.uint8, "uint16": np.uint16, "object": object}
 
 
 @pytest.mark.parametrize("name", APPROXIMANT_DTYPES)
@@ -432,6 +473,61 @@ def test_validate_scaled_reads_an_approximant_matrix_as_its_rows(name, approxima
         rows = metric.validate_scaled(d.tolist(), a.bound_scaled)
         assert (got.reason, got.witness) == (rows.reason, rows.witness)
         assert got.reason == reason
+
+
+@pytest.mark.parametrize("name", [*APPROXIMANT_DTYPES, "uint64"])
+def test_validate_metric_scans_an_integer_matrix_as_validate_scaled_does(name, approximants):
+    a = approximants[name]
+    for d, reason in ((a.matrix, None), (with_break(a.matrix), "triangle")):
+        got = validate_metric(d, a.bound_scaled)
+        assert got == metric.validate_scaled(d, a.bound_scaled)
+        assert got.reason == reason
+    with pytest.raises(NonSquareError):
+        validate_metric(a.matrix[:, 1:], a.bound_scaled)
+    with pytest.raises(TypeError, match="not a rational value"):
+        validate_metric(a.matrix.astype(float), a.bound_scaled)
+
+
+def test_every_view_keeps_the_grid_of_its_space(approximants, tmp_path):
+    path = tmp_path / "space.json"
+    _dump_json(space_to_dict(equilateral()), path)
+    round1 = approximants["uint8-round1"]
+    spaces = [
+        MetricSpace.from_grid(("a", "b"), ((0, 3), (3, 0)), 4, 4),
+        equilateral(),
+        equilateral().restrict([2, 0]),
+        equilateral().with_point("m", [F(1, 2)] * 3),
+        amalgamate(equilateral(), two_point(F(1, 2)), PartialIsometry((0,), (0,))),
+        round1.as_metric_space(),
+        round1.restrict_space([0, 2, 3]),
+        load_space(path),
+    ]
+    for space in spaces:
+        assert type(space.d) is metric.FractionMatrix and space.d.grid is space.grid
+        assert space.d == tuple(tuple(space.dist(i, j) for j in range(space.n_points)) for i in range(space.n_points))
+
+
+def test_a_view_under_another_bound_builds_the_least_grid():
+    # the bound 3/2 puts the space on the grid 1/2; under the bound 2 its
+    # distances 1 need only the grid 1/1
+    space = MetricSpace.from_grid(("a", "b"), ((0, 2), (2, 0)), 2, 3)
+    for bound in (2, F(2), "2"):
+        built = MetricSpace(space.labels, space.d, bound)
+        assert built == MetricSpace(space.labels, tuple(space.d), bound)
+        assert built.grid == metric.Grid(1, ((0, 1), (1, 0)), 2)
+
+
+def test_a_300_point_view_is_validated_on_its_grid(approximants, monkeypatch):
+    sample = approximants["uint8-323"].restrict_space(range(300))
+    view = sample.d
+
+    def rescale(*args):
+        raise AssertionError("the view was rescaled entry by entry")
+
+    monkeypatch.setattr(metric, "_rescale", rescale)
+    assert validate_metric(view, sample.diam_bound).ok
+    assert validate_metric(view, F(1, 3)).reason == "exceeds-diameter"  # lifted to the grid 1/12
+    assert MetricSpace(sample.labels, view, sample.diam_bound) == sample
 
 
 def test_uint64_approximant_is_validated_without_wrapping(approximants, tmp_path, capsys):
