@@ -313,6 +313,10 @@ class FractionMatrix(tuple):
         view.grid = grid
         return view
 
+    def __getnewargs__(self) -> tuple[Grid]:
+        # what copy and pickle pass back to __new__
+        return (self.grid,)
+
 
 @dataclass(frozen=True, init=False)
 class MetricSpace:

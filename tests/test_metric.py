@@ -1,5 +1,7 @@
 """metric-core: validation, Katetov calculus, amalgams, enumeration."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -505,6 +507,8 @@ def test_every_view_keeps_the_grid_of_its_space(approximants, tmp_path):
     for space in spaces:
         assert type(space.d) is metric.FractionMatrix and space.d.grid is space.grid
         assert space.d == tuple(tuple(space.dist(i, j) for j in range(space.n_points)) for i in range(space.n_points))
+        for again in (copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+            assert again == space and again.d == space.d and again.d.grid == space.grid
 
 
 def test_a_view_under_another_bound_builds_the_least_grid():
