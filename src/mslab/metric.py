@@ -107,8 +107,9 @@ class MetricVerdict:
         return self.ok
 
 
-def _square(d: Sequence[Sequence]) -> tuple[tuple, ...]:
-    rows = tuple(map(tuple, d))
+def _square(d: Sequence[Sequence] | np.ndarray) -> tuple[tuple, ...]:
+    # an ndarray is read through tolist(), so its entries are Python scalars
+    rows = tuple(map(tuple, d.tolist() if isinstance(d, np.ndarray) else d))
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NonSquareError(f"matrix is not square: {len(rows)} rows, row lengths {[len(r) for r in rows]}")
@@ -136,7 +137,9 @@ def _fraction_grid(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike
 
 def _rescale(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> Grid:
     """Any rational matrix and bound on their least common grid 1/q, with q
-    the lcm of their denominators: numerator * (q // denominator), exact."""
+    the lcm of their denominators: numerator * (q // denominator), exact.
+    An integer ndarray is read as Python ints (`_square`); a float one is
+    refused like any float."""
     rows = _square(d)
     if set(map(type, chain.from_iterable(rows))) - {Fraction}:
         rows = tuple(tuple(map(as_fraction, row)) for row in rows)

@@ -9,10 +9,12 @@ scaled diameter bound (uint8 for the default grids, `object` holding Python
 ints past uint64, so huge denominators stay exact). The seed rows enter
 numpy through `metric.int_matrix`, and the matrix is validated as it is,
 never through a MetricSpace. A saturation round writes each new point's
-row and column in place into spare capacity that doubles when full and
-never exceeds the round's point budget. Readers take values out as Python
-ints, one `tolist` or fancy index per call; a MetricSpace view is made on
-demand from those ints (`from_grid`).
+row, and its entries in the step-start rows, in place into spare capacity
+that doubles when full and never exceeds the round's point budget; the
+round reads no other entry, so the block among the new points is mirrored
+above the diagonal once, after the round, in blocks of columns. Readers
+take values out as Python ints, one `tolist` or fancy index per call; a
+MetricSpace view is made on demand from those ints (`from_grid`).
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -70,6 +72,7 @@ from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
 DEFAULT_BUDGET = 5000
+_MIRROR_COLUMNS = 256  # new-point columns mirrored per block after a round
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,12 @@ class _Realizations:
     """The realization lookup: per anchor point, scaled value -> the set of
     points at that distance from it, as a Python-int bitmask (bit p is
     point p). A profile over a subset of the anchors is realized by the
-    points in every mask of its values."""
+    points in every mask of its values.
+
+    A lookup read in lexicographic subset order (`_profile_walk`) reads no
+    anchor below the first point of its current subset again, so `add`
+    indexes a new point only from that anchor on: the masks of the retired
+    anchors go stale, and nothing reads them."""
 
     def __init__(self, anchors: Sequence[int], rows: np.ndarray, factor: int = 1):
         # rows[i] holds the distances from anchors[i] to every point, on a
@@ -197,11 +205,14 @@ class _Realizations:
                 v * factor: int.from_bytes(np.packbits(row == v, bitorder="little").tobytes(), "little")
                 for v in np.unique(row).tolist()
             }
+        self._masks = list(self._by_anchor.values())
+        self._position = {s: i for i, s in enumerate(self._by_anchor)}
 
-    def add(self, point: int, values: Sequence[int]):
-        """Index a new point by its distances to the anchors, in anchor order."""
+    def add(self, point: int, values: Sequence[int], since: int):
+        """Index a new point by its distances to the anchors from anchor
+        `since` on, in anchor order; the anchors before it are retired."""
         bit = 1 << point
-        for per, v in zip(self._by_anchor.values(), values):
+        for per, v in zip(itertools.islice(self._masks, self._position[since], None), values):
             per[v] = per.get(v, 0) | bit
 
     def realized(self, subset: Sequence[int], values: Sequence[int]) -> bool:
@@ -217,11 +228,30 @@ class _Realizations:
 def _profile_walk(among: Sequence[Sequence[int]], points: Sequence[int], max_size: int, bound: int):
     """(subset, its grid Katetov profiles) for every non-empty subset of at
     most max_size of the sorted points, in lexicographic order; among[i][j]
-    is the scaled distance between points[i] and points[j]."""
+    is the scaled distance between points[i] and points[j].
+
+    The profiles of a subset depend only on its sub-matrix and the bound,
+    and subsets of two points have at most bound + 1 sub-matrices, so the
+    walk enumerates each distinct sub-matrix once. It keeps a sub-matrix's
+    profiles only once the caller has read all of them: a caller that stops
+    early (a check at its witness, a round at its budget) may face far more
+    profiles than it reads, 2**66 + 1 over one point past uint64."""
     pos = {s: i for i, s in enumerate(points)}
+    kept: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
     for subset in _subsets_lex(points, max_size):
-        rows = [among[pos[i]] for i in subset]
-        yield subset, _grid_profiles([[row[pos[j]] for j in subset] for row in rows], bound)
+        idx = [pos[i] for i in subset]
+        sub = tuple([tuple([among[i][j] for j in idx]) for i in idx])
+        profiles = kept.get(sub)
+        yield subset, _keep_when_read(sub, bound, kept) if profiles is None else profiles
+
+
+def _keep_when_read(sub: tuple[tuple[int, ...], ...], bound: int, kept: dict):
+    """The profiles of `sub`, stored in `kept` once the last one is read."""
+    read = []
+    for values in _grid_profiles(sub, bound):
+        read.append(values)
+        yield values
+    kept[sub] = tuple(read)
 
 
 def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
@@ -236,6 +266,14 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     sizes depend on that order: a point added early can realize a later
     profile, so relabelling the seed can change how many points a round
     adds (from 36 to 42 points in round 1 for one small seed at denom 2).
+
+    The round reads only the step-start rows: the completion reads the
+    subset's rows, and the lookup reads the new point's distances to the
+    anchors from the subset's first point on (`_Realizations`), over
+    profiles that the walk enumerates once per distinct sub-matrix
+    (`_profile_walk`). So a new point writes its row and its entries in the
+    step-start rows, and the block among the new points is mirrored above
+    the diagonal after the walk.
     """
     out = a.copy()
     n0 = n = out.n_points
@@ -247,6 +285,7 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     round_no = out.rounds + 1
     # distances among step-start points never change
     for subset, profiles in _profile_walk(buf.tolist(), range(n0), out.subset_bound, bound):
+        s0 = subset[0]
         for values in profiles:
             if lookup.realized(subset, values):
                 continue
@@ -265,12 +304,18 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
             v = np.array(values, dtype=buf.dtype)[:, None]
             profile = (np.minimum(buf[list(subset), :n], bound - v) + v).min(axis=0)
             buf[n, :n] = profile
-            buf[:n, n] = profile
+            buf[:n0, n] = profile[:n0]
             out.labels.append(fresh_label(f"x{n}", label_set))
-            lookup.add(n, profile[:n0].tolist())
+            lookup.add(n, profile[s0:n0].tolist(), s0)
             out.log.append(RealizationRecord(round_no, subset, tuple(values), n))
             n += 1
 
+    for c in range(n0, n, _MIRROR_COLUMNS):
+        e = min(c + _MIRROR_COLUMNS, n)
+        buf[n0:c, c:e] = buf[c:e, n0:c].T
+        block = buf[c:e, c:e]
+        upper = np.triu_indices(e - c, 1)
+        block[upper] = block.T[upper]
     out.matrix = buf[:n, :n]
     out.rounds = round_no
     out.round_sizes.append(n)

@@ -8,6 +8,7 @@ index argument to match must give the same output, compared as a map from
 label pairs to distances, or raise the same error type.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,10 @@ import pytest
 from mslab.errors import MslabError
 from mslab.metric import KatetovFn, MetricSpace, PartialIsometry, amalgamate, extend_by_katetov, katetov_completion
 from mslab.randgen import random_katetov_values, random_ma_request, random_metric_space
-from mslab.urysohn import Approximant, BFState, ma_extension, nonproper_witness, prop53_extension, uwmt_extension
+from mslab.urysohn import (
+    Approximant, BFState, finite_injectivity_check, fraisse_step, ma_extension, nonproper_witness, prop53_extension,
+    uwmt_extension,
+)
 from mslab.weak import LandmarkSet, weak_seminorm
 
 TRIALS = 600
@@ -280,3 +284,25 @@ def test_permuted_is_an_isometry(seed):
     moved, sigma = permuted(space, rng)
     assert distances(moved) == distances(space)
     assert all(moved.labels[sigma[i]] == label for i, label in enumerate(space.labels))
+
+
+# three-point seeds whose round sizes depend on the order of their points;
+# the last one's round 2 adds up to 747 points, three 256-column mirror blocks
+ORDERED_SEEDS = {
+    "denom2": MetricSpace.from_grid(("a", "b", "c"), ((0, 2, 3), (2, 0, 2), (3, 2, 0)), 2, 3),
+    "denom1": MetricSpace.from_grid(("a", "b", "c"), ((0, 1, 2), (1, 0, 2), (2, 2, 0)), 1, 2),
+    "denom3": MetricSpace.from_grid(("a", "b", "c"), ((0, 1, 4), (1, 0, 3), (4, 3, 0)), 3, 4),
+}
+
+
+@pytest.mark.parametrize("name", ORDERED_SEEDS)
+def test_every_round_saturates_its_start_under_every_ordering(name):
+    seed = ORDERED_SEEDS[name]
+    sizes = set()
+    for order in itertools.permutations(range(seed.n_points)):
+        a = Approximant.from_space(seed.restrict(order), seed.grid.denom, 2)
+        for r in (1, 2):
+            a = fraisse_step(a)
+            assert finite_injectivity_check(a, a.snapshot(r - 1), 2, a.denom).verdict == "pass"
+        sizes.add(tuple(a.round_sizes))
+    assert len(sizes) > 1

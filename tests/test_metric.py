@@ -479,15 +479,22 @@ def test_validate_scaled_reads_an_approximant_matrix_as_its_rows(name, approxima
 
 @pytest.mark.parametrize("name", [*APPROXIMANT_DTYPES, "uint64"])
 def test_validate_metric_scans_an_integer_matrix_as_validate_scaled_does(name, approximants):
+    # an int bound scans the matrix as it is; a Fraction or str bound reads
+    # it through tolist(), never as numpy scalars
     a = approximants[name]
-    for d, reason in ((a.matrix, None), (with_break(a.matrix), "triangle")):
-        got = validate_metric(d, a.bound_scaled)
-        assert got == metric.validate_scaled(d, a.bound_scaled)
-        assert got.reason == reason
-    with pytest.raises(NonSquareError):
-        validate_metric(a.matrix[:, 1:], a.bound_scaled)
-    with pytest.raises(TypeError, match="not a rational value"):
-        validate_metric(a.matrix.astype(float), a.bound_scaled)
+    grid = MetricSpace.from_grid(a.labels, a.matrix.tolist(), 1, a.bound_scaled).grid
+    for bound in (a.bound_scaled, F(a.bound_scaled), str(a.bound_scaled)):
+        for d, reason in ((a.matrix, None), (with_break(a.matrix), "triangle")):
+            got = validate_metric(d, bound)
+            assert got == metric.validate_scaled(d, a.bound_scaled)
+            assert got.reason == reason
+        assert MetricSpace(a.labels, a.matrix, bound).grid == grid
+        with pytest.raises(NonSquareError):
+            validate_metric(a.matrix[:, 1:], bound)
+        with pytest.raises(TypeError, match="not a rational value"):
+            validate_metric(a.matrix.astype(float), bound)
+        with pytest.raises(TypeError, match="not a rational value"):
+            MetricSpace(a.labels, a.matrix.astype(float), bound)
 
 
 def test_every_view_keeps_the_grid_of_its_space(approximants, tmp_path):

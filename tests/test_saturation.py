@@ -1,8 +1,11 @@
 """Saturation rounds pinned to a golden and to a plain-list reference.
 
 The golden fingerprints were captured from the list-of-lists implementation
-that preceded the numpy matrix; `reference_fraisse_step` keeps that
-implementation as the oracle. The dtype-edge cases check the narrow-dtype
+that preceded the numpy matrix, except denom 2 round 4, captured from the
+numpy round that wrote each new point's whole column, before rounds shared
+profiles, retired anchors and mirrored the new block after the walk;
+`reference_fraisse_step` keeps the list-of-lists implementation as the
+oracle. The dtype-edge cases check the narrow-dtype
 profile arithmetic (no wraparound at the uint8/uint16 edge) and the exact
 `object` path past uint64.
 """
@@ -10,6 +13,7 @@ profile arithmetic (no wraparound at the uint8/uint16 edge) and the exact
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +24,7 @@ from mslab import urysohn
 from mslab.cli import main
 from mslab.errors import BudgetExceededError, MetricFailureError, PreconditionError
 from mslab.metric import _grid_profiles
+from mslab.randgen import random_metric_space
 
 F = Fraction
 
@@ -107,6 +112,9 @@ GOLDEN = {
     (2, 3): ([2, 6, 18, 106], "db398a87349ee51572e9549a29dda4eae6d2dc021ff4df959aa6b647beec0f39",
              "15eba32a974a4cff3f2d88729d583f65a739e41cfe316f4a21c88c5535ec29d4",
              "075096e872046767754eb4adf7815800a482c47a307e486cb3d2f221e56587fc"),
+    (2, 4): ([2, 6, 18, 106, 4274], "30be933b70868989525f09bd8478386abd1d43e08d0bc5080e48679ee2507a49",
+             "a5a3579faf0c71e201ae3740eea56f05afbeeef8cda929439ad14fc8d8fe3bbd",
+             "f1b736c47bc80aee9ecf730cab71daa0689f5cae3ef5e7e9443938de4511fb37"),
     (4, 1): ([2, 16], "14023ee300eadda240aaad1d697164e6a8a49e5df6646a18145fd8f8cebcfcc6",
              "e358ea70dd74ebe85c0fe91838b8db4a4577199f770f4e69ec95794867b5f0c6",
              "4a8f0619a8263c4be15f5494c9820dc427bb7a47e3d799d938e2556cbecb3460"),
@@ -121,7 +129,7 @@ def golden_fingerprint(denom, rounds):
     return {"labels": labels, "log": log, "matrix": matrix}
 
 
-@pytest.mark.parametrize("denom,rounds", [(2, 3), (4, 2)])
+@pytest.mark.parametrize("denom,rounds", [(2, 3), (2, 4), (4, 2)])
 def test_rounds_match_golden(denom, rounds):
     a = Approximant.from_space(two_points(F(1, 2)), denom, 2)
     for r in range(1, rounds + 1):
@@ -135,6 +143,40 @@ def test_rounds_match_golden(denom, rounds):
 def test_reference_matches_golden():
     for rounds in (1, 2, 3):
         assert fingerprint(*reference_rounds(two_points(F(1, 2)), 2, 2, rounds)) == golden_fingerprint(2, rounds)
+
+
+@pytest.mark.parametrize("subset_bound", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_rounds_match_the_reference_on_random_seeds(seed, subset_bound):
+    # 2 or 3 points with a bound of at most 2 on a grid of at most 1/2;
+    # round 2 reaches 488 points (seed 0, subset bound 3), two mirror blocks
+    space = random_metric_space(random.Random(seed), 2, 3, 2)
+    a = Approximant.from_space(space, space.grid.denom, subset_bound)
+    a = fraisse_step(fraisse_step(a))
+    labels, rows, log = reference_rounds(space, space.grid.denom, subset_bound, 2)
+    assert a.matrix.tolist() == rows
+    assert a.labels == labels
+    assert [(r.round, r.subset, r.values, r.point) for r in a.log] == log
+
+
+def test_a_round_enumerates_each_sub_matrix_once(monkeypatch):
+    # every singleton has the sub-matrix ((0,)), and a pair's is fixed by its
+    # distance, one of 1..bound_scaled: at most bound_scaled + 1 sub-matrices
+    a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
+    for _ in range(3):
+        a = fraisse_step(a)
+    calls = []
+
+    def counted(d, bound):
+        calls.append(d)
+        return _grid_profiles(d, bound)
+
+    monkeypatch.setattr(urysohn, "_grid_profiles", counted)
+    a = fraisse_step(a)
+    assert a.round_sizes[-1] == 4274 and len(calls) <= a.bound_scaled + 2
+    calls.clear()
+    rep = urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2)
+    assert rep.counts["functions"] == 33708 and len(calls) <= a.bound_scaled + 2
 
 
 @pytest.mark.parametrize("denom,dtype", [(255, np.uint8), (256, np.uint16)])
@@ -165,6 +207,10 @@ def test_object_dtype_past_uint64_is_exact():
     assert out.d[zp][0] == d and out.d[zp][1] == d
     with pytest.raises(BudgetExceededError):
         fraisse_step(a, budget=6)
+    # a singleton has 2**66 + 1 profiles: the check stops at the second
+    rep = urysohn.finite_injectivity_check(a, a.snapshot(0), 1, denom)
+    assert rep.verdict == "fail" and rep.witness == {"subset": [0], "values": [F(1, denom)]}
+    assert rep.counts["functions"] == 2
 
 
 
@@ -212,7 +258,7 @@ def test_injectivity_on_arbitrary_snapshot_matches_reference(rounds, over, facto
     for _ in range(rounds):
         a = fraisse_step(a)
     rows = a.matrix.tolist()
-    for k in (1, 2):
+    for k in (1, 2, 3):
         rep = urysohn.finite_injectivity_check(a, over, k, 2 * factor)
         verdict, witness, counts = reference_injectivity(rows, over, k, factor, a.bound_scaled * factor)
         assert rep.verdict == verdict
