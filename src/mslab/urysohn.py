@@ -314,8 +314,7 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
         e = min(c + _MIRROR_COLUMNS, n)
         buf[n0:c, c:e] = buf[c:e, n0:c].T
         block = buf[c:e, c:e]
-        upper = np.triu_indices(e - c, 1)
-        block[upper] = block.T[upper]
+        np.copyto(block, block.T, where=~np.tri(e - c, dtype=bool))
     out.matrix = buf[:n, :n]
     out.rounds = round_no
     out.round_sizes.append(n)
