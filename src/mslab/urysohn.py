@@ -193,8 +193,8 @@ class _Realizations:
 
     A lookup read in lexicographic subset order (`_profile_walk`) reads no
     anchor below the first point of its current subset again, so `add`
-    indexes a new point only from that anchor on: the masks of the retired
-    anchors go stale, and nothing reads them."""
+    indexes a new point only from that anchor's position on: the masks of
+    the retired anchors go stale, and nothing reads them."""
 
     def __init__(self, anchors: Sequence[int], rows: np.ndarray, factor: int = 1):
         # rows[i] holds the distances from anchors[i] to every point, on a
@@ -205,14 +205,12 @@ class _Realizations:
                 v * factor: int.from_bytes(np.packbits(row == v, bitorder="little").tobytes(), "little")
                 for v in np.unique(row).tolist()
             }
-        self._masks = list(self._by_anchor.values())
-        self._position = {s: i for i, s in enumerate(self._by_anchor)}
 
     def add(self, point: int, values: Sequence[int], since: int):
-        """Index a new point by its distances to the anchors from anchor
+        """Index a new point by its distances to the anchors from position
         `since` on, in anchor order; the anchors before it are retired."""
         bit = 1 << point
-        for per, v in zip(itertools.islice(self._masks, self._position[since], None), values):
+        for per, v in zip(itertools.islice(self._by_anchor.values(), since, None), values):
             per[v] = per.get(v, 0) | bit
 
     def realized(self, subset: Sequence[int], values: Sequence[int]) -> bool:
@@ -306,7 +304,7 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
             buf[n, :n] = profile
             buf[:n0, n] = profile[:n0]
             out.labels.append(fresh_label(f"x{n}", label_set))
-            lookup.add(n, profile[s0:n0].tolist(), s0)
+            lookup.add(n, profile[s0:n0].tolist(), s0)  # anchor s0 is at position s0
             out.log.append(RealizationRecord(round_no, subset, tuple(values), n))
             n += 1
 

@@ -287,7 +287,7 @@ def test_permuted_is_an_isometry(seed):
 
 
 # three-point seeds whose round sizes depend on the order of their points;
-# the last one's round 2 adds up to 747 points, three 256-column mirror blocks
+# the last one's round 2 adds up to 745 points, three 256-column mirror blocks
 ORDERED_SEEDS = {
     "denom2": MetricSpace.from_grid(("a", "b", "c"), ((0, 2, 3), (2, 0, 2), (3, 2, 0)), 2, 3),
     "denom1": MetricSpace.from_grid(("a", "b", "c"), ((0, 1, 2), (1, 0, 2), (2, 2, 0)), 1, 2),
