@@ -5,7 +5,9 @@ that preceded the numpy matrix, except denom 2 round 4, captured from the
 numpy round that wrote each new point's whole column, before rounds shared
 profiles, retired anchors and mirrored the new block after the walk;
 `reference_fraisse_step` keeps the list-of-lists implementation as the
-oracle. The dtype-edge cases check the narrow-dtype
+oracle. A matrix is digested from its dtype, shape and bytes; these
+digests were taken where the earlier digests of its JSON rows still
+matched, so both forms pin the same matrices. The dtype-edge cases check the narrow-dtype
 profile arithmetic (no wraparound at the uint8/uint16 edge) and the exact
 `object` path past uint64.
 """
@@ -87,40 +89,42 @@ def _digest(obj):
     return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
 
 
-def fingerprint(labels, rows, log):
+def fingerprint(labels, matrix, log):
+    digest = hashlib.sha256(f"{matrix.dtype.str} {matrix.shape}".encode())
+    digest.update(matrix.tobytes())
     return {
         "labels": _digest(list(labels)),
         "log": _digest([[r, list(sub), list(vals), p] for r, sub, vals, p in log]),
-        "matrix": _digest(rows),
+        "matrix": digest.hexdigest(),
     }
 
 
 def approximant_fingerprint(a):
     log = [(rec.round, rec.subset, rec.values, rec.point) for rec in a.log]
-    return fingerprint(a.labels, a.matrix.tolist(), log)
+    return fingerprint(a.labels, a.matrix, log)
 
 
-# (denom, round) -> round sizes and digests of labels, log and scaled matrix,
+# (denom, round) -> round sizes and digests of labels, log and uint8 scaled matrix,
 # from the half-distance two-point seed with subset bound 2
 GOLDEN = {
     (2, 1): ([2, 6], "609a84786d96cb5cd2be53d41349f73e35ce4887f8460d013c90598c9568dbe6",
              "d3a68dd0561c8e2f09a669cd7b59f79b88a942f1516dad1b9f66b1eca29256b2",
-             "e4273fba5f803fb57c572fa3fb06cfa90313c878edf8c6816f1924ed29d66374"),
+             "7499aa2505d123a3bdd566575952b195a79ba74e0e967330418e3a56f0b94352"),
     (2, 2): ([2, 6, 18], "be2995e05fb47e5c873b30d753a7e2583242c6dc56bec8eede96f63a8163702c",
              "05f45b93df40609da20348a840ca4b0f73d29386567b9f8a2d854cddd033a46d",
-             "2746f6649434053bef6877b4c2d6b1dec4524ece2a19575bd539d3438bbdeec2"),
+             "f5357036eca1d221f4ad7b01effb6220010503278e99b90f91277ef05ccedf3d"),
     (2, 3): ([2, 6, 18, 106], "db398a87349ee51572e9549a29dda4eae6d2dc021ff4df959aa6b647beec0f39",
              "15eba32a974a4cff3f2d88729d583f65a739e41cfe316f4a21c88c5535ec29d4",
-             "075096e872046767754eb4adf7815800a482c47a307e486cb3d2f221e56587fc"),
+             "6ce3d559d3bd4176b313b3bddbebcae729ef39a5e7c488b8ae2a6afe02719b46"),
     (2, 4): ([2, 6, 18, 106, 4274], "30be933b70868989525f09bd8478386abd1d43e08d0bc5080e48679ee2507a49",
              "a5a3579faf0c71e201ae3740eea56f05afbeeef8cda929439ad14fc8d8fe3bbd",
-             "f1b736c47bc80aee9ecf730cab71daa0689f5cae3ef5e7e9443938de4511fb37"),
+             "4ecc2eadccd5dda234dbe41f5c8df5db493dd24654f78571e7e466004f7271a5"),
     (4, 1): ([2, 16], "14023ee300eadda240aaad1d697164e6a8a49e5df6646a18145fd8f8cebcfcc6",
              "e358ea70dd74ebe85c0fe91838b8db4a4577199f770f4e69ec95794867b5f0c6",
-             "4a8f0619a8263c4be15f5494c9820dc427bb7a47e3d799d938e2556cbecb3460"),
+             "72a9ddfa1d5a033caa89b15fc30594267fc55fc0ff9f3d954cb02a4f7eab7501"),
     (4, 2): ([2, 16, 323], "10281ea758863c9c9b7812fea63ed49200348660b9e5a9b39860ecf112faa40a",
              "73cdd4e8c5793692ac743b563a17c6a1f460cbab268e19a49e37e75e8b5cdcee",
-             "4052616a804886bf841418528e38ccfe9b91fe730f9843be6069e621387555f6"),
+             "7bca06e1cf74ee38f41ebc192ef8cba975aee1dbcb0b7a78cb8624abc9230468"),
 }
 
 
@@ -142,7 +146,8 @@ def test_rounds_match_golden(denom, rounds):
 
 def test_reference_matches_golden():
     for rounds in (1, 2, 3):
-        assert fingerprint(*reference_rounds(two_points(F(1, 2)), 2, 2, rounds)) == golden_fingerprint(2, rounds)
+        labels, rows, log = reference_rounds(two_points(F(1, 2)), 2, 2, rounds)
+        assert fingerprint(labels, np.array(rows, dtype=np.uint8), log) == golden_fingerprint(2, rounds)
 
 
 @pytest.mark.parametrize("subset_bound", [1, 2, 3])
