@@ -30,7 +30,6 @@ from .metric import (
     is_katetov,
     truncate_katetov,
     validate_metric,
-    validate_scaled,
 )
 from .randgen import random_disjoint_parts
 from .rationals import parse_rational
@@ -160,7 +159,7 @@ def _built(check: str, params: dict, space: MetricSpace, extra: dict | None = No
 def _refuse_non_metric(path: str, rows, bound: int):
     """Refuse a file's scaled matrix as malformed input (exit 2) unless it
     is a metric; only `validate` reports a non-metric as a verdict."""
-    verdict = validate_scaled(rows, bound)
+    verdict = validate_metric(rows, bound)
     if not verdict:
         raise FormatError(f"{path} does not hold a metric space: {verdict.reason} at {verdict.witness}")
 
@@ -432,10 +431,11 @@ def cmd_rado_metric(args) -> WitnessReport:
             raise FormatError("--scan N validates the vertices 0..N-1; it conflicts with the vertices i j")
         _, rows, bound = rado.rado_metric_space(range(args.scan)).grid
         return _verdict_report("rado-metric-scan", {"points": args.scan}, validate_metric(rows, bound))
-    i, j = args.i or 0, args.j or 0
+    if None in (args.i, args.j):
+        raise FormatError("either --scan N or both vertices i j are required")
     return WitnessReport(
-        check="rado-metric", params={"i": i, "j": j},
-        verdict="pass", counts={"distance": rado.rado_metric(i, j)},
+        check="rado-metric", params={"i": args.i, "j": args.j},
+        verdict="pass", counts={"distance": rado.rado_metric(args.i, args.j)},
     )
 
 
@@ -605,7 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = leaf(rsub, "metric", cmd_rado_metric)
     r.add_argument("i", type=int, nargs="?", default=None)
     r.add_argument("j", type=int, nargs="?", default=None)
-    r.add_argument("--scan", type=_count, default=None, help="instead validate the metric on 0..N-1")
+    # N = 0 validates the empty space, so its vacuous pass is refused here
+    r.add_argument("--scan", type=_at_least(1), default=None, help="instead validate the metric on 0..N-1")
     r = leaf(rsub, "witness", cmd_rado_witness)
     r.add_argument("--u", type=_indices, default="")
     r.add_argument("--v", type=_indices, default="")

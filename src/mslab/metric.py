@@ -35,18 +35,21 @@ themselves, to a restriction of a scaled matrix.
 `validate_metric` is the package's universal safety net: a brute-force
 O(n^3) scan over ordered triples. The scan is the contract; everything
 below implements that same scan on integers, cross-checked in the test
-suite against the naive Fraction loop. `validate_metric` rescales a
-Fraction matrix and bound to the grid 1/q, with q the lcm of their
-distinct denominators, as numerator * (q // denominator): exact, and free
-of Fraction arithmetic; a space's view is on its space's grid already, and
-an int matrix (or integer ndarray) with an int bound is on the grid 1/1.
-`validate_scaled` is the scan itself; a space's grid and an approximant's
-numpy matrix go to it directly, since scaling by a positive factor keeps
-every verdict and witness. Its one fork is size: below
-`_NUMPY_MIN_POINTS` points it loops over Python ints (`tolist` first),
-which never overflow; from there on it runs numpy on `int_matrix`, the one
-exact conversion (int64 when every entry fits, else `object` Python ints,
-and an integer ndarray as it is). The symmetry, diagonal, sign and bound
+suite against the naive Fraction loop. One conversion, `_fraction_grid`,
+puts a matrix and a bound on a grid, for `validate_metric` and the
+constructor alike: a space's view is on its space's grid already, with only
+the bound lifted onto it; int rows with an int bound are on the grid 1/1 as
+they are; any other rational matrix is rescaled to the grid 1/q, with q the
+lcm of its distinct denominators and the bound's, as numerator *
+(q // denominator): exact, and free of Fraction arithmetic. Scaling by a
+positive factor keeps every verdict and witness, so a space's grid is
+scanned as it is, and so is an integer ndarray with an int bound, such as
+an approximant's matrix: that is the one shortcut of `validate_metric`. The
+scan itself, `_scan`, forks on size only: below `_NUMPY_MIN_POINTS` points
+it loops over Python ints (`tolist` first), which never overflow; from
+there on it runs numpy on `int_matrix`, the one exact conversion to numpy
+(int64 when every entry fits, else `object` Python ints, and an integer
+ndarray as it is). The symmetry, diagonal, sign and bound
 checks run first, so the triangle check sees entries in 0..bound, sums of
 two at most 2 * bound, and casts to the narrowest dtype that holds 2 * bound
 (uint8 while 2 * bound < 256, as for the default approximants and the Rado
@@ -116,37 +119,36 @@ def _square(d: Sequence[Sequence] | np.ndarray) -> tuple[tuple, ...]:
     return rows
 
 
-def _fraction_grid(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> Grid:
-    """The matrix and the bound as integers on their least common grid 1/q.
+def _fraction_grid(d: Sequence[Sequence[RationalLike]] | np.ndarray, diam_bound: RationalLike) -> Grid:
+    """The one conversion of a matrix and a bound onto a grid: integers on
+    their least common grid 1/q.
 
     A space's view holds that space's grid already: only the bound is lifted
-    onto it, and no entry is read. Any other matrix is rescaled entry by
-    entry (`_rescale`)."""
-    if not isinstance(d, FractionMatrix):
-        return _rescale(d, diam_bound)
-    denom, rows, own = d.grid
-    bound = as_fraction(diam_bound)
-    q = lcm(denom, bound.denominator)
-    scaled = bound.numerator * (q // bound.denominator)
-    if (q, scaled) == (denom, own):
-        return d.grid
-    if q != denom:
-        rows = tuple(tuple(v * (q // denom) for v in row) for row in rows)
-    return _least_grid(q, rows, scaled)
-
-
-def _rescale(d: Sequence[Sequence[RationalLike]], diam_bound: RationalLike) -> Grid:
-    """Any rational matrix and bound on their least common grid 1/q, with q
-    the lcm of their denominators: numerator * (q // denominator), exact.
-    An integer ndarray is read as Python ints (`_square`); a float one is
-    refused like any float."""
+    onto it, and no entry is read. Int rows with an int bound are the grid
+    1/1 as they are. Any other matrix is rescaled entry by entry, as
+    numerator * (q // denominator) with q the lcm of every denominator:
+    exact. An integer ndarray is read as Python ints (`_square`); a float
+    one is refused like any float."""
+    if isinstance(d, FractionMatrix):
+        denom, rows, own = d.grid
+        bound = as_fraction(diam_bound)
+        q = lcm(denom, bound.denominator)
+        scaled = bound.numerator * (q // bound.denominator)
+        if (q, scaled) == (denom, own):
+            return d.grid
+        if q != denom:
+            rows = tuple(tuple(v * (q // denom) for v in row) for row in rows)
+        return _least_grid(q, rows, scaled)
     rows = _square(d)
-    if set(map(type, chain.from_iterable(rows))) - {Fraction}:
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if type(diam_bound) is int and kinds <= {int}:
+        return Grid(1, rows, diam_bound)
+    if kinds - {Fraction}:
         rows = tuple(tuple(map(as_fraction, row)) for row in rows)
     bound = as_fraction(diam_bound)
     q = lcm(bound.denominator, *{v.denominator for row in rows for v in row})
-    scaled = [[v.numerator * (q // v.denominator) for v in row] for row in rows]
-    return Grid(q, tuple(map(tuple, scaled)), bound.numerator * (q // bound.denominator))
+    scaled = tuple(tuple(v.numerator * (q // v.denominator) for v in row) for row in rows)
+    return Grid(q, scaled, bound.numerator * (q // bound.denominator))
 
 
 def int_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -239,28 +241,23 @@ def validate_metric(
     Checks, in order: symmetry, zero diagonal, strictly positive
     off-diagonal, entries <= diam_bound, triangle inequality over all
     ordered triples. The first violation in lexicographic index order is
-    returned as the witness. An int matrix with an int bound is scanned as
-    it is, and so is an integer ndarray (or an `object` one of Python ints,
-    such as an approximant's matrix); a space's view `space.d` is scanned on
-    the grid it was made from, with the bound lifted onto it.
+    returned as the witness. An integer ndarray (or an `object` one of
+    Python ints, such as an approximant's matrix) with an int bound is
+    scanned as it is; any other matrix is scanned on the grid that
+    `_fraction_grid` puts it on, a space's view `space.d` on the grid it
+    was made from.
     """
-    if isinstance(d, FractionMatrix):
-        rows = d
-    elif type(diam_bound) is int and isinstance(d, np.ndarray) and (
+    if type(diam_bound) is int and isinstance(d, np.ndarray) and (
         d.dtype.kind in "iu" or (d.dtype == object and set(map(type, d.flat)) <= {int})
     ):
         if d.shape != (len(d),) * 2:
             raise NonSquareError(f"matrix is not square: shape {d.shape}")
-        return validate_scaled(d, diam_bound)  # already on the grid 1/1
-    else:
-        rows = _square(d)
-        if type(diam_bound) is int and set(map(type, chain.from_iterable(rows))) <= {int}:
-            return validate_scaled(rows, diam_bound)  # already on the grid 1/1
-    _, e, bound = _fraction_grid(rows, diam_bound)
-    return validate_scaled(e, bound)
+        return _scan(d, diam_bound)  # already on the grid 1/1
+    _, rows, bound = _fraction_grid(d, diam_bound)
+    return _scan(rows, bound)
 
 
-def validate_scaled(e: Sequence[Sequence[int]] | np.ndarray, bound: int) -> MetricVerdict:
+def _scan(e: Sequence[Sequence[int]] | np.ndarray, bound: int) -> MetricVerdict:
     """The checks of `validate_metric` on a square matrix and a bound that
     are already integers on one grid: int rows or an approximant's numpy
     matrix, forked on size only (module notes)."""
@@ -446,10 +443,10 @@ def katetov_completion(
 
 
 def require_metric(space: MetricSpace, what: str) -> MetricSpace:
-    """The space itself, checked by `validate_scaled` on its own grid;
-    raises MetricFailureError("<what>: <reason> at <witness>") otherwise."""
+    """The space itself, checked by `_scan` on its own grid; raises
+    MetricFailureError("<what>: <reason> at <witness>") otherwise."""
     _, rows, bound = space.grid
-    verdict = validate_scaled(rows, bound)
+    verdict = _scan(rows, bound)
     if not verdict:
         raise MetricFailureError(f"{what}: {verdict.reason} at {verdict.witness}", verdict)
     return space

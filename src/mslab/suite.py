@@ -377,8 +377,7 @@ def battery_urysohn(budget: int = 5000, seed: int = 42) -> WitnessReport:
     if check.verdict != "pass":
         return _fail("urysohn-approximant", params, {"injectivity": check.witness}, dict(check.counts))
 
-    _, rows, bound = approx.as_metric_space().grid
-    verdict = validate_metric(rows, bound)
+    verdict = validate_metric(approx.matrix, approx.bound_scaled)
     if not verdict:
         return _fail("urysohn-approximant", params, {"metric": verdict.reason, "at": list(verdict.witness)}, {})
 

@@ -27,8 +27,8 @@ MA, UWMT, Prop 5.3 and level-companion recipes run on the integer grid of
 their input space: they read its scaled rows, refine the grid only when a
 prescribed value (delta, lambda, or the eps of Prop 5.3) falls off it
 (`metric.lift`, or q = lcm(denom, eps denominator) for Prop 5.3), append
-their points with `metric.append_points`, and check the result with the
-integer scan `validate_scaled`.
+their points with `metric.append_points`, and check the result on its
+grid with `metric.require_metric`.
 
 The UWMT and Prop 5.3 recipes complete their prescribed distances with
 Katetov's one-point extension `metric.katetov_completion`: each new
@@ -93,7 +93,7 @@ class Approximant:
     `matrix` is the symmetric n x n distance matrix scaled by `denom`, a
     numpy array of dtype `np.min_scalar_type(bound_scaled)`: every entry
     lies in [0, bound_scaled], so the dtype holds it, and it is `object`
-    (Python ints) once the bound passes uint64; `validate_scaled` takes it
+    (Python ints) once the bound passes uint64; `validate_metric` scans it
     as it is, since an int64 cast would wrap a uint64 entry past 2**63.
     After a saturation round it is a view into a buffer of at most the
     round's `budget` points.

@@ -39,6 +39,10 @@ BOUNDARY = [
     ["urysohn", "build", "--rounds", "-3"],
     ["hilbert", "--random", "-1"],
     ["rado", "metric", "--scan", "-3"],
+    # the empty space once passed vacuously, and a missing vertex was read as 0
+    ["rado", "metric", "--scan", "0"],
+    ["rado", "metric"],
+    ["rado", "metric", "5"],
     ["lp", "--p", "3", "--pairings", "-1"],
     ["disjoint", "--p", "2", "--trials", "-1"],
     ["disjoint", "--p", "2", "--trials", "1", "--n", "-1"],
@@ -155,10 +159,17 @@ def test_in_range_arguments_still_run(approx_file, capsys):
     assert run(["urysohn", "check", approx_file, "--k", "2", "--round", "1", "--denom", "2"]) == 1
     assert run(["urysohn", "build", "--rounds", "0", "--subset-bound", "1"]) == 0
     assert run(["hilbert", "--random", "1"]) == 0
-    assert run(["rado", "metric", "--scan", "0"]) == 0
+    assert run(["rado", "metric", "--scan", "1"]) == 0
     capsys.readouterr()
-    assert run(["rado", "metric"]) == 0
+    assert run(["rado", "metric", "0", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["counts"] == {"distance": 0}
+
+
+@pytest.mark.parametrize("argv", [["rado", "metric"], ["rado", "metric", "5"]], ids=" ".join)
+def test_rado_metric_refuses_a_missing_vertex(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "either --scan N or both vertices i j are required" in captured.err
 
 
 def test_build_stdout_is_pinned(capsys):

@@ -1,27 +1,36 @@
-"""The explicit recipes commute with relabelling the points.
+"""The explicit recipes commute with relabelling the points and with
+rescaling the distances, and the verdicts do not depend on the point order.
 
 Katetov's one-point extension is functorial, so every recipe built on it
 commutes with isometries (Uspenskij 1990, "On the group of isometries of the
 Urysohn universal metric space"). Here the isometry is a seeded random
 permutation of a space's points. Permuting the points and relabelling every
 index argument to match must give the same output, compared as a map from
-label pairs to distances, or raise the same error type.
+label pairs to distances, or raise the same error type. Multiplying every
+distance, the bound and the prescribed rational by c > 0 must multiply the
+output's distances by c; the grid changes with c, so this runs `lift` and
+the least-grid reduction. A verdict is the same under a permutation, though
+its witness, a first index in lexicographic order, may move.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mslab.errors import MslabError
-from mslab.metric import KatetovFn, MetricSpace, PartialIsometry, amalgamate, extend_by_katetov, katetov_completion
+from mslab.metric import (
+    KatetovFn, MetricSpace, PartialIsometry, amalgamate, cap_metric, extend_by_katetov, is_katetov, katetov_completion,
+    validate_metric,
+)
 from mslab.randgen import random_katetov_values, random_ma_request, random_metric_space
 from mslab.urysohn import (
     Approximant, BFState, finite_injectivity_check, fraisse_step, ma_extension, nonproper_witness, prop53_extension,
     uwmt_extension,
 )
-from mslab.weak import LandmarkSet, weak_seminorm
+from mslab.weak import LandmarkSet, proximity_test, weak_seminorm
 
 TRIALS = 600
 
@@ -275,6 +284,191 @@ def draw_seminorm(rng):
 def test_weak_seminorm_commutes_with_relabelling():
     # an empty or repeated landmark list is refused either way
     assert compare(5, draw_seminorm, seminorm) >= {"ok", "EmptySubsetError", "IndexClashError"}
+
+
+# -- verdicts under a permutation of the points --------------------------------
+
+
+def forms(space: MetricSpace) -> dict:
+    """The space's matrix and bound in every form that `validate_metric`
+    reads: int rows and an integer ndarray with the int bound of its grid,
+    and Fraction rows, str entries and its view with its Fraction bound."""
+    denom, rows, bound = space.grid
+    exact = [[Fraction(v, denom) for v in row] for row in rows]
+    return {
+        "int rows": (rows, bound),
+        "ndarray": (np.array(rows, dtype=np.int64), bound),
+        "Fraction rows": (exact, space.diam_bound),
+        "str entries": ([[str(v) for v in row] for row in exact], str(space.diam_bound)),
+        "view": (space.d, space.diam_bound),
+    }
+
+
+def scan_verdicts(space):
+    """(ok, reason) of `validate_metric` on the space in each form; every
+    form gives one verdict, witness included."""
+    verdicts = {name: validate_metric(d, b) for name, (d, b) in forms(space).items()}
+    assert len(set(verdicts.values())) == 1, verdicts
+    return {name: (v.ok, v.reason) for name, v in verdicts.items()}
+
+
+def draw_matrix(rng):
+    """A random space's grid, held as a space although one entry, or a
+    symmetric pair, is moved most of the time."""
+    space = random_metric_space(rng, 1, 7, 8)
+    denom, rows, bound = space.grid
+    rows = [list(row) for row in rows]
+    if rng.random() < 0.8:
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        rows[i][j] += rng.choice([-1, 1]) * rng.randint(1, bound)
+        if rng.random() < 0.7:
+            rows[j][i] = rows[i][j]
+    return MetricSpace.from_grid(space.labels, rows, denom, bound), (), lambda sigma: ()
+
+
+def test_validate_metric_verdict_is_the_same_under_a_permutation():
+    reasons = set()
+
+    def verdicts(space):
+        got = scan_verdicts(space)
+        reasons.update(reason for _, reason in got.values())
+        return got
+
+    compare(9, draw_matrix, verdicts)
+    assert reasons == {None, "not-symmetric", "nonzero-diagonal", "nonpositive-off-diagonal", "exceeds-diameter",
+                       "triangle"}, reasons
+
+
+def katetov_verdict(space, values):
+    """`is_katetov`'s ok, and whether its reason is range. The first pair
+    that breaks may break the other inequality after a permutation, so
+    lipschitz and sum are not told apart."""
+    verdict = is_katetov(values, space)
+    return verdict.ok, verdict.reason == "range", verdict.reason
+
+
+def draw_values(rng):
+    """Katetov values over a random space, one of them often moved by a
+    grid step, and sometimes any values."""
+    space = random_metric_space(rng, 2, 6, 8)
+    denom = space.grid.denom * rng.randint(1, 3)
+    values = list(random_katetov_values(rng, space, denom))
+    roll = rng.random()
+    if roll < 0.6:
+        values[rng.randrange(space.n_points)] += Fraction(rng.choice([-1, 1]), denom)
+    elif roll < 0.8:
+        values = [some_level(rng) for _ in range(space.n_points)]
+
+    def relabel(sigma, values):
+        moved = [None] * len(sigma)
+        for old, new in enumerate(sigma):
+            moved[new] = values[old]
+        return (moved,)
+
+    return space, (values,), relabel
+
+
+def test_is_katetov_verdict_is_the_same_under_a_permutation():
+    reasons = set()
+
+    def verdict(space, values):
+        ok, in_range, reason = katetov_verdict(space, values)
+        reasons.add(reason)
+        return ok, in_range
+
+    compare(10, draw_values, verdict)
+    assert reasons == {None, "range", "lipschitz", "sum"}, reasons
+
+
+def draw_proximity(rng):
+    space = random_metric_space(rng, 2, 7, 8)
+    n = space.n_points
+    F = rng.sample(range(n), rng.randint(1, n)) if rng.random() < 0.9 else some_points(rng, n)
+    args = (some_points(rng, n), some_points(rng, n), F, some_level(rng))
+
+    def relabel(sigma, A, B, F, eps):
+        return [sigma[a] for a in A], [sigma[b] for b in B], [sigma[z] for z in F], eps
+
+    return space, args, relabel
+
+
+def test_proximity_verdict_is_the_same_under_a_permutation():
+    verdicts = set()
+
+    def verdict(space, A, B, F, eps):
+        got = proximity_test(A, B, LandmarkSet(space, F), eps).verdict
+        verdicts.add(got)
+        return got
+
+    kinds = compare(11, draw_proximity, verdict)
+    assert verdicts == {"pass", "fail"} and {"EmptySubsetError", "PreconditionError"} <= kinds, (verdicts, kinds)
+
+
+# -- recipes under a rescaling of the distances ---------------------------------
+
+
+def scaled(space: MetricSpace, c: Fraction) -> MetricSpace:
+    """The space with every distance and its bound multiplied by c."""
+    denom, rows, bound = space.grid
+    p, q = c.numerator, c.denominator
+    return MetricSpace.from_grid(space.labels, [[v * p for v in row] for row in rows], denom * q, bound * p)
+
+
+def times(result, c: Fraction):
+    """A recipe's output in label terms, (distances, *the rest), with every
+    distance and the bound multiplied by c."""
+    (bound, dist), *rest = result
+    return ((bound * c, {pair: v * c for pair, v in dist.items()}), *rest)
+
+
+def compare_scaled(seed: int, draw, recipe, rescale) -> set[str]:
+    """Over TRIALS draws of (space, args) and a factor c, assert that the
+    recipe on the space scaled by c, with `rescale(c, *args)`, gives the
+    recipe's output scaled by c, or the same error type; return the kinds of
+    outcome seen."""
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(TRIALS):
+        space, args, _ = draw(rng)
+        c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        before = outcome(recipe, space, *args)
+        expected = before if isinstance(before, type) else times(before, c)
+        assert outcome(recipe, scaled(space, c), *rescale(c, *args)) == expected
+        kinds.add(before.__name__ if isinstance(before, type) else "ok")
+    return kinds
+
+
+def test_ma_extension_commutes_with_rescaling():
+    kinds = compare_scaled(12, draw_ma, ma, lambda c, F, x, y, delta: (F, x, y, delta * c))
+    assert "ok" in kinds and len(kinds) > 1, kinds
+
+
+def test_uwmt_extension_commutes_with_rescaling():
+    kinds = compare_scaled(13, draw_uwmt, uwmt, lambda c, x, y, Z: (x, y, Z))
+    assert "ok" in kinds and len(kinds) > 1, kinds
+
+
+def test_nonproper_witness_commutes_with_rescaling():
+    kinds = compare_scaled(14, draw_nonproper, nonproper, lambda c, x, Z, lam: (x, Z, lam * c))
+    assert "ok" in kinds and len(kinds) > 1, kinds
+
+
+def draw_cap(rng):
+    return random_metric_space(rng, 1, 6, 8), (some_level(rng),), None
+
+
+def test_cap_metric_commutes_with_rescaling():
+    kinds = compare_scaled(15, draw_cap, lambda space, cap: (distances(cap_metric(space, cap)),),
+                           lambda c, cap: (cap * c,))
+    assert kinds == {"ok", "PreconditionError"}, kinds
+
+
+def test_amalgamate_commutes_with_rescaling():
+    def rescale(c, y_space, glue, bound):
+        return scaled(y_space, c), glue, None if bound is None else bound * c
+
+    kinds = compare_scaled(16, draw_amalgam, lambda *args: (amalgam(*args),), rescale)
+    assert {"ok", "EmptyGlueError", "PreconditionError"} <= kinds, kinds
 
 
 @pytest.mark.parametrize("seed", range(20))

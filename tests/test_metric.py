@@ -420,9 +420,9 @@ def test_validate_entry_past_int64_takes_exact_scan():
 
 
 
-# An approximant matrix goes to validate_scaled as it is. A scaled bound in
-# [2**63, 2**64) gives it dtype uint64, where an int64 cast would wrap every
-# entry from 2**63 on to a negative number.
+# An approximant matrix with its int bound is scanned as it is. A scaled
+# bound in [2**63, 2**64) gives it dtype uint64, where an int64 cast would
+# wrap every entry from 2**63 on to a negative number.
 U64_BOUND = 2**64 - 59
 
 
@@ -471,8 +471,8 @@ def test_validate_scaled_reads_an_approximant_matrix_as_its_rows(name, approxima
     assert a.matrix.dtype == APPROXIMANT_DTYPES[name]
     assert (a.n_points < metric._NUMPY_MIN_POINTS) == (name == "uint8-round1")
     for d, reason in ((a.matrix, None), (with_break(a.matrix), "triangle")):
-        got = metric.validate_scaled(d, a.bound_scaled)
-        rows = metric.validate_scaled(d.tolist(), a.bound_scaled)
+        got = validate_metric(d, a.bound_scaled)
+        rows = validate_metric(d.tolist(), a.bound_scaled)
         assert (got.reason, got.witness) == (rows.reason, rows.witness)
         assert got.reason == reason
 
@@ -486,7 +486,7 @@ def test_validate_metric_scans_an_integer_matrix_as_validate_scaled_does(name, a
     for bound in (a.bound_scaled, F(a.bound_scaled), str(a.bound_scaled)):
         for d, reason in ((a.matrix, None), (with_break(a.matrix), "triangle")):
             got = validate_metric(d, bound)
-            assert got == metric.validate_scaled(d, a.bound_scaled)
+            assert got == validate_metric(d.tolist(), a.bound_scaled)
             assert got.reason == reason
         assert MetricSpace(a.labels, a.matrix, bound).grid == grid
         with pytest.raises(NonSquareError):
@@ -532,10 +532,10 @@ def test_a_300_point_view_is_validated_on_its_grid(approximants, monkeypatch):
     sample = approximants["uint8-323"].restrict_space(range(300))
     view = sample.d
 
-    def rescale(*args):
-        raise AssertionError("the view was rescaled entry by entry")
+    def square(*args):
+        raise AssertionError("the view was read entry by entry")
 
-    monkeypatch.setattr(metric, "_rescale", rescale)
+    monkeypatch.setattr(metric, "_square", square)
     assert validate_metric(view, sample.diam_bound).ok
     assert validate_metric(view, F(1, 3)).reason == "exceeds-diameter"  # lifted to the grid 1/12
     assert MetricSpace(sample.labels, view, sample.diam_bound) == sample
@@ -549,7 +549,7 @@ def test_uint64_approximant_is_validated_without_wrapping(approximants, tmp_path
     broken.matrix = with_break(a.matrix)
     witness = {}
     for name, b in (("good", a), ("broken", broken)):
-        got = metric.validate_scaled(b.matrix, b.bound_scaled)
+        got = validate_metric(b.matrix, b.bound_scaled)
         naive = naive_validate(b.matrix.tolist(), b.bound_scaled)
         assert (got.reason, got.witness) == (naive or (None, None))
         witness[name] = naive
