@@ -165,13 +165,6 @@ def test_in_range_arguments_still_run(approx_file, capsys):
     assert json.loads(capsys.readouterr().out)["counts"] == {"distance": 0}
 
 
-@pytest.mark.parametrize("argv", [["rado", "metric"], ["rado", "metric", "5"]], ids=" ".join)
-def test_rado_metric_refuses_a_missing_vertex(argv, capsys):
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "either --scan N or both vertices i j are required" in captured.err
-
-
 def test_build_stdout_is_pinned(capsys):
     assert main(["urysohn", "build", "--denom", "2", "--rounds", "2"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BUILD_SHA
