@@ -22,8 +22,11 @@ distinct value. The `.d` view is a `FractionMatrix`: a tuple of Fraction
 rows that keeps the grid it was made from, so a view handed back to the
 constructor or to `validate_metric` is read as that grid, with only the
 bound lifted onto it, and no Fraction of it is read. The metric and Katetov
-calculus reads the grid; `lift` refines it just enough when a Fraction
-value falls off it.
+calculus reads the grid. `lift(grid, values)` is the one refinement of a
+grid: the grid refined just enough to hold the rational values, and the
+values scaled onto it. `scale_space`, the view branch of `_fraction_grid`
+and every construction whose prescribed value (a profile value, an amalgam
+bound, delta, lambda, eps or a cap) may fall off its grid call it.
 
 Every explicit extension (`with_point`, `amalgamate` and the recipes in
 `urysohn`) is built by two grid helpers. `katetov_completion` is Katetov's
@@ -38,14 +41,14 @@ below implements that same scan on integers, cross-checked in the test
 suite against the naive Fraction loop. One conversion, `_fraction_grid`,
 puts a matrix and a bound on a grid, for `validate_metric` and the
 constructor alike: a space's view is on its space's grid already, with only
-the bound lifted onto it; int rows with an int bound are on the grid 1/1 as
-they are; any other rational matrix is rescaled to the grid 1/q, with q the
-lcm of its distinct denominators and the bound's, as numerator *
-(q // denominator): exact, and free of Fraction arithmetic. Scaling by a
-positive factor keeps every verdict and witness, so a space's grid is
-scanned as it is, and so is an integer ndarray with an int bound, such as
-an approximant's matrix: that is the one shortcut of `validate_metric`. The
-scan itself, `_scan`, forks on size only: below `_NUMPY_MIN_POINTS` points
+the bound lifted onto it (`lift`); int rows with an int bound are on the
+grid 1/1 as they are; any other rational matrix is rescaled to the grid
+1/q, with q the lcm of its distinct denominators and the bound's, as
+numerator * (q // denominator): exact, and free of Fraction arithmetic.
+Scaling by a positive factor keeps every verdict and witness, so a space's
+grid is scanned as it is, and so is an integer ndarray with an int bound,
+such as an approximant's matrix: that is the one shortcut of
+`validate_metric`. The scan itself, `_scan`, forks on size only: below `_NUMPY_MIN_POINTS` points
 it loops over Python ints (`tolist` first), which never overflow; from
 there on it runs numpy on `int_matrix`, the one exact conversion to numpy
 (int64 when every entry fits, else `object` Python ints, and an integer
@@ -124,21 +127,17 @@ def _fraction_grid(d: Sequence[Sequence[RationalLike]] | np.ndarray, diam_bound:
     their least common grid 1/q.
 
     A space's view holds that space's grid already: only the bound is lifted
-    onto it, and no entry is read. Int rows with an int bound are the grid
+    onto it (`lift`), and the result is reduced to its least grid when it
+    differs; no Fraction is read. Int rows with an int bound are the grid
     1/1 as they are. Any other matrix is rescaled entry by entry, as
     numerator * (q // denominator) with q the lcm of every denominator:
     exact. An integer ndarray is read as Python ints (`_square`); a float
     one is refused like any float."""
     if isinstance(d, FractionMatrix):
-        denom, rows, own = d.grid
-        bound = as_fraction(diam_bound)
-        q = lcm(denom, bound.denominator)
-        scaled = bound.numerator * (q // bound.denominator)
-        if (q, scaled) == (denom, own):
+        (q, rows, _), (bound,) = lift(d.grid, [diam_bound])
+        if (q, bound) == (d.grid.denom, d.grid.bound):
             return d.grid
-        if q != denom:
-            rows = tuple(tuple(v * (q // denom) for v in row) for row in rows)
-        return _least_grid(q, rows, scaled)
+        return _least_grid(q, rows, bound)
     rows = _square(d)
     kinds = set(map(type, chain.from_iterable(rows)))
     if type(diam_bound) is int and kinds <= {int}:
@@ -377,7 +376,7 @@ class MetricSpace:
 
     def with_point(self, label: str, profile: Sequence[RationalLike]) -> "MetricSpace":
         """Append one point at the given distances (no validation here)."""
-        denom, rows, bound, prof = lift(self, profile)
+        (denom, rows, bound), prof = lift(self.grid, profile)
         if len(prof) != self.n_points:
             raise LengthMismatchError(f"profile has {len(prof)} entries for {self.n_points} points")
         return append_points(self.labels, rows, range(self.n_points), [prof], [[0]], [label], denom, bound)
@@ -392,17 +391,18 @@ def check_points(n: int, indices: Sequence[int], what: str = "point") -> list[in
     return idx
 
 
-def lift(space: MetricSpace, values: Sequence[RationalLike]) -> tuple[int, Sequence[Sequence[int]], int, list[int]]:
-    """The space's grid refined just enough to hold `values` as well:
-    (denom, scaled rows, scaled bound, scaled values)."""
+def lift(grid: Grid, values: Sequence[RationalLike]) -> tuple[Grid, list[int]]:
+    """The grid refined just enough to hold `values` as well, and the values
+    scaled onto it: the one refinement of an existing grid. The grid comes
+    back as it is when it holds the values already; a refined grid keeps
+    its rows as tuples, so that it can be stored, hashed and compared."""
     vals = [as_fraction(v) for v in values]
-    denom, rows, bound = space.grid
-    lifted = lcm(denom, *(v.denominator for v in vals))
-    if lifted != denom:
-        f = lifted // denom
-        rows = [[v * f for v in row] for row in rows]
-        bound *= f
-    return lifted, rows, bound, [v.numerator * (lifted // v.denominator) for v in vals]
+    denom, rows, bound = grid
+    q = lcm(denom, *(v.denominator for v in vals))
+    if q != denom:
+        f = q // denom
+        grid = Grid(q, tuple(tuple(v * f for v in row) for row in rows), bound * f)
+    return grid, [v.numerator * (q // v.denominator) for v in vals]
 
 
 def append_points(
@@ -460,18 +460,17 @@ def fresh_label(base: str, used: set[str]) -> str:
     return base
 
 
-def scale_space(space: MetricSpace, denom: int) -> tuple[list[list[int]], int]:
-    """The distances and the bound of a space as integers on the 1/denom
-    grid, which must contain the space's own least grid."""
+def scale_space(space: MetricSpace, denom: int) -> Grid:
+    """The space's grid lifted onto the 1/denom grid, which must contain the
+    space's own least grid."""
     if denom < 1:
         raise PreconditionError(f"grid denominator must be >= 1, got {denom}")
-    least, rows, bound = space.grid
-    if denom % least != 0:
+    grid, _ = lift(space.grid, [Fraction(1, denom)])
+    if grid.denom != denom:
         raise DenominatorMismatchError(
-            f"grid denominator {denom} not divisible by the space's denominator {least}"
+            f"grid denominator {denom} not divisible by the space's denominator {space.grid.denom}"
         )
-    f = denom // least
-    return [[v * f for v in row] for row in rows], bound * f
+    return grid
 
 
 def cap_metric(space: MetricSpace, c: RationalLike) -> MetricSpace:
@@ -480,7 +479,7 @@ def cap_metric(space: MetricSpace, c: RationalLike) -> MetricSpace:
     cap = as_fraction(c)
     if cap <= 0:
         raise PreconditionError(f"cap must be positive, got {cap}")
-    denom, rows, _, (top,) = lift(space, [cap])
+    (denom, rows, _), (top,) = lift(space.grid, [cap])
     capped = [[min(v, top) for v in row] for row in rows]
     return require_metric(MetricSpace.from_grid(space.labels, capped, denom, top), "capped matrix invalid")
 
@@ -544,10 +543,9 @@ def amalgamate(
     glued_in_y = set(glue.image)
     new_y = [j for j in range(y_space.n_points) if j not in glued_in_y]
 
-    denom = lcm(diam.denominator, x_space.grid.denom, y_space.grid.denom)
-    bound = diam.numerator * (denom // diam.denominator)
-    x, _ = scale_space(x_space, denom)
-    y, _ = scale_space(y_space, denom)
+    # X's grid refined to hold the bound and Y's grid step, then Y's lifted onto it
+    (denom, x, _), (bound, _) = lift(x_space.grid, [diam, Fraction(1, y_space.grid.denom)])
+    (_, y, _), _ = lift(y_space.grid, [Fraction(1, denom)])
     x_points = range(x_space.n_points)
     cross = [katetov_completion(x, glue.domain, [y[img][ja] for img in glue.image], bound, x_points) for ja in new_y]
     among = [[y[ja][jb] for jb in new_y] for ja in new_y]
@@ -590,7 +588,7 @@ def is_katetov(values: Sequence[RationalLike], space: MetricSpace) -> MetricVerd
     The witness is the first violating index (range) or pair (both sides),
     in lexicographic order.
     """
-    _, d, bound, vals = lift(space, values)
+    (_, d, bound), vals = lift(space.grid, values)
     n = space.n_points
     if len(vals) != n:
         raise LengthMismatchError(f"{len(vals)} values over a {n}-point space")
@@ -634,7 +632,7 @@ def sup_distance(f: KatetovFn, g: KatetovFn) -> Fraction:
     if f.space != g.space:
         raise SpaceMismatchError("sup_distance needs both functions over one space")
     n = f.space.n_points
-    denom, _, _, vals = lift(f.space, f.values + g.values)
+    (denom, _, _), vals = lift(f.space.grid, f.values + g.values)
     return Fraction(max((abs(a - b) for a, b in zip(vals[:n], vals[n:])), default=0), denom)
 
 
@@ -685,7 +683,7 @@ def katetov_interval(
     return lo, hi
 
 
-def _grid_profiles(d_scaled: list[list[int]], bound_scaled: int) -> Iterator[tuple[int, ...]]:
+def _grid_profiles(d_scaled: Sequence[Sequence[int]], bound_scaled: int) -> Iterator[tuple[int, ...]]:
     """DFS over grid vectors satisfying the Katetov constraints, in
     lexicographic order; all values are integers on the common grid."""
     n = len(d_scaled)
@@ -713,6 +711,6 @@ def enumerate_katetov(space: MetricSpace, denom: int) -> Iterator[KatetovFn]:
     Requires every matrix entry and the diameter bound to live on that
     grid already.
     """
-    d_scaled, bound_scaled = scale_space(space, denom)
+    _, d_scaled, bound_scaled = scale_space(space, denom)
     for profile in _grid_profiles(d_scaled, bound_scaled):
         yield KatetovFn(space, tuple(Fraction(v, denom) for v in profile))

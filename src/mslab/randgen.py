@@ -70,7 +70,7 @@ def random_katetov_values(
 ) -> tuple[Fraction, ...]:
     """A random Katetov vector over the space on the 1/denom grid, nowhere
     zero unless allow_zero."""
-    d_scaled, bound_scaled = scale_space(space, denom)
+    _, d_scaled, bound_scaled = scale_space(space, denom)
     return tuple(Fraction(v, denom) for v in _feasible_profile(rng, d_scaled, bound_scaled, not allow_zero))
 
 

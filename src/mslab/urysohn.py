@@ -26,9 +26,9 @@ returns the extension with the index or indices of its new points. The
 MA, UWMT, Prop 5.3 and level-companion recipes run on the integer grid of
 their input space: they read its scaled rows, refine the grid only when a
 prescribed value (delta, lambda, or the eps of Prop 5.3) falls off it
-(`metric.lift`, or q = lcm(denom, eps denominator) for Prop 5.3), append
-their points with `metric.append_points`, and check the result on its
-grid with `metric.require_metric`.
+(`metric.lift`; Prop 5.3 lifts the approximant's grid of its kept points),
+append their points with `metric.append_points`, and check the result on
+its grid with `metric.require_metric`.
 
 The UWMT and Prop 5.3 recipes complete their prescribed distances with
 Katetov's one-point extension `metric.katetov_completion`: each new
@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -113,7 +112,7 @@ class Approximant:
 
     @classmethod
     def from_space(cls, space: MetricSpace, denom: int, subset_bound: int) -> "Approximant":
-        rows, bound_scaled = scale_space(space, denom)
+        _, rows, bound_scaled = scale_space(space, denom)
         return cls.from_grid(space.labels, rows, denom, bound_scaled, subset_bound)
 
     @classmethod
@@ -385,7 +384,7 @@ def ma_extension(
         raise PreconditionError(f"delta must be positive, got {delta}")
     if delta >= space.diam_bound:
         raise DiameterExceededError(f"delta {delta} not below the diameter bound {space.diam_bound}")
-    denom, e, bound, (step,) = lift(space, [delta])
+    (denom, e, bound), (step,) = lift(space.grid, [delta])
     for z in F:
         if abs(e[x][z] - e[y][z]) >= step:
             raise PreconditionAError(f"|d(x,z)-d(y,z)| >= delta at z={z}", z=z)
@@ -482,10 +481,10 @@ def _prop53_profile(st: BFState, z: int) -> tuple[list[int], Grid, list[int], in
     """Prescribed distances for the transported point z'.
 
     Returns (kept original indices, their grid, the profile of z' over them,
-    t0 = d(z', z)), all integers on the 1/q grid with q the lcm of the
-    approximant's denom and eps's denominator: its grid, refined just enough
-    to hold eps. The profile is the Katetov completion (`katetov_completion`)
-    of the recipe: exact a_i = d(z, x_i) at the images y_i,
+    t0 = d(z', z)), all integers on one grid: the approximant's grid of the
+    kept points, lifted (`metric.lift`) just enough to hold eps. The
+    profile is the Katetov completion (`katetov_completion`) of the
+    recipe: exact a_i = d(z, x_i) at the images y_i,
     c_i = min(bound, a_i + d(x_i, y_i)) at the x_i, and
     t0 = min(eps, bound, min_i(a_i + d(y_i, z))) at z itself, so the result
     is always a one-point metric extension.
@@ -496,23 +495,21 @@ def _prop53_profile(st: BFState, z: int) -> tuple[list[int], Grid, list[int], in
     if z in st.domain:
         raise IndexClashError(f"probe point {z} already in the domain")
     ap = st.space
-    q = lcm(ap.denom, st.eps.denominator)
-    f = q // ap.denom
-    bound = ap.bound_scaled * f
     keep = sorted(set(st.domain) | set(st.image) | {z})
     pos = {w: i for i, w in enumerate(keep)}
-    d = ap.matrix.take(keep, 0).take(keep, 1).tolist()
-    if f > 1:  # Python ints: a numpy product could overflow int64
-        d = [[v * f for v in row] for row in d]
+    # lifted as Python ints: a numpy product could overflow int64
+    sub = tuple(map(tuple, ap.matrix.take(keep, 0).take(keep, 1).tolist()))
+    grid, (eps,) = lift(Grid(ap.denom, sub, ap.bound_scaled), [st.eps])
+    _, d, bound = grid
     zp = pos[z]
     xs = [pos[xi] for xi in st.domain]
     ys = [pos[yi] for yi in st.image]
     a = [d[zp][xp] for xp in xs]
     # the completion of the a_i over the y_i at z itself, capped at eps
-    t0 = min(st.eps.numerator * (q // st.eps.denominator), katetov_completion(d, ys, a, bound, [zp])[0])
+    t0 = min(eps, katetov_completion(d, ys, a, bound, [zp])[0])
     c = [min(bound, ai + d[xp][yp]) for ai, xp, yp in zip(a, xs, ys)]
     profile = katetov_completion(d, [*ys, *xs, zp], [*a, *c, t0], bound, range(len(keep)))
-    return keep, Grid(q, d, bound), profile, t0
+    return keep, grid, profile, t0
 
 
 def prop53_extension(st: BFState, z: int) -> tuple[MetricSpace, int]:
@@ -570,8 +567,7 @@ def injectivity_chain(
         raise PreconditionError(f"need 0 < r <= diam_bound, got r={r}")
     if not 0 < s <= bound:
         raise PreconditionError(f"need 0 < s <= diam_bound, got s={s}")
-    q = lcm(r.denominator, s.denominator)
-    r, s = r.numerator * (q // r.denominator), s.numerator * (q // s.denominator)
+    (q, _, _), (r, s) = lift(Grid(1, (), 0), [r, s])
     n = 1 if s == r else max(2, -(-s // r))
     rows = [[min(r * abs(i - j), (n - abs(i - j)) * r + s) for j in range(n + 1)] for i in range(n + 1)]
     chain = MetricSpace.from_grid([f"x{i}" for i in range(n + 1)], rows, q, r * n + s)
@@ -591,7 +587,7 @@ def nonproper_witness(
         raise IndexClashError("duplicate indices in Z")
     if not 0 < level < space.diam_bound:
         raise LambdaOutOfRangeError(f"lambda {level} outside (0, {space.diam_bound})")
-    denom, e, bound, (step,) = lift(space, [level])
+    (denom, e, bound), (step,) = lift(space.grid, [level])
     keep = sorted({x, *Z})
     profile = [step if w == x else max(step, e[x][w]) for w in keep]
     out = append_points(space.labels, e, keep, [profile], [[0]], ["y"], denom, bound)

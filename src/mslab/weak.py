@@ -78,7 +78,7 @@ def proximity_test(
     space = landmarks.space
     A = check_points(space.n_points, sorted(set(A)))
     B = check_points(space.n_points, sorted(set(B)))
-    _, rows, _, (e,) = lift(space, [eps])
+    (_, rows, _), (e,) = lift(space.grid, [eps])
     close = None
     for checked, (a, b) in enumerate(product(A, B), 1):
         if _gap(rows, a, b, landmarks.F) < e:
@@ -102,7 +102,7 @@ def gromov_net_indices(landmarks: LandmarkSet, eps: RationalLike) -> list[int]:
     eps = as_fraction(eps)
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
-    _, rows, _, (e,) = lift(space, [eps])
+    (_, rows, _), (e,) = lift(space.grid, [eps])
     reps: list[int] = []
     for z in range(space.n_points):
         if all(_gap(rows, z, r, landmarks.F) >= e for r in reps):
