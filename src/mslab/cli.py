@@ -25,11 +25,11 @@ from .errors import MslabError
 from .metric import (
     KatetovFn,
     MetricSpace,
+    _scan,
     enumerate_katetov,
     extend_by_katetov,
     is_katetov,
     truncate_katetov,
-    validate_metric,
 )
 from .randgen import random_disjoint_parts
 from .rationals import parse_rational
@@ -158,8 +158,10 @@ def _built(check: str, params: dict, space: MetricSpace, extra: dict | None = No
 
 def _refuse_non_metric(path: str, rows, bound: int):
     """Refuse a file's scaled matrix as malformed input (exit 2) unless it
-    is a metric; only `validate` reports a non-metric as a verdict."""
-    verdict = validate_metric(rows, bound)
+    is a metric; only `validate` reports a non-metric as a verdict. A
+    space's grid rows and an approximant's matrix are square and already
+    integers on one grid, so they are scanned as they are (`_scan`)."""
+    verdict = _scan(rows, bound)
     if not verdict:
         raise FormatError(f"{path} does not hold a metric space: {verdict.reason} at {verdict.witness}")
 
@@ -204,7 +206,7 @@ def _load_profile_arg(arg: str) -> banach.RadialProfile:
 
 def cmd_validate(args) -> WitnessReport:
     space = load_space(args.space)
-    verdict = validate_metric(space.grid.rows, space.grid.bound)
+    verdict = _scan(space.grid.rows, space.grid.bound)
     return _verdict_report("validate", {"points": space.n_points, "diam": space.diam_bound}, verdict)
 
 
@@ -430,7 +432,7 @@ def cmd_rado_metric(args) -> WitnessReport:
         if (args.i, args.j) != (None, None):
             raise FormatError("--scan N validates the vertices 0..N-1; it conflicts with the vertices i j")
         _, rows, bound = rado.rado_metric_space(range(args.scan)).grid
-        return _verdict_report("rado-metric-scan", {"points": args.scan}, validate_metric(rows, bound))
+        return _verdict_report("rado-metric-scan", {"points": args.scan}, _scan(rows, bound))
     if None in (args.i, args.j):
         raise FormatError("either --scan N or both vertices i j are required")
     return WitnessReport(

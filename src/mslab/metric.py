@@ -79,6 +79,7 @@ from .errors import (
     DenominatorMismatchError,
     DuplicatePointError,
     EmptyGlueError,
+    IndexClashError,
     KatetovViolationError,
     LambdaOutOfRangeError,
     LengthMismatchError,
@@ -367,8 +368,10 @@ class MetricSpace:
         return Fraction(self.grid.rows[i][j], self.grid.denom)
 
     def restrict(self, indices: Sequence[int]) -> "MetricSpace":
-        """Subspace on the given indices, in the given order."""
+        """Subspace on the given distinct indices, in the given order."""
         idx = check_points(self.n_points, indices)
+        if len(set(idx)) != len(idx):
+            raise IndexClashError("duplicate indices in the restriction")
         denom, rows, bound = self.grid
         return MetricSpace.from_grid(
             [self.labels[i] for i in idx], [[rows[i][j] for j in idx] for i in idx], denom, bound
@@ -632,7 +635,7 @@ def sup_distance(f: KatetovFn, g: KatetovFn) -> Fraction:
     if f.space != g.space:
         raise SpaceMismatchError("sup_distance needs both functions over one space")
     n = f.space.n_points
-    (denom, _, _), vals = lift(f.space.grid, f.values + g.values)
+    (denom, _, _), vals = lift(Grid(1, (), 0), f.values + g.values)
     return Fraction(max((abs(a - b) for a, b in zip(vals[:n], vals[n:])), default=0), denom)
 
 

@@ -14,7 +14,13 @@ that doubles when full and never exceeds the round's point budget; the
 round reads no other entry, so the block among the new points is mirrored
 above the diagonal once, after the round, in blocks of columns. Readers
 take values out as Python ints, one `tolist` or fancy index per call; a
-MetricSpace view is made on demand from those ints (`from_grid`).
+MetricSpace view is made on demand from those ints (`from_grid`). Rows are
+read by indexing, `matrix[idx]` and `matrix[idx][:, idx]` for a
+sub-matrix, never by `ndarray.take`: after a round the matrix is a strided
+view into the round's buffer, and `take` first copies its whole input
+into one contiguous array (17.4 MiB for the 4274-point denom-2 round 4)
+to read a few rows. Fancy indexing wraps negative indices, so every index
+goes through `check_points` first.
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -95,7 +101,9 @@ class Approximant:
     (Python ints) once the bound passes uint64; `validate_metric` scans it
     as it is, since an int64 cast would wrap a uint64 entry past 2**63.
     After a saturation round it is a view into a buffer of at most the
-    round's `budget` points.
+    round's `budget` points, not compacted (a contiguous copy would raise
+    the round's peak), so readers index its rows (`matrix[idx]`) rather
+    than `take` them, which would copy the whole view first.
     `round_sizes` records the point count after each completed saturation
     round (entry 0 is the seed size), so older generations are index
     prefixes. Equality is identity: compare `matrix.tolist()` for values.
@@ -159,8 +167,11 @@ class Approximant:
         return MetricSpace.from_grid(self.labels, self.matrix.tolist(), self.denom, self.bound_scaled)
 
     def restrict_space(self, indices: Sequence[int]) -> MetricSpace:
+        """Subspace on the given distinct indices, in the given order."""
         idx = check_points(self.n_points, indices)
-        sub = self.matrix.take(idx, 0).take(idx, 1).tolist()
+        if len(set(idx)) != len(idx):
+            raise IndexClashError("duplicate indices in the restriction")
+        sub = self.matrix[idx][:, idx].tolist()
         return MetricSpace.from_grid([self.labels[i] for i in idx], sub, self.denom, self.bound_scaled)
 
     def copy(self) -> "Approximant":
@@ -335,9 +346,9 @@ def finite_injectivity_check(
         )
     factor = denom // a.denom
     over = check_points(a.n_points, sorted(set(over)), "snapshot")
-    rows = a.matrix.take(over, 0)
+    rows = a.matrix[over]
     lookup = _Realizations(over, rows, factor)
-    among = [[v * factor for v in row] for row in rows.take(over, 1).tolist()]
+    among = [[v * factor for v in row] for row in rows[:, over].tolist()]
 
     n_subsets = n_functions = 0
     witness = None
@@ -456,7 +467,7 @@ class BFState:
         if len(set(dom)) != len(dom):
             raise IndexClashError("duplicate domain indices in pairs")
         ends = check_points(space.n_points, [p for pair in st.pairs for p in pair])
-        rows = space.matrix.take(ends, 0).tolist()
+        rows = space.matrix[ends].tolist()
         dom_rows, img_rows = rows[::2], rows[1::2]
         num, den = st.eps.numerator, st.eps.denominator
         for i, (a, b) in enumerate(st.pairs):
@@ -498,7 +509,7 @@ def _prop53_profile(st: BFState, z: int) -> tuple[list[int], Grid, list[int], in
     keep = sorted(set(st.domain) | set(st.image) | {z})
     pos = {w: i for i, w in enumerate(keep)}
     # lifted as Python ints: a numpy product could overflow int64
-    sub = tuple(map(tuple, ap.matrix.take(keep, 0).take(keep, 1).tolist()))
+    sub = tuple(map(tuple, ap.matrix[keep][:, keep].tolist()))
     grid, (eps,) = lift(Grid(ap.denom, sub, ap.bound_scaled), [st.eps])
     _, d, bound = grid
     zp = pos[z]
@@ -545,7 +556,7 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
                 f"profile value {Fraction(v, grid.denom)} at point {w} is off the 1/{ap.denom} grid"
             )
     want = np.array([v // f for v in profile], dtype=ap.matrix.dtype)
-    hits = np.flatnonzero((ap.matrix.take(keep, 0) == want[:, None]).all(axis=0))
+    hits = np.flatnonzero((ap.matrix[keep] == want[:, None]).all(axis=0))
     if not hits.size:
         raise UnsaturatedError("no existing point realizes the transported profile")
     return BFState.create(ap, st.pairs + ((z, int(hits[0])),), st.eps)

@@ -32,6 +32,7 @@ from mslab.errors import (
     DenominatorMismatchError,
     DuplicatePointError,
     EmptyGlueError,
+    IndexClashError,
     KatetovViolationError,
     LambdaOutOfRangeError,
     LengthMismatchError,
@@ -735,6 +736,13 @@ def test_katetov_fn_rejects_values_of_the_wrong_length():
 def test_dist_rejects_an_index_out_of_range(i, j):
     with pytest.raises(PreconditionError, match="out of range"):
         two_point(F(1, 2)).dist(i, j)
+
+
+@pytest.mark.parametrize("indices", [[0, 0, 1], [2, 1, 2]])
+def test_restrict_rejects_a_repeated_index(indices):
+    # a repeat was kept as a second label at distance 0 from the first
+    with pytest.raises(IndexClashError, match="duplicate indices"):
+        equilateral().restrict(indices)
 
 
 def test_kuratowski_embedding_is_isometric():

@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,31 @@ def test_a_round_enumerates_each_sub_matrix_once(monkeypatch):
     calls.clear()
     rep = urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2)
     assert rep.counts["functions"] == 33708 and len(calls) <= a.bound_scaled + 2
+
+
+def test_reads_of_a_grown_approximant_copy_no_whole_buffer():
+    # after round 4 the matrix is a strided view into a 5000 x 5000 buffer;
+    # `take` made it contiguous first, a 17.4 MiB copy for a few rows
+    a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
+    for _ in range(4):
+        a = fraisse_step(a)
+    assert a.n_points == 4274 and not a.matrix.flags.c_contiguous
+    reads = {
+        "injectivity check": lambda: urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2),
+        "restriction": lambda: a.restrict_space(range(0, a.n_points, 15)),
+        "back-and-forth probe": lambda: back_and_forth_extend(BFState.create(a, [(0, 0)], F(1, 2)), 1),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, read in reads.items():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            read()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(peak < a.matrix.nbytes // 4 for peak in peaks.values()), peaks
 
 
 @pytest.mark.parametrize("denom,dtype", [(255, np.uint8), (256, np.uint16)])

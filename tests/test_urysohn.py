@@ -323,6 +323,12 @@ def test_approximant_restrict_space_rejects_an_index_out_of_range(indices):
         round_one().restrict_space(indices)
 
 
+@pytest.mark.parametrize("indices", [[1, 1], [0, 2, 0]])
+def test_approximant_restrict_space_rejects_a_repeated_index(indices):
+    with pytest.raises(IndexClashError, match="duplicate indices"):
+        round_one().restrict_space(indices)
+
+
 @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (99, 0)])
 def test_approximant_dist_rejects_an_index_out_of_range(i, j):
     with pytest.raises(PreconditionError, match="out of range"):
