@@ -30,6 +30,7 @@ from .metric import (
     extend_by_katetov,
     is_katetov,
     truncate_katetov,
+    validate_metric,
 )
 from .randgen import random_disjoint_parts
 from .rationals import parse_rational
@@ -206,7 +207,7 @@ def _load_profile_arg(arg: str) -> banach.RadialProfile:
 
 def cmd_validate(args) -> WitnessReport:
     space = load_space(args.space)
-    verdict = _scan(space.grid.rows, space.grid.bound)
+    verdict = validate_metric(space.grid.rows, space.grid.bound)
     return _verdict_report("validate", {"points": space.n_points, "diam": space.diam_bound}, verdict)
 
 
@@ -432,7 +433,7 @@ def cmd_rado_metric(args) -> WitnessReport:
         if (args.i, args.j) != (None, None):
             raise FormatError("--scan N validates the vertices 0..N-1; it conflicts with the vertices i j")
         _, rows, bound = rado.rado_metric_space(range(args.scan)).grid
-        return _verdict_report("rado-metric-scan", {"points": args.scan}, _scan(rows, bound))
+        return _verdict_report("rado-metric-scan", {"points": args.scan}, validate_metric(rows, bound))
     if None in (args.i, args.j):
         raise FormatError("either --scan N or both vertices i j are required")
     return WitnessReport(
