@@ -740,7 +740,7 @@ def test_dist_rejects_an_index_out_of_range(i, j):
 
 @pytest.mark.parametrize("indices", [[0, 0, 1], [2, 1, 2]])
 def test_restrict_rejects_a_repeated_index(indices):
-    # a repeat was kept as a second label at distance 0 from the first
+    # a repeat would be a second label at distance 0 from the first
     with pytest.raises(IndexClashError, match="duplicate indices"):
         equilateral().restrict(indices)
 

@@ -187,7 +187,7 @@ def test_a_round_enumerates_each_sub_matrix_once(monkeypatch):
 
 def test_reads_of_a_grown_approximant_copy_no_whole_buffer():
     # after round 4 the matrix is a strided view into a 5000 x 5000 buffer;
-    # `take` made it contiguous first, a 17.4 MiB copy for a few rows
+    # `take` would make it contiguous first, a 17.4 MiB copy for a few rows
     a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
     for _ in range(4):
         a = fraisse_step(a)
