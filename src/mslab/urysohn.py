@@ -8,19 +8,21 @@ grid, in one square numpy matrix whose dtype is the smallest that holds the
 scaled diameter bound (uint8 for the default grids, `object` holding Python
 ints past uint64, so huge denominators stay exact). The seed rows enter
 numpy through `metric.int_matrix`, and the matrix is validated as it is,
-never through a MetricSpace. A saturation round writes each new point's
-row, and its entries in the step-start rows, in place into spare capacity
-that doubles when full and never exceeds the round's point budget; the
-round reads no other entry, so the block among the new points is mirrored
-above the diagonal once, after the round, in blocks of columns. Readers
-take values out as Python ints, one `tolist` or fancy index per call; a
-MetricSpace view is made on demand from those ints (`from_grid`). Rows are
-read by indexing, `matrix[idx]` and `matrix[idx][:, idx]` for a
-sub-matrix, never by `ndarray.take`: after a round the matrix is a strided
-view into the round's buffer, and `take` first copies its whole input
-into one contiguous array (17.4 MiB for the 4274-point denom-2 round 4)
-to read a few rows. Fancy indexing wraps negative indices, so every index
-goes through `check_points` first.
+never through a MetricSpace. A saturation round reads only the step-start
+rows, so its walk writes each new point's distances to the step-start
+points into a new x step-start block (4168 x 106 for the denom-2 round 4)
+and never touches an n x n array. When the walk ends, n is known: the
+round allocates the n x n matrix once, copies in the step-start matrix,
+the block and its transpose, and fills the distances among the new points
+from the block and their records, in blocks of rows. The matrix is then
+contiguous and holds no spare capacity. Readers take values out as Python
+ints, one `tolist` or fancy index per call; a MetricSpace view is made on
+demand from those ints (`from_grid`). Rows are read by indexing,
+`matrix[idx]` and `matrix[idx][:, idx]` for a sub-matrix, never by
+`ndarray.take`: a caller may hold a strided view as the matrix, and `take`
+first copies its whole input into one contiguous array (17.4 MiB for the
+4274-point denom-2 round 4) to read a few rows. Fancy indexing wraps
+negative indices, so every index goes through `check_points` first.
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -77,7 +79,7 @@ from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
 DEFAULT_BUDGET = 5000
-_MIRROR_COLUMNS = 256  # new-point columns mirrored per block after a round
+_MIRROR_COLUMNS = 256  # new-point rows filled, and mirrored, per block after a round
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,10 @@ class Approximant:
     lies in [0, bound_scaled], so the dtype holds it, and it is `object`
     (Python ints) once the bound passes uint64; `validate_metric` scans it
     as it is, since an int64 cast would wrap a uint64 entry past 2**63.
-    After a saturation round it is a view into a buffer of at most the
-    round's `budget` points, not compacted (a contiguous copy would raise
-    the round's peak), so readers index its rows (`matrix[idx]`) rather
-    than `take` them, which would copy the whole view first.
+    A saturation round builds its new x step-start block first and then
+    allocates the matrix once, contiguous and exactly n x n. Readers index
+    its rows (`matrix[idx]`) rather than `take` them, since a strided view
+    put in its place would be copied whole first.
     `round_sizes` records the point count after each completed saturation
     round (entry 0 is the seed size), so older generations are index
     prefixes. Equality is identity: compare `matrix.tolist()` for values.
@@ -279,21 +281,26 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     subset's rows, and the lookup reads the new point's distances to the
     anchors from the subset's first point on (`_Realizations`), over
     profiles that the walk enumerates once per distinct sub-matrix
-    (`_profile_walk`). So a new point writes its row and its entries in the
-    step-start rows, and the block among the new points is mirrored above
-    the diagonal after the walk.
+    (`_profile_walk`). So the walk writes each new point's distances to
+    the step-start points only, into a new x step-start block, and a round
+    stopped by its budget never allocates the square. When the walk ends
+    the n x n matrix is allocated once: the step-start matrix, the block
+    and its transpose are copied in, and each distance between two new
+    points follows from the later point's record and the block by the same
+    formula (`_fill_new`).
     """
-    out = a.copy()
-    n0 = n = out.n_points
-    buf = out.matrix
-    bound = out.bound_scaled
-    label_set = set(out.labels)
-    lookup = _Realizations(range(n0), buf)
+    base = a.matrix  # read only: distances among step-start points never change
+    n0 = n = a.n_points
+    bound = a.bound_scaled
+    labels, log = list(a.labels), list(a.log)
+    label_set = set(labels)
+    lookup = _Realizations(range(n0), base)
+    block = np.zeros((0, n0), dtype=base.dtype)  # new point x step-start point
 
-    round_no = out.rounds + 1
-    # distances among step-start points never change
-    for subset, profiles in _profile_walk(buf.tolist(), range(n0), out.subset_bound, bound):
+    round_no = a.rounds + 1
+    for subset, profiles in _profile_walk(base.tolist(), range(n0), a.subset_bound, bound):
         s0 = subset[0]
+        rows = None
         for values in profiles:
             if lookup.realized(subset, values):
                 continue
@@ -301,32 +308,64 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
                 raise BudgetExceededError(
                     f"saturation would exceed the {budget}-point budget at round {round_no}"
                 )
-            if n == buf.shape[0]:
-                cap = min(2 * n, budget)
-                grown = np.zeros((cap, cap), dtype=buf.dtype)
-                grown[:n, :n] = buf
-                buf = grown
-            # the vectorized form of metric.katetov_completion over every
-            # point; min(bound, v + d) as v + min(d, bound - v) is never
-            # above bound, so the sum cannot wrap in a narrow dtype
-            v = np.array(values, dtype=buf.dtype)[:, None]
-            profile = (np.minimum(buf[list(subset), :n], bound - v) + v).min(axis=0)
-            buf[n, :n] = profile
-            buf[:n0, n] = profile[:n0]
-            out.labels.append(fresh_label(f"x{n}", label_set))
-            lookup.add(n, profile[s0:n0].tolist(), s0)  # anchor s0 is at position s0
-            out.log.append(RealizationRecord(round_no, subset, tuple(values), n))
+            if n - n0 == len(block):
+                grown = np.zeros((min(2 * len(block) + 64, budget - n0), n0), dtype=base.dtype)
+                grown[: len(block)] = block
+                block = grown
+            if rows is None:
+                rows = base[list(subset)]
+            # the vectorized form of metric.katetov_completion over the
+            # step-start points; min(bound, v + d) as v + min(d, bound - v)
+            # is never above bound, so the sum cannot wrap in a narrow dtype
+            v = np.array(values, dtype=base.dtype)[:, None]
+            profile = block[n - n0]
+            np.min(np.minimum(rows, bound - v) + v, axis=0, out=profile)
+            labels.append(fresh_label(f"x{n}", label_set))
+            lookup.add(n, profile[s0:].tolist(), s0)  # anchor s0 is at position s0
+            log.append(RealizationRecord(round_no, subset, tuple(values), n))
             n += 1
 
-    for c in range(n0, n, _MIRROR_COLUMNS):
-        e = min(c + _MIRROR_COLUMNS, n)
-        buf[n0:c, c:e] = buf[c:e, n0:c].T
-        block = buf[c:e, c:e]
-        np.copyto(block, block.T, where=~np.tri(e - c, dtype=bool))
-    out.matrix = buf[:n, :n]
-    out.rounds = round_no
-    out.round_sizes.append(n)
-    return out
+    block = block[: n - n0]
+    matrix = np.empty((n, n), dtype=base.dtype)
+    matrix[:n0, :n0] = base
+    matrix[n0:, :n0] = block
+    matrix[:n0, n0:] = block.T
+    _fill_new(matrix[n0:, n0:], block, log[len(a.log):], a.subset_bound, bound)
+    return replace(a, labels=labels, matrix=matrix, rounds=round_no, round_sizes=[*a.round_sizes, n], log=log)
+
+
+def _fill_new(new: np.ndarray, block: np.ndarray, records: Sequence[RealizationRecord], k: int, bound: int):
+    """Write the distances among a round's new points into the square view
+    `new`, from `block` (new point x step-start point) and their records.
+
+    Point i's distance to an earlier new point j is its record's completion
+    min over s in S_i of (min(block[j, s], bound - xi_i(s)) + xi_i(s)),
+    computed for `_MIRROR_COLUMNS` rows at a time against every earlier
+    column. Each record's subset is padded to `k` anchors by repeating its
+    first anchor and value, which leaves the min unchanged; each rectangle
+    is mirrored above the diagonal in the same pass."""
+    anchors = np.array([r.subset + r.subset[:1] * (k - len(r.subset)) for r in records], dtype=np.intp)
+    values = np.array([r.values + r.values[:1] * (k - len(r.values)) for r in records], dtype=new.dtype)
+    cols = np.ascontiguousarray(block.T)  # step-start point x new point
+    upper = ~np.tri(_MIRROR_COLUMNS, dtype=bool)
+    for c in range(0, len(records), _MIRROR_COLUMNS):
+        e = min(c + _MIRROR_COLUMNS, len(records))
+        rows = new[c:e, :e]
+        for i, (s, v) in enumerate(zip(anchors[c:e].T, values[c:e].T)):
+            v = v[:, None]
+            term = cols[s, :e]
+            np.minimum(term, bound - v, out=term)
+            term += v
+            if i:
+                np.minimum(rows, term, out=rows)
+            else:
+                rows[...] = term
+        # mirrored one square tile at a time, which keeps the transpose in cache
+        for j in range(0, c, _MIRROR_COLUMNS):
+            new[j : j + _MIRROR_COLUMNS, c:e] = rows[:, j : j + _MIRROR_COLUMNS].T
+        square = new[c:e, c:e]
+        np.copyto(square, square.T.copy(), where=upper[: e - c, : e - c])
+        np.fill_diagonal(square, 0)
 
 
 def finite_injectivity_check(
@@ -446,7 +485,10 @@ def uwmt_extension(
 @dataclass(frozen=True)
 class BFState:
     """A partial isometry presented as matched pairs inside an approximant,
-    with every pair at distance <= eps."""
+    with every pair at distance <= eps. The constructor checks all of it:
+    eps > 0, each index in range, distinct domain points, each pair within
+    eps and the isometry condition. No pairs is a valid state; the
+    extensions refuse it."""
 
     space: Approximant
     pairs: tuple[tuple[int, int], ...]
@@ -455,29 +497,30 @@ class BFState:
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
         object.__setattr__(self, "eps", as_fraction(self.eps))
+        space, pairs, eps = self.space, self.pairs, self.eps
+        if eps <= 0:
+            raise PreconditionError(f"eps must be positive, got {eps}")
+        dom = [p for p, _ in pairs]
+        if len(set(dom)) != len(dom):
+            raise IndexClashError("duplicate domain indices in pairs")
+        ends = check_points(space.n_points, [p for pair in pairs for p in pair])
+        rows = space.matrix[ends].tolist()
+        dom_rows, img_rows = rows[::2], rows[1::2]
+        num, den = eps.numerator, eps.denominator
+        for i, (a, b) in enumerate(pairs):
+            if dom_rows[i][b] * den > num * space.denom:
+                raise PreconditionError(f"pair {i} is {space.dist(a, b)} apart, above eps {eps}")
+            for j in range(i + 1, len(pairs)):
+                c, d2 = pairs[j]
+                if dom_rows[i][c] != img_rows[i][d2]:
+                    raise PreconditionError(f"pairs {i} and {j} break the isometry condition")
 
     @classmethod
     def create(
         cls, space: Approximant, pairs: Sequence[tuple[int, int]], eps: RationalLike
     ) -> "BFState":
-        st = cls(space, tuple(pairs), eps)
-        if st.eps <= 0:
-            raise PreconditionError(f"eps must be positive, got {st.eps}")
-        dom = [p for p, _ in st.pairs]
-        if len(set(dom)) != len(dom):
-            raise IndexClashError("duplicate domain indices in pairs")
-        ends = check_points(space.n_points, [p for pair in st.pairs for p in pair])
-        rows = space.matrix[ends].tolist()
-        dom_rows, img_rows = rows[::2], rows[1::2]
-        num, den = st.eps.numerator, st.eps.denominator
-        for i, (a, b) in enumerate(st.pairs):
-            if dom_rows[i][b] * den > num * space.denom:
-                raise PreconditionError(f"pair {i} is {space.dist(a, b)} apart, above eps {st.eps}")
-            for j in range(i + 1, len(st.pairs)):
-                c, d2 = st.pairs[j]
-                if dom_rows[i][c] != img_rows[i][d2]:
-                    raise PreconditionError(f"pairs {i} and {j} break the isometry condition")
-        return st
+        """The same checked state as `BFState(space, tuple(pairs), eps)`."""
+        return cls(space, tuple(pairs), eps)
 
     @property
     def domain(self) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_reference_matches_golden():
 @pytest.mark.parametrize("seed", range(5))
 def test_rounds_match_the_reference_on_random_seeds(seed, subset_bound):
     # 2 or 3 points with a bound of at most 2 on a grid of at most 1/2;
-    # round 2 reaches 488 points (seed 0, subset bound 3), two mirror blocks
+    # round 2 reaches 488 points (seed 0, subset bound 3), two row blocks
     space = random_metric_space(random.Random(seed), 2, 3, 2)
     a = Approximant.from_space(space, space.grid.denom, subset_bound)
     a = fraisse_step(fraisse_step(a))
@@ -186,12 +187,17 @@ def test_a_round_enumerates_each_sub_matrix_once(monkeypatch):
 
 
 def test_reads_of_a_grown_approximant_copy_no_whole_buffer():
-    # after round 4 the matrix is a strided view into a 5000 x 5000 buffer;
-    # `take` would make it contiguous first, a 17.4 MiB copy for a few rows
+    # the round-4 matrix put on the approximant as a strided view into a
+    # 5000 x 5000 buffer; `take` would make it contiguous first, a 17.4 MiB
+    # copy for a few rows
     a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
     for _ in range(4):
         a = fraisse_step(a)
-    assert a.n_points == 4274 and not a.matrix.flags.c_contiguous
+    n = a.n_points
+    buffer = np.zeros((5000, 5000), dtype=a.matrix.dtype)
+    buffer[:n, :n] = a.matrix
+    a = replace(a, matrix=buffer[:n, :n])
+    assert n == 4274 and not a.matrix.flags.c_contiguous
     reads = {
         "injectivity check": lambda: urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2),
         "restriction": lambda: a.restrict_space(range(0, a.n_points, 15)),
@@ -208,6 +214,76 @@ def test_reads_of_a_grown_approximant_copy_no_whole_buffer():
     finally:
         tracemalloc.stop()
     assert all(peak < a.matrix.nbytes // 4 for peak in peaks.values()), peaks
+
+
+def traced_peak(step):
+    """step()'s result and the tracemalloc peak while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return step(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_round_allocates_its_matrix_once():
+    # a growth buffer that doubles peaks at 2.07 x the result (5000 x 5000
+    # allocated while 3392 x 3392 is still held)
+    a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
+    for _ in range(3):
+        a = fraisse_step(a)
+    a, peak = traced_peak(lambda: fraisse_step(a))
+    assert a.matrix.shape == (4274, 4274) and a.matrix.flags.c_contiguous and a.matrix.base is None
+    assert peak < 1.5 * a.matrix.nbytes, peak / a.matrix.nbytes
+
+
+def test_a_round_stopped_by_its_budget_allocates_no_square():
+    # the default build's round 3 reaches the budget long before it ends
+    a = Approximant.from_space(two_points(F(1, 2)), 4, 2)
+    a = fraisse_step(fraisse_step(a))
+
+    def step():
+        with pytest.raises(BudgetExceededError):
+            fraisse_step(a, budget=5000)
+
+    _, peak = traced_peak(step)
+    assert peak < 5000**2, peak
+
+
+@pytest.fixture(scope="module")
+def three_row_blocks():
+    # round 1 adds 541 points, three blocks of 256 rows, to a 10-point seed
+    # under subset bound 3, realizing profiles over 1, 2 and 3 points
+    space = random_metric_space(random.Random(12), 5, 10, 4)
+    return space, reference_rounds(space, space.grid.denom, 3, 1)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 7, 100])
+def test_the_new_block_fill_matches_the_reference(three_row_blocks, rows_per_block, monkeypatch):
+    if rows_per_block is not None:
+        monkeypatch.setattr(urysohn, "_MIRROR_COLUMNS", rows_per_block)
+    space, (labels, rows, log) = three_row_blocks
+    a = fraisse_step(Approximant.from_space(space, space.grid.denom, 3))
+    assert a.round_sizes == [10, 551]
+    assert {len(r.subset) for r in a.log} == {1, 2, 3}
+    assert a.matrix.tolist() == rows
+    assert a.labels == labels
+    assert [(r.round, r.subset, r.values, r.point) for r in a.log] == log
+
+
+@pytest.mark.parametrize("subset_bound,added", [(1, [1, 0]), (2, [1, 1])])
+def test_rounds_that_add_no_point_or_one_match_the_reference(subset_bound, added):
+    # one point under a unit bound at denom 1: round 1 adds the point at
+    # distance 1; round 2 realizes every singleton profile already, and adds
+    # only the point at distance 1 from both when pairs are walked
+    seed = MetricSpace(("a",), ((0,),), 1)
+    a = Approximant.from_space(seed, 1, subset_bound)
+    a = fraisse_step(a)
+    a = fraisse_step(a)
+    assert [m - n for n, m in itertools.pairwise(a.round_sizes)] == added
+    labels, rows, log = reference_rounds(seed, 1, subset_bound, 2)
+    assert a.matrix.tolist() == rows and a.matrix.flags.c_contiguous
+    assert a.labels == labels
+    assert [(r.round, r.subset, r.values, r.point) for r in a.log] == log
 
 
 @pytest.mark.parametrize("denom,dtype", [(255, np.uint8), (256, np.uint16)])

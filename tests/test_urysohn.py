@@ -202,6 +202,30 @@ def test_prop53_empty_pairs_rejected():
         prop53_extension(st, 1)
 
 
+@pytest.mark.parametrize(
+    "pairs,eps,error,message",
+    [
+        (((-1, 0),), 1, PreconditionError, "point index -1 out of range"),
+        (((0, -1),), 1, PreconditionError, "point index -1 out of range"),
+        (((99, 0),), 1, PreconditionError, "point index 99 out of range"),
+        (((0, 0),), 0, PreconditionError, "eps must be positive"),
+        (((0, 0), (0, 1)), 1, IndexClashError, "duplicate domain indices"),
+        (((0, 1),), F(1, 4), PreconditionError, "pair 0 is 1/2 apart, above eps 1/4"),
+        (((0, 0), (1, 0)), 1, PreconditionError, "pairs 0 and 1 break the isometry condition"),
+    ],
+)
+def test_bfstate_constructor_checks_like_create(pairs, eps, error, message):
+    # the dataclass constructor checks what `create` checks: an index out of
+    # range is refused, not wrapped (-1) or left to numpy (99)
+    seed = space_of("ab", [[0, F(1, 2)], [F(1, 2), 0]], 1)
+    a = fraisse_step(Approximant.from_space(seed, 2, 2))
+    for build in (BFState, BFState.create):
+        with pytest.raises(error, match=message):
+            build(a, pairs, eps)
+    with pytest.raises(PreconditionError, match="out of range"):
+        prop53_extension(BFState(a, ((-1, 0),), 1), 1)
+
+
 def test_prop53_probe_in_domain_rejected():
     sp = space_of("abz", [[0, F(1, 2), F(1, 4)], [F(1, 2), 0, F(3, 4)], [F(1, 4), F(3, 4), 0]], 1)
     st = make_state(sp, [(0, 0)], F(1, 4))
