@@ -51,6 +51,7 @@ exactly, and keeps the displacement d(z_i, z'_i) = d(x, y).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -296,11 +297,14 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     label_set = set(labels)
     lookup = _Realizations(range(n0), base)
     block = np.zeros((0, n0), dtype=base.dtype)  # new point x step-start point
+    # (s, v) -> the row min(bound, v + d(s, w)) over the step-start points
+    # w; at most subset_bound rows per new point, so at most subset_bound
+    # times the block
+    shifted: dict[tuple[int, int], np.ndarray] = {}
 
     round_no = a.rounds + 1
     for subset, profiles in _profile_walk(base.tolist(), range(n0), a.subset_bound, bound):
         s0 = subset[0]
-        rows = None
         for values in profiles:
             if lookup.realized(subset, values):
                 continue
@@ -312,14 +316,14 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
                 grown = np.zeros((min(2 * len(block) + 64, budget - n0), n0), dtype=base.dtype)
                 grown[: len(block)] = block
                 block = grown
-            if rows is None:
-                rows = base[list(subset)]
-            # the vectorized form of metric.katetov_completion over the
-            # step-start points; min(bound, v + d) as v + min(d, bound - v)
-            # is never above bound, so the sum cannot wrap in a narrow dtype
-            v = np.array(values, dtype=base.dtype)[:, None]
-            profile = block[n - n0]
-            np.min(np.minimum(rows, bound - v) + v, axis=0, out=profile)
+            # metric.katetov_completion over the step-start points, one row
+            # per anchor; v + min(d, bound - v) is never above bound, so the
+            # sum cannot wrap in a narrow dtype
+            for s, v in zip(subset, values):
+                if (s, v) not in shifted:
+                    shifted[s, v] = np.minimum(base[s], bound - v) + v
+            profile = functools.reduce(np.minimum, [shifted[s, v] for s, v in zip(subset, values)])
+            block[n - n0] = profile
             labels.append(fresh_label(f"x{n}", label_set))
             lookup.add(n, profile[s0:].tolist(), s0)  # anchor s0 is at position s0
             log.append(RealizationRecord(round_no, subset, tuple(values), n))
