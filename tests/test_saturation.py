@@ -156,7 +156,7 @@ def test_reference_matches_golden():
 @pytest.mark.parametrize("seed", range(5))
 def test_rounds_match_the_reference_on_random_seeds(seed, subset_bound):
     # 2 or 3 points with a bound of at most 2 on a grid of at most 1/2;
-    # round 2 reaches 488 points (seed 0, subset bound 3), two row blocks
+    # round 2 reaches 488 points (seed 0, subset bound 3), two mirror blocks
     space = random_metric_space(random.Random(seed), 2, 3, 2)
     a = Approximant.from_space(space, space.grid.denom, subset_bound)
     a = fraisse_step(fraisse_step(a))
