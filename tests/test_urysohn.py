@@ -222,8 +222,6 @@ def test_bfstate_constructor_checks_like_create(pairs, eps, error, message):
     for build in (BFState, BFState.create):
         with pytest.raises(error, match=message):
             build(a, pairs, eps)
-    with pytest.raises(PreconditionError, match="out of range"):
-        prop53_extension(BFState(a, ((-1, 0),), 1), 1)
 
 
 def test_prop53_probe_in_domain_rejected():
