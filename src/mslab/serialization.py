@@ -104,12 +104,14 @@ def katetov_from_dict(data: dict, base_dir: Path | None = None) -> KatetovFn:
 
 def approximant_to_dict(a: Approximant) -> dict:
     """The MetricSpace keys plus the approximant's own, formatted straight
-    from the scaled matrix with one string per distinct grid value."""
-    text = _grid_text(set(np.unique(a.matrix).tolist()).union(*(rec.values for rec in a.log)), a.denom)
+    from the scaled matrix, read once, with one string per distinct grid
+    value."""
+    m = a.matrix
+    text = _grid_text(set(np.unique(m).tolist()).union(*(rec.values for rec in a.log)), a.denom)
     return {
         "points": list(a.labels),
         "diam": format_rational(a.diam_bound),
-        "d": [list(map(text, row)) for row in a.matrix.tolist()],
+        "d": [list(map(text, row)) for row in m.tolist()],
         "denom": a.denom,
         "subset_bound": a.subset_bound,
         "rounds": a.rounds,

@@ -4,25 +4,31 @@ The Approximant grows a finite rational metric space until every grid
 Katetov function over every small subset of the previous generation is
 realized by an actual point (the finite-scale one-point extension
 property). Distances are kept internally as integers on a common 1/denom
-grid, in one square numpy matrix whose dtype is the smallest that holds the
-scaled diameter bound (uint8 for the default grids, `object` holding Python
-ints past uint64, so huge denominators stay exact). The seed rows enter
-numpy through `metric.int_matrix`, and the matrix is validated as it is,
-never through a MetricSpace. A saturation round reads only the step-start
-rows, so its walk writes each new point's distances to the step-start
-points into a new x step-start block (4168 x 106 for the denom-2 round 4)
-and never touches an n x n array. When the walk ends, n is known: the
-round allocates the n x n matrix once, copies in the step-start matrix,
-the block and its transpose, and fills the distances among the new points
-from the block and their records, in blocks of rows. The matrix is then
-contiguous and holds no spare capacity. Readers take values out as Python
-ints, one `tolist` or fancy index per call; a MetricSpace view is made on
-demand from those ints (`from_grid`). Rows are read by indexing,
-`matrix[idx]` and `matrix[idx][:, idx]` for a sub-matrix, never by
-`ndarray.take`: a caller may hold a strided view as the matrix, and `take`
-first copies its whole input into one contiguous array (17.4 MiB for the
-4274-point denom-2 round 4) to read a few rows. Fancy indexing wraps
-negative indices, so every index goes through `check_points` first.
+grid, in numpy arrays whose dtype is the smallest that holds the scaled
+diameter bound (uint8 for the default grids, `object` holding Python ints
+past uint64, so huge denominators stay exact). The seed rows enter numpy
+through `metric.int_matrix`, and a matrix is validated as it is, never
+through a MetricSpace.
+
+An approximant holds its last saturation round as parts, never as one
+square: the dense matrix among the round's step-start points, the new x
+step-start block that the round's walk writes (4168 x 106 for the denom-2
+round 4), and the log, whose last records are the new points'. Each new
+point realizes a Katetov function over a subset of the step-start points,
+and its distances to the points before it are the free amalgam of that
+function (Katetov 1988), so the distances among the new points are
+derived from the records and the block when read, not stored. One reader,
+`Approximant._distances(rows, cols)`, serves every read; a caller reads
+only the rows and columns it needs (the injectivity check its snapshot's
+rows, a probe its kept points' rows, a restriction its sub-matrix), and
+`Approximant.matrix` builds the whole n x n array, a block of rows at a
+time, only when a caller asks for it (serialization, `as_metric_space`,
+the next round's step-start matrix). Readers take values out as Python
+ints, one `tolist` or `.item()` per call; a MetricSpace view is made on
+demand from those ints (`from_grid`). Rows are read by indexing, never by
+`ndarray.take`, which copies its whole input into one contiguous array
+when that input is a strided view. Fancy indexing wraps negative indices,
+so every index goes through `check_points` first.
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -67,6 +73,7 @@ from .errors import (
     IndexClashError,
     LambdaOutOfRangeError,
     MetricFailureError,
+    NonSquareError,
     PreconditionAError,
     PreconditionBError,
     PreconditionError,
@@ -80,7 +87,7 @@ from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
 DEFAULT_BUDGET = 5000
-_MIRROR_COLUMNS = 256  # new-point rows filled, and mirrored, per block after a round
+_READ_ROWS = 256  # rows per read when `Approximant.matrix` is built
 
 
 @dataclass(frozen=True)
@@ -96,24 +103,35 @@ class RealizationRecord:
 
 @dataclass(eq=False)
 class Approximant:
-    """A growing finite metric space on the 1/denom grid.
+    """A growing finite metric space on the 1/denom grid, held as the parts
+    of its last saturation round.
 
-    `matrix` is the symmetric n x n distance matrix scaled by `denom`, a
-    numpy array of dtype `np.min_scalar_type(bound_scaled)`: every entry
-    lies in [0, bound_scaled], so the dtype holds it, and it is `object`
-    (Python ints) once the bound passes uint64; `validate_metric` scans it
-    as it is, since an int64 cast would wrap a uint64 entry past 2**63.
-    A saturation round builds its new x step-start block first and then
-    allocates the matrix once, contiguous and exactly n x n. Readers index
-    its rows (`matrix[idx]`) rather than `take` them, since a strided view
-    put in its place would be copied whole first.
+    Distances are scaled by `denom` and held in numpy arrays of dtype
+    `np.min_scalar_type(bound_scaled)`: every entry lies in
+    [0, bound_scaled], so the dtype holds it, and it is `object` (Python
+    ints) once the bound passes uint64; `validate_metric` scans a matrix as
+    it is, since an int64 cast would wrap a uint64 entry past 2**63.
+
+    - `base` is the dense matrix among the step-start points of the last
+      round, the first n0 = len(base) points. For a round-0 or loaded
+      approximant it is the whole matrix.
+    - `block` holds the distances from the round's new points to the
+      step-start points, (n - n0) x n0, with no spare capacity.
+    - The last n - n0 records of `log` are the new points' records, in
+      point order.
+
+    The distances among the new points are never stored: the reader
+    `_distances` derives them from the records and `block`. `matrix` builds
+    the whole n x n array through that reader when a caller asks for it; a
+    caller that needs a few rows or a sub-matrix reads only those.
     `round_sizes` records the point count after each completed saturation
     round (entry 0 is the seed size), so older generations are index
     prefixes. Equality is identity: compare `matrix.tolist()` for values.
     """
 
     labels: list[str]
-    matrix: np.ndarray
+    base: np.ndarray
+    block: np.ndarray
     denom: int
     bound_scaled: int
     subset_bound: int
@@ -130,18 +148,23 @@ class Approximant:
     def from_grid(
         cls, labels: Sequence[str], rows: Sequence[Sequence[int]], denom: int, bound_scaled: int, subset_bound: int
     ) -> "Approximant":
-        """A round-0 approximant from a square matrix of distances already
-        scaled by `denom`; each must lie in [0, bound_scaled]. The exact
-        `int_matrix` is range-checked, then narrowed to the bound's dtype."""
+        """A round-0 approximant from an n x n matrix of distances already
+        scaled by `denom`, one row per label; each must lie in
+        [0, bound_scaled]. The exact `int_matrix` is range-checked, then
+        narrowed to the bound's dtype."""
         if subset_bound < 1:
             raise PreconditionError(f"subset bound must be >= 1, got {subset_bound}")
         n = len(labels)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise NonSquareError(f"the matrix for {n} labels is not {n} x {n}")
         m = int_matrix(rows).reshape(n, n)
         if n and not (m.min() >= 0 and m.max() <= bound_scaled):
             raise PreconditionError(f"seed distances must lie in [0, {Fraction(bound_scaled, denom)}]")
+        dtype = np.min_scalar_type(bound_scaled)
         return cls(
             labels=list(labels),
-            matrix=m.astype(np.min_scalar_type(bound_scaled)),
+            base=m.astype(dtype),
+            block=np.empty((0, n), dtype=dtype),
             denom=denom,
             bound_scaled=bound_scaled,
             subset_bound=subset_bound,
@@ -150,15 +173,79 @@ class Approximant:
 
     @property
     def n_points(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.labels)
 
     @property
     def diam_bound(self) -> Fraction:
         return Fraction(self.bound_scaled, self.denom)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The symmetric n x n distance matrix, built on each read from
+        `_distances`, `_READ_ROWS` rows at a time, and read-only."""
+        n = self.n_points
+        out = np.empty((n, n), dtype=self.base.dtype)
+        points = np.arange(n)
+        for c in range(0, n, _READ_ROWS):
+            out[c : c + _READ_ROWS] = self._distances(points[c : c + _READ_ROWS], points)
+        out.flags.writeable = False
+        return out
+
+    def _distances(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """The scaled distances from each point of `rows` to each point of
+        `cols`, as a len(rows) x len(cols) array; every index must already
+        be checked (`check_points`).
+
+        Two step-start points are read from `base`, a step-start point and
+        a new one from `block`. Two distinct new points are derived: a new
+        point i realizes the Katetov function xi_i over the subset S_i of
+        its record, and its distance to any point w present before it is
+        the free amalgam (Katetov 1988, "On universal metric spaces")
+            d(i, w) = min(bound, min over s in S_i of xi_i(s) + d(s, w)).
+        For w = j, another new point, d(s, j) is block[j, s], so
+            d(i, j) = min over s in S_i of (min(block[j, s], bound - xi_i(s)) + xi_i(s)),
+        which never passes bound and so cannot wrap in a narrow dtype. It
+        equals min(bound, min over s in S_i, t in S_j of xi_i(s) + d(s, t)
+        + xi_j(t)), which is symmetric in i and j: the row point's record
+        gives the value that the later point's record gives (`_amalgam`)."""
+        base, block = self.base, self.block
+        n0 = len(base)
+        r, c = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        r_new, c_new = r >= n0, c >= n0
+        if not (r_new.any() or c_new.any()):
+            return base[r][:, c]
+        old, i, j = r[~r_new], r[r_new] - n0, c[c_new] - n0  # i, j: rows of the block
+        out = np.empty((len(r), len(c)), dtype=base.dtype)
+        if old.size:
+            out[~r_new] = _by_columns(c_new, base[old][:, c[~c_new]], block[j][:, old].T)
+        if i.size:
+            out[r_new] = _by_columns(c_new, block[i][:, c[~c_new]], self._amalgam(i, j))
+        return out
+
+    def _amalgam(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The distances from the new points i to the new points j, both as
+        rows of the block, by the records of i (`_distances`), and 0 where
+        the two are one point. Each record's subset is padded to
+        `subset_bound` anchors by repeating its first anchor and value,
+        which leaves the min unchanged."""
+        k, block, bound = self.subset_bound, self.block, self.bound_scaled
+        records = self.log[len(self.log) - len(block) :]
+        picked = [records[p] for p in i.tolist()]
+        anchors = np.array([r.subset + r.subset[:1] * (k - len(r.subset)) for r in picked], dtype=np.intp)
+        values = np.array([r.values + r.values[:1] * (k - len(r.values)) for r in picked], dtype=block.dtype)
+        cols = np.ascontiguousarray(block[j].T)  # step-start point x point of j
+        out = np.full((len(i), len(j)), bound, dtype=block.dtype)
+        for s, v in zip(anchors.reshape(-1, k).T, values.reshape(-1, k).T):
+            v = v[:, None]
+            term = np.minimum(cols[s], bound - v)
+            term += v
+            np.minimum(out, term, out=out)
+        out[i[:, None] == j] = 0
+        return out
+
     def dist(self, i: int, j: int) -> Fraction:
         check_points(self.n_points, (i, j))
-        return Fraction(self.matrix.item(i, j), self.denom)
+        return Fraction(self._distances([i], [j]).item(), self.denom)
 
     def snapshot(self, round_index: int) -> range:
         """Point indices present after the given completed round."""
@@ -174,28 +261,42 @@ class Approximant:
         idx = check_points(self.n_points, indices)
         if len(set(idx)) != len(idx):
             raise IndexClashError("duplicate indices in the restriction")
-        sub = self.matrix[idx][:, idx].tolist()
+        sub = self._distances(idx, idx).tolist()
         return MetricSpace.from_grid([self.labels[i] for i in idx], sub, self.denom, self.bound_scaled)
 
     def copy(self) -> "Approximant":
         return replace(
             self,
             labels=list(self.labels),
-            matrix=self.matrix.copy(),
+            base=self.base.copy(),
+            block=self.block.copy(),
             round_sizes=list(self.round_sizes),
             log=list(self.log),
         )
 
 
+def _by_columns(new: np.ndarray, to_old: np.ndarray, to_new: np.ndarray) -> np.ndarray:
+    """Rows whose columns are `to_new` where the mask `new` is set and
+    `to_old` elsewhere, in column order."""
+    out = np.empty((len(to_old), len(new)), dtype=to_old.dtype)
+    out[:, ~new], out[:, new] = to_old, to_new
+    return out
+
+
 def _subsets_lex(points: Sequence[int], max_size: int):
     """All non-empty subsets of the given points up to max_size, as sorted
-    tuples in plain lexicographic order."""
+    tuples in plain lexicographic order, generated one at a time: each
+    subset is followed by its extensions by larger points, depth first."""
     pts = sorted(points)
-    subs: list[tuple[int, ...]] = []
-    for size in range(1, max_size + 1):
-        subs.extend(itertools.combinations(pts, size))
-    subs.sort()
-    return subs
+
+    def grow(prefix: tuple[int, ...], start: int):
+        if len(prefix) < max_size:
+            for i in range(start, len(pts)):
+                subset = (*prefix, pts[i])
+                yield subset
+                yield from grow(subset, i + 1)
+
+    return grow((), 0)
 
 
 class _Realizations:
@@ -283,12 +384,11 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     anchors from the subset's first point on (`_Realizations`), over
     profiles that the walk enumerates once per distinct sub-matrix
     (`_profile_walk`). So the walk writes each new point's distances to
-    the step-start points only, into a new x step-start block, and a round
-    stopped by its budget never allocates the square. When the walk ends
-    the n x n matrix is allocated once: the step-start matrix, the block
-    and its transpose are copied in, and each distance between two new
-    points follows from the later point's record and the block by the same
-    formula (`_fill_new`).
+    the step-start points only, into a new x step-start block, and the
+    round keeps that block, trimmed, beside the step-start matrix: the
+    distances among the new points follow from their records and the block
+    by the same formula, and are derived when read (`Approximant._distances`).
+    No array of the round has n x n entries.
     """
     base = a.matrix  # read only: distances among step-start points never change
     n0 = n = a.n_points
@@ -329,47 +429,10 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
             log.append(RealizationRecord(round_no, subset, tuple(values), n))
             n += 1
 
-    block = block[: n - n0]
-    matrix = np.empty((n, n), dtype=base.dtype)
-    matrix[:n0, :n0] = base
-    matrix[n0:, :n0] = block
-    matrix[:n0, n0:] = block.T
-    _fill_new(matrix[n0:, n0:], block, log[len(a.log):], a.subset_bound, bound)
-    return replace(a, labels=labels, matrix=matrix, rounds=round_no, round_sizes=[*a.round_sizes, n], log=log)
-
-
-def _fill_new(new: np.ndarray, block: np.ndarray, records: Sequence[RealizationRecord], k: int, bound: int):
-    """Write the distances among a round's new points into the square view
-    `new`, from `block` (new point x step-start point) and their records.
-
-    Point i's distance to an earlier new point j is its record's completion
-    min over s in S_i of (min(block[j, s], bound - xi_i(s)) + xi_i(s)),
-    computed for `_MIRROR_COLUMNS` rows at a time against every earlier
-    column. Each record's subset is padded to `k` anchors by repeating its
-    first anchor and value, which leaves the min unchanged; each rectangle
-    is mirrored above the diagonal in the same pass."""
-    anchors = np.array([r.subset + r.subset[:1] * (k - len(r.subset)) for r in records], dtype=np.intp)
-    values = np.array([r.values + r.values[:1] * (k - len(r.values)) for r in records], dtype=new.dtype)
-    cols = np.ascontiguousarray(block.T)  # step-start point x new point
-    upper = ~np.tri(_MIRROR_COLUMNS, dtype=bool)
-    for c in range(0, len(records), _MIRROR_COLUMNS):
-        e = min(c + _MIRROR_COLUMNS, len(records))
-        rows = new[c:e, :e]
-        for i, (s, v) in enumerate(zip(anchors[c:e].T, values[c:e].T)):
-            v = v[:, None]
-            term = cols[s, :e]
-            np.minimum(term, bound - v, out=term)
-            term += v
-            if i:
-                np.minimum(rows, term, out=rows)
-            else:
-                rows[...] = term
-        # mirrored one square tile at a time, which keeps the transpose in cache
-        for j in range(0, c, _MIRROR_COLUMNS):
-            new[j : j + _MIRROR_COLUMNS, c:e] = rows[:, j : j + _MIRROR_COLUMNS].T
-        square = new[c:e, c:e]
-        np.copyto(square, square.T.copy(), where=upper[: e - c, : e - c])
-        np.fill_diagonal(square, 0)
+    return replace(
+        a, labels=labels, base=base, block=block[: n - n0].copy(), rounds=round_no,
+        round_sizes=[*a.round_sizes, n], log=log,
+    )
 
 
 def finite_injectivity_check(
@@ -389,7 +452,7 @@ def finite_injectivity_check(
         )
     factor = denom // a.denom
     over = check_points(a.n_points, sorted(set(over)), "snapshot")
-    rows = a.matrix[over]
+    rows = a._distances(over, range(a.n_points))
     lookup = _Realizations(over, rows, factor)
     among = [[v * factor for v in row] for row in rows[:, over].tolist()]
 
@@ -508,15 +571,15 @@ class BFState:
         if len(set(dom)) != len(dom):
             raise IndexClashError("duplicate domain indices in pairs")
         ends = check_points(space.n_points, [p for pair in pairs for p in pair])
-        rows = space.matrix[ends].tolist()
-        dom_rows, img_rows = rows[::2], rows[1::2]
+        among = space._distances(ends, ends)  # ends alternate: domain, image
+        dom, img = among[::2, ::2].tolist(), among[1::2, 1::2].tolist()
+        gaps = among[::2, 1::2].diagonal().tolist()
         num, den = eps.numerator, eps.denominator
         for i, (a, b) in enumerate(pairs):
-            if dom_rows[i][b] * den > num * space.denom:
-                raise PreconditionError(f"pair {i} is {space.dist(a, b)} apart, above eps {eps}")
+            if gaps[i] * den > num * space.denom:
+                raise PreconditionError(f"pair {i} is {Fraction(gaps[i], space.denom)} apart, above eps {eps}")
             for j in range(i + 1, len(pairs)):
-                c, d2 = pairs[j]
-                if dom_rows[i][c] != img_rows[i][d2]:
+                if dom[i][j] != img[i][j]:
                     raise PreconditionError(f"pairs {i} and {j} break the isometry condition")
 
     @classmethod
@@ -556,7 +619,7 @@ def _prop53_profile(st: BFState, z: int) -> tuple[list[int], Grid, list[int], in
     keep = sorted(set(st.domain) | set(st.image) | {z})
     pos = {w: i for i, w in enumerate(keep)}
     # lifted as Python ints: a numpy product could overflow int64
-    sub = tuple(map(tuple, ap.matrix[keep][:, keep].tolist()))
+    sub = tuple(map(tuple, ap._distances(keep, keep).tolist()))
     grid, (eps,) = lift(Grid(ap.denom, sub, ap.bound_scaled), [st.eps])
     _, d, bound = grid
     zp = pos[z]
@@ -602,8 +665,8 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
             raise UnsaturatedError(
                 f"profile value {Fraction(v, grid.denom)} at point {w} is off the 1/{ap.denom} grid"
             )
-    want = np.array([v // f for v in profile], dtype=ap.matrix.dtype)
-    hits = np.flatnonzero((ap.matrix[keep] == want[:, None]).all(axis=0))
+    want = np.array([v // f for v in profile], dtype=ap.base.dtype)
+    hits = np.flatnonzero((ap._distances(keep, range(ap.n_points)) == want[:, None]).all(axis=0))
     if not hits.size:
         raise UnsaturatedError("no existing point realizes the transported profile")
     return BFState.create(ap, st.pairs + ((z, int(hits[0])),), st.eps)

@@ -546,8 +546,7 @@ def test_uint64_approximant_is_validated_without_wrapping(approximants, tmp_path
     a = approximants["uint64"]
     upper = a.matrix[np.triu_indices(a.n_points, 1)]
     assert a.n_points >= metric._NUMPY_MIN_POINTS and upper.min() >= 2**63
-    broken = a.copy()
-    broken.matrix = with_break(a.matrix)
+    broken = Approximant.from_grid(a.labels, with_break(a.matrix), a.denom, a.bound_scaled, a.subset_bound)
     witness = {}
     for name, b in (("good", a), ("broken", broken)):
         got = validate_metric(b.matrix, b.bound_scaled)

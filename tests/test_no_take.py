@@ -1,7 +1,8 @@
-"""No package code calls `ndarray.take`: it copies its whole input into one
-contiguous array before reading, and an approximant's matrix after a
-saturation round is a strided view into the round's buffer, so a read of a
-few rows would copy the whole view. Rows are indexed (`matrix[idx]`)."""
+"""No package code calls `ndarray.take`: on a strided view, such as a
+transposed block, it first copies its whole input into one contiguous
+array, so a read of a few rows would copy the whole view. An approximant
+holds no n x n matrix, and its reader indexes the rows it needs
+(`base[idx]`, `block[idx]`)."""
 
 import ast
 from pathlib import Path

@@ -186,36 +186,6 @@ def test_a_round_enumerates_each_sub_matrix_once(monkeypatch):
     assert rep.counts["functions"] == 33708 and len(calls) <= a.bound_scaled + 2
 
 
-def test_reads_of_a_grown_approximant_copy_no_whole_buffer():
-    # the round-4 matrix put on the approximant as a strided view into a
-    # 5000 x 5000 buffer; `take` would make it contiguous first, a 17.4 MiB
-    # copy for a few rows
-    a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
-    for _ in range(4):
-        a = fraisse_step(a)
-    n = a.n_points
-    buffer = np.zeros((5000, 5000), dtype=a.matrix.dtype)
-    buffer[:n, :n] = a.matrix
-    a = replace(a, matrix=buffer[:n, :n])
-    assert n == 4274 and not a.matrix.flags.c_contiguous
-    reads = {
-        "injectivity check": lambda: urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2),
-        "restriction": lambda: a.restrict_space(range(0, a.n_points, 15)),
-        "back-and-forth probe": lambda: back_and_forth_extend(BFState.create(a, [(0, 0)], F(1, 2)), 1),
-    }
-    peaks = {}
-    tracemalloc.start()
-    try:
-        for name, read in reads.items():
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            read()
-            peaks[name] = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert all(peak < a.matrix.nbytes // 4 for peak in peaks.values()), peaks
-
-
 def traced_peak(step):
     """step()'s result and the tracemalloc peak while it ran, in bytes."""
     tracemalloc.start()
@@ -225,15 +195,57 @@ def traced_peak(step):
         tracemalloc.stop()
 
 
-def test_a_round_allocates_its_matrix_once():
-    # a growth buffer that doubles peaks at 2.07 x the result (5000 x 5000
-    # allocated while 3392 x 3392 is still held)
+@pytest.fixture(scope="module")
+def round4():
+    a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
+    for _ in range(4):
+        a = fraisse_step(a)
+    return a
+
+
+def test_a_round_holds_no_square():
+    # the dense 4274 x 4274 round-4 matrix is 18.3 MB; the round keeps its
+    # step-start matrix and its new x step-start block, trimmed
     a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
     for _ in range(3):
         a = fraisse_step(a)
     a, peak = traced_peak(lambda: fraisse_step(a))
-    assert a.matrix.shape == (4274, 4274) and a.matrix.flags.c_contiguous and a.matrix.base is None
-    assert peak < 1.5 * a.matrix.nbytes, peak / a.matrix.nbytes
+    n, n0 = a.n_points, a.round_sizes[-2]
+    assert (n, n0) == (4274, 106) and peak < n * n // 4, peak
+    held = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
+    assert sorted(arr.shape for arr in held) == [(n0, n0), (n - n0, n0)]
+    assert a.block.base is None and a.block.flags.c_contiguous
+
+
+def test_reads_of_a_grown_approximant_build_no_square(round4):
+    a = round4
+    n = a.n_points
+    reads = {
+        "injectivity check": lambda: urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2),
+        "restriction": lambda: a.restrict_space(range(0, n, 15)),
+        "back-and-forth probe": lambda: back_and_forth_extend(BFState.create(a, [(0, 0)], F(1, 2)), 1),
+        "distance between new points": lambda: a.dist(n - 1, 200),
+    }
+    peaks = {name: traced_peak(read)[1] for name, read in reads.items()}
+    assert all(peak < n * n // 4 for peak in peaks.values()), peaks
+
+
+def test_the_saturate_sequence_builds_no_square():
+    # the benchmark's saturate pass: round 4, the check of its step-start
+    # snapshot and a 300-point restriction, each below a quarter of the
+    # 4274 x 4274 uint8 square
+    a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
+    for _ in range(3):
+        a = fraisse_step(a)
+    a, round_peak = traced_peak(lambda: fraisse_step(a))
+    rep, check_peak = traced_peak(lambda: urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2))
+    sample = sorted(random.Random(7).sample(range(a.n_points), 300))
+    sub, restrict_peak = traced_peak(lambda: a.restrict_space(sample))
+    assert rep.verdict == "pass" and rep.counts["functions"] == 33708
+    rows = a.matrix[sample][:, sample].tolist()
+    assert sub.grid == MetricSpace.from_grid(sub.labels, rows, a.denom, a.bound_scaled).grid
+    peaks = (round_peak, check_peak, restrict_peak)
+    assert all(peak < a.n_points**2 // 4 for peak in peaks), peaks
 
 
 def test_a_round_stopped_by_its_budget_allocates_no_square():
@@ -259,8 +271,9 @@ def three_row_blocks():
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 7, 100])
 def test_the_new_block_fill_matches_the_reference(three_row_blocks, rows_per_block, monkeypatch):
+    # the matrix is built from the reader in blocks of rows: 256 by default
     if rows_per_block is not None:
-        monkeypatch.setattr(urysohn, "_MIRROR_COLUMNS", rows_per_block)
+        monkeypatch.setattr(urysohn, "_READ_ROWS", rows_per_block)
     space, (labels, rows, log) = three_row_blocks
     a = fraisse_step(Approximant.from_space(space, space.grid.denom, 3))
     assert a.round_sizes == [10, 551]
@@ -268,6 +281,62 @@ def test_the_new_block_fill_matches_the_reference(three_row_blocks, rows_per_blo
     assert a.matrix.tolist() == rows
     assert a.labels == labels
     assert [(r.round, r.subset, r.values, r.point) for r in a.log] == log
+
+
+def scaled_past_uint64(a, factor=2**64):
+    """`a` with its grid, distances and record values multiplied by
+    factor: the bound passes uint64, so its arrays hold Python ints."""
+    log = [replace(r, values=tuple(v * factor for v in r.values)) for r in a.log]
+    base, block = a.base.astype(object) * factor, a.block.astype(object) * factor
+    return replace(a, base=base, block=block, denom=a.denom * factor, bound_scaled=a.bound_scaled * factor, log=log)
+
+
+@pytest.fixture(scope="module")
+def grown(round4, three_row_blocks):
+    """Approximants after a round, each holding new points."""
+    space, _ = three_row_blocks
+    edges = {
+        f"{dtype.__name__}-edge": fraisse_step(Approximant.from_space(two_points(F(1, denom)), denom, 2))
+        for denom, dtype in ((255, np.uint8), (256, np.uint16))
+    }
+    round3 = Approximant.from_space(two_points(F(1, 2)), 2, 2)
+    for _ in range(3):
+        round3 = fraisse_step(round3)
+    return {
+        "denom-2-round-4": round4,
+        "subset-bound-3": fraisse_step(Approximant.from_space(space, space.grid.denom, 3)),
+        **edges,
+        "object": scaled_past_uint64(round3),
+        "uint8-round-3": round3,
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["denom-2-round-4", "subset-bound-3", "uint8-edge", "uint16-edge", "object"]
+)
+def test_the_reader_matches_the_matrix(grown, name):
+    a = grown[name]
+    m = a.matrix
+    n, n0 = a.n_points, a.round_sizes[-2]
+    assert n - n0 == len(a.block) > 80 and m.dtype == a.block.dtype == a.base.dtype
+    if name == "object":
+        assert m.dtype == object
+        assert m.tolist() == (grown["uint8-round-3"].matrix.astype(object) * 2**64).tolist()
+    rng = random.Random(n)
+    new, every = range(n0, n), range(n)
+    draws = [([], list(every)), (list(every), []), ([n - 1, n0, n0, 0], [n0, n - 1, 0, n0])]
+    for _ in range(12):
+        # rows and columns in any order, repeats included, new points mostly
+        rows = rng.choices(new, k=rng.randint(1, 60)) + rng.choices(every, k=rng.randint(0, 20))
+        cols = rng.choices(new, k=rng.randint(1, 300)) + rng.choices(every, k=rng.randint(0, 50))
+        draws += [(rows, cols), (cols, rows), (rows, list(every)), (sorted(set(rows)), sorted(set(rows)))]
+    for rows, cols in draws:
+        got = a._distances(rows, cols)
+        assert got.dtype == m.dtype and got.shape == (len(rows), len(cols))
+        assert got.tolist() == m[rows][:, cols].tolist()
+    for i, j in [(n0, n - 1), *(rng.sample(new, 2) for _ in range(40))]:
+        assert a.dist(i, j) == a.dist(j, i) == F(m.item(i, j), a.denom)
+        assert a.dist(i, i) == 0
 
 
 @pytest.mark.parametrize("subset_bound,added", [(1, [1, 0]), (2, [1, 1])])

@@ -1,6 +1,9 @@
 """urysohn-lab: extensions, saturation rounds, back-and-forth, chains."""
 
+import inspect
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,12 +29,14 @@ from mslab.errors import (
     EmptyStateError,
     IndexClashError,
     LambdaOutOfRangeError,
+    NonSquareError,
     PreconditionAError,
     PreconditionError,
     PreconditionBError,
     UnsaturatedError,
 )
 from mslab.randgen import random_ma_request, random_metric_space
+from mslab.urysohn import _subsets_lex
 
 F = Fraction
 
@@ -355,6 +360,27 @@ def test_approximant_restrict_space_rejects_a_repeated_index(indices):
 def test_approximant_dist_rejects_an_index_out_of_range(i, j):
     with pytest.raises(PreconditionError, match="out of range"):
         round_one().dist(i, j)
+
+
+@pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1], [1]], [[0, 1], [1, 0], [0, 0]]])
+def test_approximant_from_grid_refuses_a_matrix_that_is_not_square(rows):
+    with pytest.raises(NonSquareError, match="not 2 x 2"):
+        Approximant.from_grid(["a", "b"], rows, 2, 2, 2)
+
+
+def test_subsets_are_generated_in_lexicographic_order():
+    got = _subsets_lex(range(12), 3)
+    assert inspect.isgenerator(got)
+    assert list(got) == sorted(s for k in (1, 2, 3) for s in itertools.combinations(range(12), k))
+    assert list(_subsets_lex([5, 1, 3], 0)) == []
+    # 4.5e9 subsets of at most three of 3000 points: the first comes at once
+    tracemalloc.start()
+    try:
+        assert next(_subsets_lex(range(3000), 3)) == (0,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
 
 
 # -- injectivity_chain -----------------------------------------------------------
