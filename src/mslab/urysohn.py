@@ -209,11 +209,11 @@ class Approximant:
         + xi_j(t)), which is symmetric in i and j: the row point's record
         gives the value that the later point's record gives (`_amalgam`)."""
         base, block = self.base, self.block
-        n0 = len(base)
         r, c = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        r_new, c_new = r >= n0, c >= n0
-        if not (r_new.any() or c_new.any()):
+        if not len(block):  # every point is a step-start point
             return base[r][:, c]
+        n0 = len(base)
+        r_new, c_new = r >= n0, c >= n0
         old, i, j = r[~r_new], r[r_new] - n0, c[c_new] - n0  # i, j: rows of the block
         out = np.empty((len(r), len(c)), dtype=base.dtype)
         if old.size:
