@@ -18,17 +18,19 @@ point realizes a Katetov function over a subset of the step-start points,
 and its distances to the points before it are the free amalgam of that
 function (Katetov 1988), so the distances among the new points are
 derived from the records and the block when read, not stored. One reader,
-`Approximant._distances(rows, cols)`, serves every read; a caller reads
-only the rows and columns it needs (the injectivity check its snapshot's
-rows, a probe its kept points' rows, a restriction its sub-matrix), and
-`Approximant.matrix` builds the whole n x n array, a block of rows at a
-time, only when a caller asks for it (serialization, `as_metric_space`,
-the next round's step-start matrix). Readers take values out as Python
-ints, one `tolist` or `.item()` per call; a MetricSpace view is made on
-demand from those ints (`from_grid`). Rows are read by indexing, never by
-`ndarray.take`, which copies its whole input into one contiguous array
-when that input is a strided view. Fancy indexing wraps negative indices,
-so every index goes through `check_points` first.
+`Approximant._distances(rows, cols)`, serves every read (`dist` of two
+step-start points reads their one entry of the step-start matrix); a
+caller reads only the rows and columns it needs (the injectivity check
+its snapshot's rows, a probe its kept points' rows, a restriction its
+sub-matrix), and `Approximant.matrix` builds the whole n x n array, a
+block of rows at a time, only when a caller asks for it (serialization,
+`as_metric_space`, the next round's step-start matrix). Readers take
+values out as Python ints, one `tolist` or `.item()` per call; a
+MetricSpace view is made on demand from those ints (`from_grid`). Rows are
+read by indexing, never by `ndarray.take`, which copies its whole input
+into one contiguous array when that input is a strided view. Fancy
+indexing wraps negative indices, so every index goes through
+`check_points` first.
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -245,7 +247,9 @@ class Approximant:
 
     def dist(self, i: int, j: int) -> Fraction:
         check_points(self.n_points, (i, j))
-        return Fraction(self._distances([i], [j]).item(), self.denom)
+        n0 = len(self.base)  # two step-start points are one entry of base
+        scaled = self.base.item(i, j) if i < n0 and j < n0 else self._distances([i], [j]).item()
+        return Fraction(scaled, self.denom)
 
     def snapshot(self, round_index: int) -> range:
         """Point indices present after the given completed round."""
@@ -571,15 +575,14 @@ class BFState:
         if len(set(dom)) != len(dom):
             raise IndexClashError("duplicate domain indices in pairs")
         ends = check_points(space.n_points, [p for pair in pairs for p in pair])
-        among = space._distances(ends, ends)  # ends alternate: domain, image
-        dom, img = among[::2, ::2].tolist(), among[1::2, 1::2].tolist()
-        gaps = among[::2, 1::2].diagonal().tolist()
+        d = space._distances(ends, ends).tolist()  # pair i's ends at 2i and 2i + 1
         num, den = eps.numerator, eps.denominator
-        for i, (a, b) in enumerate(pairs):
-            if gaps[i] * den > num * space.denom:
-                raise PreconditionError(f"pair {i} is {Fraction(gaps[i], space.denom)} apart, above eps {eps}")
+        for i in range(len(pairs)):
+            gap = d[2 * i][2 * i + 1]
+            if gap * den > num * space.denom:
+                raise PreconditionError(f"pair {i} is {Fraction(gap, space.denom)} apart, above eps {eps}")
             for j in range(i + 1, len(pairs)):
-                if dom[i][j] != img[i][j]:
+                if d[2 * i][2 * j] != d[2 * i + 1][2 * j + 1]:
                     raise PreconditionError(f"pairs {i} and {j} break the isometry condition")
 
     @classmethod
