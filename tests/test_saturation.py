@@ -196,20 +196,22 @@ def traced_peak(step):
 
 
 @pytest.fixture(scope="module")
-def round4():
+def round3():
     a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
-    for _ in range(4):
+    for _ in range(3):
         a = fraisse_step(a)
     return a
 
 
-def test_a_round_holds_no_square():
+@pytest.fixture(scope="module")
+def round4(round3):
+    return fraisse_step(round3)
+
+
+def test_a_round_holds_no_square(round3):
     # the dense 4274 x 4274 round-4 matrix is 18.3 MB; the round keeps its
     # step-start matrix and its new x step-start block, trimmed
-    a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
-    for _ in range(3):
-        a = fraisse_step(a)
-    a, peak = traced_peak(lambda: fraisse_step(a))
+    a, peak = traced_peak(lambda: fraisse_step(round3))
     n, n0 = a.n_points, a.round_sizes[-2]
     assert (n, n0) == (4274, 106) and peak < n * n // 4, peak
     held = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
@@ -230,14 +232,11 @@ def test_reads_of_a_grown_approximant_build_no_square(round4):
     assert all(peak < n * n // 4 for peak in peaks.values()), peaks
 
 
-def test_the_saturate_sequence_builds_no_square():
+def test_the_saturate_sequence_builds_no_square(round3):
     # the benchmark's saturate pass: round 4, the check of its step-start
     # snapshot and a 300-point restriction, each below a quarter of the
     # 4274 x 4274 uint8 square
-    a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
-    for _ in range(3):
-        a = fraisse_step(a)
-    a, round_peak = traced_peak(lambda: fraisse_step(a))
+    a, round_peak = traced_peak(lambda: fraisse_step(round3))
     rep, check_peak = traced_peak(lambda: urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2))
     sample = sorted(random.Random(7).sample(range(a.n_points), 300))
     sub, restrict_peak = traced_peak(lambda: a.restrict_space(sample))
@@ -292,16 +291,13 @@ def scaled_past_uint64(a, factor=2**64):
 
 
 @pytest.fixture(scope="module")
-def grown(round4, three_row_blocks):
+def grown(round3, round4, three_row_blocks):
     """Approximants after a round, each holding new points."""
     space, _ = three_row_blocks
     edges = {
         f"{dtype.__name__}-edge": fraisse_step(Approximant.from_space(two_points(F(1, denom)), denom, 2))
         for denom, dtype in ((255, np.uint8), (256, np.uint16))
     }
-    round3 = Approximant.from_space(two_points(F(1, 2)), 2, 2)
-    for _ in range(3):
-        round3 = fraisse_step(round3)
     return {
         "denom-2-round-4": round4,
         "subset-bound-3": fraisse_step(Approximant.from_space(space, space.grid.denom, 3)),
@@ -387,7 +383,6 @@ def test_object_dtype_past_uint64_is_exact():
     rep = urysohn.finite_injectivity_check(a, a.snapshot(0), 1, denom)
     assert rep.verdict == "fail" and rep.witness == {"subset": [0], "values": [F(1, denom)]}
     assert rep.counts["functions"] == 2
-
 
 
 def test_back_and_forth_probe_on_object_dtype():
