@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from .banach import RadialProfile, StepFn2D
-from .errors import MslabError, PreconditionError
+from .errors import MslabError, NonSquareError, PreconditionError
 from .metric import KatetovFn, MetricSpace
 from .rationals import ParseMemo, format_rational, parse_rational
 from .urysohn import Approximant, RealizationRecord
@@ -165,13 +165,10 @@ def approximant_from_dict(data: dict) -> Approximant:
         grid = _grid_parser(denom)
         labels = _json_labels(data["points"])
         rows = [list(map(grid.__getitem__, row)) for row in data["d"]]
-        n = len(labels)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise FormatError(f"approximant matrix is not {n} x {n}")
         subset_bound = _json_int(data["subset_bound"], "subset_bound")
         a = Approximant.from_grid(labels, rows, denom, grid[data["diam"]], subset_bound)
-        a.rounds = _json_int(data.get("rounds", 0), "rounds")
-        a.round_sizes = [_json_int(v, "a round size") for v in data.get("round_sizes", [n])]
+        rounds = _json_int(data.get("rounds", 0), "rounds")
+        a.round_sizes = [_json_int(v, "a round size") for v in data.get("round_sizes", [len(labels)])]
         a.log = [
             RealizationRecord(
                 round=_json_int(rec["round"], "a log record's round"),
@@ -181,13 +178,13 @@ def approximant_from_dict(data: dict) -> Approximant:
             )
             for rec in data.get("log", [])
         ]
-    except (KeyError, ValueError, TypeError, PreconditionError) as exc:
+    except (KeyError, ValueError, TypeError, PreconditionError, NonSquareError) as exc:
         raise FormatError(f"bad approximant payload: {exc}") from exc
-    _check_approximant(a)
+    _check_approximant(a, rounds)
     return a
 
 
-def _check_approximant(a: Approximant):
+def _check_approximant(a: Approximant, rounds: int):
     m = a.matrix
     n = a.n_points
     if (asym := np.argwhere(m != m.T)).size:
@@ -197,8 +194,8 @@ def _check_approximant(a: Approximant):
     sizes = a.round_sizes
     if not sizes or sizes[-1] != n or any(x > y for x, y in zip(sizes, sizes[1:])):
         raise FormatError(f"round_sizes {sizes} must be non-decreasing and end at {n}")
-    if a.rounds != len(sizes) - 1:
-        raise FormatError(f"rounds is {a.rounds}, but round_sizes {sizes} records {len(sizes) - 1}")
+    if rounds != a.rounds:
+        raise FormatError(f"rounds is {rounds}, but round_sizes {sizes} records {a.rounds}")
     if not a.log:
         return
     if not all(1 <= rec.round <= a.rounds for rec in a.log):

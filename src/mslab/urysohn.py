@@ -10,17 +10,16 @@ past uint64, so huge denominators stay exact). The seed rows enter numpy
 through `metric.int_matrix`, and a matrix is validated as it is, never
 through a MetricSpace.
 
-An approximant holds its last saturation round as parts, never as one
-square: the dense matrix among the round's step-start points, the new x
-step-start block that the round's walk writes (4168 x 106 for the denom-2
-round 4), and the log, whose last records are the new points'. Each new
-point realizes a Katetov function over a subset of the step-start points,
-and its distances to the points before it are the free amalgam of that
-function (Katetov 1988), so the distances among the new points are
-derived from the records and the block when read, not stored. One reader,
-`Approximant._distances(rows, cols)`, serves every read (`dist` of two
-step-start points reads their one entry of the step-start matrix); a
-caller reads only the rows and columns it needs (the injectivity check
+An approximant holds its last saturation round as two pieces, never as one
+square: the full rows of the round's step-start points (106 x 4274 for the
+denom-2 round 4) and the log, whose last records are the new points'. Each
+new point realizes a Katetov function over a subset of the step-start
+points, and its distance to every other point is the free amalgam of that
+function (Katetov 1988), so the rows of the new points are derived from
+their records and the step-start rows when read, not stored. One reader,
+`Approximant._distances(rows, cols)`, serves every read (`dist` with a
+step-start end reads its one entry of the step-start rows); a caller
+reads only the rows and columns it needs (the injectivity check
 its snapshot's rows, a probe its kept points' rows, a restriction its
 sub-matrix), and `Approximant.matrix` builds the whole n x n array, a
 block of rows at a time, only when a caller asks for it (serialization,
@@ -105,39 +104,39 @@ class RealizationRecord:
 
 @dataclass(eq=False)
 class Approximant:
-    """A growing finite metric space on the 1/denom grid, held as the parts
-    of its last saturation round.
+    """A growing finite metric space on the 1/denom grid, held as the
+    step-start rows of its last saturation round and its log.
 
-    Distances are scaled by `denom` and held in numpy arrays of dtype
+    Distances are scaled by `denom` and held in a numpy array of dtype
     `np.min_scalar_type(bound_scaled)`: every entry lies in
     [0, bound_scaled], so the dtype holds it, and it is `object` (Python
     ints) once the bound passes uint64; `validate_metric` scans a matrix as
     it is, since an int64 cast would wrap a uint64 entry past 2**63.
 
-    - `base` is the dense matrix among the step-start points of the last
-      round, the first n0 = len(base) points. For a round-0 or loaded
-      approximant it is the whole matrix.
-    - `block` holds the distances from the round's new points to the
-      step-start points, (n - n0) x n0, with no spare capacity.
-    - The last n - n0 records of `log` are the new points' records, in
-      point order.
+    - `start` holds the full rows of the last round's step-start points,
+      the first n0 = len(start) points: n0 x n, with no spare capacity. For
+      a round-0 or loaded approximant it is the whole matrix.
+    - The last n - n0 records of `log` are the new points', in point order.
+      A new point p realizes the Katetov function xi_p over the subset S_p
+      of its record, so its row is the free amalgam (Katetov 1988, "On
+      universal metric spaces")
+          d(p, w) = min(bound, min over s in S_p of xi_p(s) + d(s, w))
+      for every w, a step-start point or a new one, and 0 at w = p.
 
-    The distances among the new points are never stored: the reader
-    `_distances` derives them from the records and `block`. `matrix` builds
-    the whole n x n array through that reader when a caller asks for it; a
-    caller that needs a few rows or a sub-matrix reads only those.
-    `round_sizes` records the point count after each completed saturation
-    round (entry 0 is the seed size), so older generations are index
-    prefixes. Equality is identity: compare `matrix.tolist()` for values.
+    The rows of new points are never stored: the reader `_distances`
+    derives them by that formula. `matrix` builds the whole n x n array
+    through the reader when a caller asks for it; a caller that needs a few
+    rows or a sub-matrix reads only those. `round_sizes` records the point
+    count after each completed saturation round (entry 0 is the seed size),
+    so older generations are index prefixes. Equality is identity: compare
+    `matrix.tolist()` for values.
     """
 
     labels: list[str]
-    base: np.ndarray
-    block: np.ndarray
+    start: np.ndarray
     denom: int
     bound_scaled: int
     subset_bound: int
-    rounds: int = 0
     round_sizes: list[int] = field(default_factory=list)
     log: list[RealizationRecord] = field(default_factory=list)
 
@@ -162,11 +161,9 @@ class Approximant:
         m = int_matrix(rows).reshape(n, n)
         if n and not (m.min() >= 0 and m.max() <= bound_scaled):
             raise PreconditionError(f"seed distances must lie in [0, {Fraction(bound_scaled, denom)}]")
-        dtype = np.min_scalar_type(bound_scaled)
         return cls(
             labels=list(labels),
-            base=m.astype(dtype),
-            block=np.empty((0, n), dtype=dtype),
+            start=m.astype(np.min_scalar_type(bound_scaled)),
             denom=denom,
             bound_scaled=bound_scaled,
             subset_bound=subset_bound,
@@ -178,6 +175,11 @@ class Approximant:
         return len(self.labels)
 
     @property
+    def rounds(self) -> int:
+        """The number of completed saturation rounds."""
+        return len(self.round_sizes) - 1
+
+    @property
     def diam_bound(self) -> Fraction:
         return Fraction(self.bound_scaled, self.denom)
 
@@ -186,7 +188,7 @@ class Approximant:
         """The symmetric n x n distance matrix, built on each read from
         `_distances`, `_READ_ROWS` rows at a time, and read-only."""
         n = self.n_points
-        out = np.empty((n, n), dtype=self.base.dtype)
+        out = np.empty((n, n), dtype=self.start.dtype)
         points = np.arange(n)
         for c in range(0, n, _READ_ROWS):
             out[c : c + _READ_ROWS] = self._distances(points[c : c + _READ_ROWS], points)
@@ -198,57 +200,46 @@ class Approximant:
         `cols`, as a len(rows) x len(cols) array; every index must already
         be checked (`check_points`).
 
-        Two step-start points are read from `base`, a step-start point and
-        a new one from `block`. Two distinct new points are derived: a new
-        point i realizes the Katetov function xi_i over the subset S_i of
-        its record, and its distance to any point w present before it is
-        the free amalgam (Katetov 1988, "On universal metric spaces")
-            d(i, w) = min(bound, min over s in S_i of xi_i(s) + d(s, w)).
-        For w = j, another new point, d(s, j) is block[j, s], so
-            d(i, j) = min over s in S_i of (min(block[j, s], bound - xi_i(s)) + xi_i(s)),
-        which never passes bound and so cannot wrap in a narrow dtype. It
-        equals min(bound, min over s in S_i, t in S_j of xi_i(s) + d(s, t)
-        + xi_j(t)), which is symmetric in i and j: the row point's record
-        gives the value that the later point's record gives (`_amalgam`)."""
-        base, block = self.base, self.block
+        A step-start row is read from `start`. The row of a new point p is
+        the free amalgam of its record (Katetov 1988, "On universal metric
+        spaces"), for step-start and new columns alike:
+            d(p, w) = min over (s, v) in p's record of (min(start[s, w], bound - v) + v),
+        and 0 at w = p. The sum never passes bound, so it cannot wrap in a
+        narrow dtype, and the min is min(bound, min of v + d(s, w)). For w a
+        new point q it equals min(bound, min over s in S_p, t in S_q of
+        xi_p(s) + d(s, t) + xi_q(t)), which is symmetric in p and q: the row
+        point's record gives the value that q's record gives. Each record is
+        padded to `subset_bound` anchors by repeating its first anchor and
+        value, which leaves the min unchanged."""
+        start = self.start
+        n0, n = start.shape
         r, c = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        if not len(block):  # every point is a step-start point
-            return base[r][:, c]
-        n0 = len(base)
-        r_new, c_new = r >= n0, c >= n0
-        old, i, j = r[~r_new], r[r_new] - n0, c[c_new] - n0  # i, j: rows of the block
-        out = np.empty((len(r), len(c)), dtype=base.dtype)
-        if old.size:
-            out[~r_new] = _by_columns(c_new, base[old][:, c[~c_new]], block[j][:, old].T)
-        if i.size:
-            out[r_new] = _by_columns(c_new, block[i][:, c[~c_new]], self._amalgam(i, j))
-        return out
-
-    def _amalgam(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The distances from the new points i to the new points j, both as
-        rows of the block, by the records of i (`_distances`), and 0 where
-        the two are one point. Each record's subset is padded to
-        `subset_bound` anchors by repeating its first anchor and value,
-        which leaves the min unchanged."""
-        k, block, bound = self.subset_bound, self.block, self.bound_scaled
-        records = self.log[len(self.log) - len(block) :]
-        picked = [records[p] for p in i.tolist()]
-        anchors = np.array([r.subset + r.subset[:1] * (k - len(r.subset)) for r in picked], dtype=np.intp)
-        values = np.array([r.values + r.values[:1] * (k - len(r.values)) for r in picked], dtype=block.dtype)
-        cols = np.ascontiguousarray(block[j].T)  # step-start point x point of j
-        out = np.full((len(i), len(j)), bound, dtype=block.dtype)
-        for s, v in zip(anchors.reshape(-1, k).T, values.reshape(-1, k).T):
-            v = v[:, None]
-            term = np.minimum(cols[s], bound - v)
-            term += v
-            np.minimum(out, term, out=out)
-        out[i[:, None] == j] = 0
+        if n0 == n:  # every point is a step-start point
+            return start[r][:, c]
+        at_c = start[:, c]  # step-start point x column
+        new = r >= n0
+        out = np.empty((len(r), len(c)), dtype=start.dtype)
+        out[~new] = at_c[r[~new]]
+        if new.any():
+            p = r[new]
+            k, bound, log = self.subset_bound, self.bound_scaled, self.log
+            picked = [log[i] for i in (p + (len(log) - n)).tolist()]  # point p's record
+            anchors = np.array([rec.subset + rec.subset[:1] * (k - len(rec.subset)) for rec in picked], dtype=np.intp)
+            values = np.array([rec.values + rec.values[:1] * (k - len(rec.values)) for rec in picked], dtype=start.dtype)
+            derived = np.full((len(p), len(c)), bound, dtype=start.dtype)
+            for s, v in zip(anchors.T, values.T):
+                v = v[:, None]
+                term = np.minimum(at_c[s], bound - v)
+                term += v
+                np.minimum(derived, term, out=derived)
+            derived[p[:, None] == c] = 0
+            out[new] = derived
         return out
 
     def dist(self, i: int, j: int) -> Fraction:
         check_points(self.n_points, (i, j))
-        n0 = len(self.base)  # two step-start points are one entry of base
-        scaled = self.base.item(i, j) if i < n0 and j < n0 else self._distances([i], [j]).item()
+        lo, hi = (i, j) if i < j else (j, i)  # start holds the row of a step-start lo
+        scaled = self.start.item(lo, hi) if lo < len(self.start) else self._distances([lo], [hi]).item()
         return Fraction(scaled, self.denom)
 
     def snapshot(self, round_index: int) -> range:
@@ -267,24 +258,6 @@ class Approximant:
             raise IndexClashError("duplicate indices in the restriction")
         sub = self._distances(idx, idx).tolist()
         return MetricSpace.from_grid([self.labels[i] for i in idx], sub, self.denom, self.bound_scaled)
-
-    def copy(self) -> "Approximant":
-        return replace(
-            self,
-            labels=list(self.labels),
-            base=self.base.copy(),
-            block=self.block.copy(),
-            round_sizes=list(self.round_sizes),
-            log=list(self.log),
-        )
-
-
-def _by_columns(new: np.ndarray, to_old: np.ndarray, to_new: np.ndarray) -> np.ndarray:
-    """Rows whose columns are `to_new` where the mask `new` is set and
-    `to_old` elsewhere, in column order."""
-    out = np.empty((len(to_old), len(new)), dtype=to_old.dtype)
-    out[:, ~new], out[:, new] = to_old, to_new
-    return out
 
 
 def _subsets_lex(points: Sequence[int], max_size: int):
@@ -389,9 +362,10 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     profiles that the walk enumerates once per distinct sub-matrix
     (`_profile_walk`). So the walk writes each new point's distances to
     the step-start points only, into a new x step-start block, and the
-    round keeps that block, trimmed, beside the step-start matrix: the
-    distances among the new points follow from their records and the block
-    by the same formula, and are derived when read (`Approximant._distances`).
+    round keeps the step-start points' full rows, the step-start matrix
+    beside the transposed block, as `start`. A new point's row is the free
+    amalgam of its record (Katetov 1988) over those rows, for step-start and
+    new points alike, and is derived when read (`Approximant._distances`).
     No array of the round has n x n entries.
     """
     base = a.matrix  # read only: distances among step-start points never change
@@ -433,10 +407,8 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
             log.append(RealizationRecord(round_no, subset, tuple(values), n))
             n += 1
 
-    return replace(
-        a, labels=labels, base=base, block=block[: n - n0].copy(), rounds=round_no,
-        round_sizes=[*a.round_sizes, n], log=log,
-    )
+    start = np.hstack([base, block[: n - n0].T])
+    return replace(a, labels=labels, start=start, round_sizes=[*a.round_sizes, n], log=log)
 
 
 def finite_injectivity_check(
@@ -668,7 +640,7 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
             raise UnsaturatedError(
                 f"profile value {Fraction(v, grid.denom)} at point {w} is off the 1/{ap.denom} grid"
             )
-    want = np.array([v // f for v in profile], dtype=ap.base.dtype)
+    want = np.array([v // f for v in profile], dtype=ap.start.dtype)
     hits = np.flatnonzero((ap._distances(keep, range(ap.n_points)) == want[:, None]).all(axis=0))
     if not hits.size:
         raise UnsaturatedError("no existing point realizes the transported profile")

@@ -469,9 +469,10 @@ APPROXIMANT_DTYPES = {"uint8-323": np.uint8, "uint8-round1": np.uint8, "uint16":
 @pytest.mark.parametrize("name", APPROXIMANT_DTYPES)
 def test_validate_scaled_reads_an_approximant_matrix_as_its_rows(name, approximants):
     a = approximants[name]
-    assert a.matrix.dtype == APPROXIMANT_DTYPES[name]
+    m = a.matrix
+    assert m.dtype == APPROXIMANT_DTYPES[name]
     assert (a.n_points < metric._NUMPY_MIN_POINTS) == (name == "uint8-round1")
-    for d, reason in ((a.matrix, None), (with_break(a.matrix), "triangle")):
+    for d, reason in ((m, None), (with_break(m), "triangle")):
         got = validate_metric(d, a.bound_scaled)
         rows = validate_metric(d.tolist(), a.bound_scaled)
         assert (got.reason, got.witness) == (rows.reason, rows.witness)
@@ -483,19 +484,20 @@ def test_validate_metric_scans_an_integer_matrix_as_validate_scaled_does(name, a
     # an int bound scans the matrix as it is; a Fraction or str bound reads
     # it through tolist(), never as numpy scalars
     a = approximants[name]
-    grid = MetricSpace.from_grid(a.labels, a.matrix.tolist(), 1, a.bound_scaled).grid
+    m = a.matrix
+    grid = MetricSpace.from_grid(a.labels, m.tolist(), 1, a.bound_scaled).grid
     for bound in (a.bound_scaled, F(a.bound_scaled), str(a.bound_scaled)):
-        for d, reason in ((a.matrix, None), (with_break(a.matrix), "triangle")):
+        for d, reason in ((m, None), (with_break(m), "triangle")):
             got = validate_metric(d, bound)
             assert got == validate_metric(d.tolist(), a.bound_scaled)
             assert got.reason == reason
-        assert MetricSpace(a.labels, a.matrix, bound).grid == grid
+        assert MetricSpace(a.labels, m, bound).grid == grid
         with pytest.raises(NonSquareError):
-            validate_metric(a.matrix[:, 1:], bound)
+            validate_metric(m[:, 1:], bound)
         with pytest.raises(TypeError, match="not a rational value"):
-            validate_metric(a.matrix.astype(float), bound)
+            validate_metric(m.astype(float), bound)
         with pytest.raises(TypeError, match="not a rational value"):
-            MetricSpace(a.labels, a.matrix.astype(float), bound)
+            MetricSpace(a.labels, m.astype(float), bound)
 
 
 def test_every_view_keeps_the_grid_of_its_space(approximants, tmp_path):
@@ -544,13 +546,15 @@ def test_a_300_point_view_is_validated_on_its_grid(approximants, monkeypatch):
 
 def test_uint64_approximant_is_validated_without_wrapping(approximants, tmp_path, capsys):
     a = approximants["uint64"]
-    upper = a.matrix[np.triu_indices(a.n_points, 1)]
+    m = a.matrix
+    upper = m[np.triu_indices(a.n_points, 1)]
     assert a.n_points >= metric._NUMPY_MIN_POINTS and upper.min() >= 2**63
-    broken = Approximant.from_grid(a.labels, with_break(a.matrix), a.denom, a.bound_scaled, a.subset_bound)
+    broken = Approximant.from_grid(a.labels, with_break(m), a.denom, a.bound_scaled, a.subset_bound)
     witness = {}
     for name, b in (("good", a), ("broken", broken)):
-        got = validate_metric(b.matrix, b.bound_scaled)
-        naive = naive_validate(b.matrix.tolist(), b.bound_scaled)
+        bm = b.matrix
+        got = validate_metric(bm, b.bound_scaled)
+        naive = naive_validate(bm.tolist(), b.bound_scaled)
         assert (got.reason, got.witness) == (naive or (None, None))
         witness[name] = naive
         _dump_json(approximant_to_dict(b), tmp_path / f"{name}.json")

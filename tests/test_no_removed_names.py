@@ -14,7 +14,7 @@ from mslab import extend_by_katetov, gromov_approximant, gromov_net_indices
 SOURCES = sorted(Path(mslab.__file__).parent.glob("*.py"))
 REMOVED = {
     "MARequest", "KatetovVerdict", "WeakSeminorm", "same_value", "power_sum", "add2d", "landmark_gap",
-    "validate_pseudometric", "_INT64_SAFE", "_int64_matrix", "validate_scaled", "_rescale",
+    "validate_pseudometric", "_INT64_SAFE", "_int64_matrix", "validate_scaled", "_rescale", "_by_columns", "_amalgam",
 }
 
 

@@ -2,7 +2,7 @@
 transposed block, it first copies its whole input into one contiguous
 array, so a read of a few rows would copy the whole view. An approximant
 holds no n x n matrix, and its reader indexes the rows it needs
-(`base[idx]`, `block[idx]`)."""
+(`start[idx]`)."""
 
 import ast
 from pathlib import Path

@@ -27,7 +27,7 @@ from mslab import Approximant, BFState, MetricSpace, back_and_forth_extend, frai
 from mslab import urysohn
 from mslab.cli import main
 from mslab.errors import BudgetExceededError, MetricFailureError, PreconditionError
-from mslab.metric import _grid_profiles
+from mslab.metric import _grid_profiles, katetov_completion
 from mslab.randgen import random_metric_space
 
 F = Fraction
@@ -209,14 +209,14 @@ def round4(round3):
 
 
 def test_a_round_holds_no_square(round3):
-    # the dense 4274 x 4274 round-4 matrix is 18.3 MB; the round keeps its
-    # step-start matrix and its new x step-start block, trimmed
+    # the dense 4274 x 4274 round-4 matrix is 18.3 MB; the round keeps only
+    # the full rows of its step-start points
     a, peak = traced_peak(lambda: fraisse_step(round3))
     n, n0 = a.n_points, a.round_sizes[-2]
     assert (n, n0) == (4274, 106) and peak < n * n // 4, peak
     held = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
-    assert sorted(arr.shape for arr in held) == [(n0, n0), (n - n0, n0)]
-    assert a.block.base is None and a.block.flags.c_contiguous
+    assert [arr.shape for arr in held] == [(n0, n)] and held[0] is a.start
+    assert a.start.base is None and a.start.flags.c_contiguous
 
 
 def test_reads_of_a_grown_approximant_build_no_square(round4):
@@ -286,8 +286,8 @@ def scaled_past_uint64(a, factor=2**64):
     """`a` with its grid, distances and record values multiplied by
     factor: the bound passes uint64, so its arrays hold Python ints."""
     log = [replace(r, values=tuple(v * factor for v in r.values)) for r in a.log]
-    base, block = a.base.astype(object) * factor, a.block.astype(object) * factor
-    return replace(a, base=base, block=block, denom=a.denom * factor, bound_scaled=a.bound_scaled * factor, log=log)
+    start = a.start.astype(object) * factor
+    return replace(a, start=start, denom=a.denom * factor, bound_scaled=a.bound_scaled * factor, log=log)
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +314,7 @@ def test_the_reader_matches_the_matrix(grown, name):
     a = grown[name]
     m = a.matrix
     n, n0 = a.n_points, a.round_sizes[-2]
-    assert n - n0 == len(a.block) > 80 and m.dtype == a.block.dtype == a.base.dtype
+    assert n - n0 > 80 and len(a.start) == n0 and m.dtype == a.start.dtype
     if name == "object":
         assert m.dtype == object
         assert m.tolist() == (grown["uint8-round-3"].matrix.astype(object) * 2**64).tolist()
@@ -333,6 +333,27 @@ def test_the_reader_matches_the_matrix(grown, name):
     for i, j in [(n0, n - 1), *(rng.sample(new, 2) for _ in range(40))]:
         assert a.dist(i, j) == a.dist(j, i) == F(m.item(i, j), a.denom)
         assert a.dist(i, i) == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["denom-2-round-4", "subset-bound-3", "uint8-edge", "uint16-edge", "object"]
+)
+def test_a_new_row_is_the_katetov_completion_of_its_record(grown, name):
+    # the one formula, against the plain-list completion over the
+    # step-start rows: every column, step-start or new, and 0 at the point
+    a = grown[name]
+    n, n0 = a.n_points, len(a.start)
+    start = a.start.tolist()
+    records = a.log[len(a.log) - (n - n0) :]
+    assert n - n0 > 80 and [r.point for r in records] == list(range(n0, n))
+    rng = random.Random(n)
+    points = sorted({n0, n - 1, *rng.sample(range(n0, n), 40)})
+    rows = a._distances(points, range(n)).tolist()
+    for p, row in zip(points, rows):
+        rec = records[p - n0]
+        want = katetov_completion(start, rec.subset, rec.values, a.bound_scaled, range(n))
+        want[p] = 0
+        assert row == want
 
 
 @pytest.mark.parametrize("subset_bound,added", [(1, [1, 0]), (2, [1, 1])])
@@ -441,7 +462,7 @@ def test_injectivity_on_arbitrary_snapshot_matches_reference(rounds, over, facto
 
 def test_approximant_equality_is_identity():
     a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
-    assert a == a and a != a.copy()
+    assert a == a and a != replace(a)
 
 
 @pytest.mark.parametrize("denom", [0, -2])
