@@ -528,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--round", type=int, default=None)
     # k = 0 asks about no subset at all, so its vacuous pass is refused here
     u.add_argument("--k", type=_at_least(1), required=True)
-    u.add_argument("--denom", type=int, default=None)
+    u.add_argument("--denom", type=int, default=None,
+                   help="a multiple of the approximant's denominator; its verdict is the approximant's own grid's")
     u = leaf(usub, "ma", cmd_urysohn_ma)
     u.add_argument("space")
     u.add_argument("--f", type=_indices, default="")

@@ -31,6 +31,12 @@ into one contiguous array when that input is a strided view. Fancy
 indexing wraps negative indices, so every index goes through
 `check_points` first.
 
+A saturation round and the injectivity check give their walk
+(`_profile_walk`) and their lookup (`_Realizations`) the same anchor rows
+on the approximant's own 1/denom grid: the round its step-start matrix,
+the check its snapshot's rows. The check reads a finer denominator on
+that grid too (`finite_injectivity_check` proves the reading).
+
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
 one- or k-point metric extension from a prescribed distance recipe and
@@ -282,18 +288,19 @@ class _Realizations:
     point p). A profile over a subset of the anchors is realized by the
     points in every mask of its values.
 
-    A lookup read in lexicographic subset order (`_profile_walk`) reads no
-    anchor below the first point of its current subset again, so `add`
-    indexes a new point only from that anchor's position on: the masks of
-    the retired anchors go stale, and nothing reads them."""
+    Its anchor rows are the ones its walk (`_profile_walk`) reads, so a
+    value is looked up as the walk yields it. A lookup read in
+    lexicographic subset order reads no anchor below the first point of its
+    current subset again, so `add` indexes a new point only from that
+    anchor's position on: the masks of the retired anchors go stale, and
+    nothing reads them."""
 
-    def __init__(self, anchors: Sequence[int], rows: np.ndarray, factor: int = 1):
-        # rows[i] holds the distances from anchors[i] to every point, on a
-        # grid `factor` times coarser than the values looked up
+    def __init__(self, anchors: Sequence[int], rows: np.ndarray):
+        # rows[i] holds the distances from anchors[i] to every point
         self._by_anchor: dict[int, dict[int, int]] = {}
         for s, row in zip(anchors, rows):
             self._by_anchor[s] = {
-                v * factor: int.from_bytes(np.packbits(row == v, bitorder="little").tobytes(), "little")
+                v: int.from_bytes(np.packbits(row == v, bitorder="little").tobytes(), "little")
                 for v in np.unique(row).tolist()
             }
 
@@ -314,10 +321,12 @@ class _Realizations:
         return True
 
 
-def _profile_walk(among: Sequence[Sequence[int]], points: Sequence[int], max_size: int, bound: int):
+def _profile_walk(rows: np.ndarray, points: Sequence[int], max_size: int, bound: int):
     """(subset, its grid Katetov profiles) for every non-empty subset of at
-    most max_size of the sorted points, in lexicographic order; among[i][j]
-    is the scaled distance between points[i] and points[j].
+    most max_size of the sorted points, in lexicographic order. rows[i]
+    holds the scaled distances from points[i] to every point, and d(s, t)
+    is read as the Python int rows.item(pos[s], t): a numpy uint8 scalar
+    rows[i][j] would wrap in `katetov_interval`'s arithmetic.
 
     The profiles of a subset depend only on its sub-matrix and the bound,
     and subsets of two points have at most bound + 1 sub-matrices, so the
@@ -328,8 +337,7 @@ def _profile_walk(among: Sequence[Sequence[int]], points: Sequence[int], max_siz
     pos = {s: i for i, s in enumerate(points)}
     kept: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
     for subset in _subsets_lex(points, max_size):
-        idx = [pos[i] for i in subset]
-        sub = tuple([tuple([among[i][j] for j in idx]) for i in idx])
+        sub = tuple([tuple([rows.item(pos[s], t) for t in subset]) for s in subset])
         profiles = kept.get(sub)
         yield subset, _keep_when_read(sub, bound, kept) if profiles is None else profiles
 
@@ -360,13 +368,13 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     subset's rows, and the lookup reads the new point's distances to the
     anchors from the subset's first point on (`_Realizations`), over
     profiles that the walk enumerates once per distinct sub-matrix
-    (`_profile_walk`). So the walk writes each new point's distances to
-    the step-start points only, into a new x step-start block, and the
-    round keeps the step-start points' full rows, the step-start matrix
-    beside the transposed block, as `start`. A new point's row is the free
-    amalgam of its record (Katetov 1988) over those rows, for step-start and
-    new points alike, and is derived when read (`Approximant._distances`).
-    No array of the round has n x n entries.
+    (`_profile_walk`). So the walk collects each new point's distances to
+    the step-start points only, stacked once after it into a new x
+    step-start block, and the round keeps the step-start points' full rows,
+    the step-start matrix beside the transposed block, as `start`. A new
+    point's row is the free amalgam of its record (Katetov 1988) over those
+    rows, for step-start and new points alike, and is derived when read
+    (`Approximant._distances`). No array of the round has n x n entries.
     """
     base = a.matrix  # read only: distances among step-start points never change
     n0 = n = a.n_points
@@ -374,14 +382,14 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     labels, log = list(a.labels), list(a.log)
     label_set = set(labels)
     lookup = _Realizations(range(n0), base)
-    block = np.zeros((0, n0), dtype=base.dtype)  # new point x step-start point
+    new_rows = []  # each new point's distances to the step-start points
     # (s, v) -> the row min(bound, v + d(s, w)) over the step-start points
     # w; at most subset_bound rows per new point, so at most subset_bound
     # times the block
     shifted: dict[tuple[int, int], np.ndarray] = {}
 
     round_no = a.rounds + 1
-    for subset, profiles in _profile_walk(base.tolist(), range(n0), a.subset_bound, bound):
+    for subset, profiles in _profile_walk(base, range(n0), a.subset_bound, bound):
         s0 = subset[0]
         for values in profiles:
             if lookup.realized(subset, values):
@@ -390,10 +398,6 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
                 raise BudgetExceededError(
                     f"saturation would exceed the {budget}-point budget at round {round_no}"
                 )
-            if n - n0 == len(block):
-                grown = np.zeros((min(2 * len(block) + 64, budget - n0), n0), dtype=base.dtype)
-                grown[: len(block)] = block
-                block = grown
             # metric.katetov_completion over the step-start points, one row
             # per anchor; v + min(d, bound - v) is never above bound, so the
             # sum cannot wrap in a narrow dtype
@@ -401,13 +405,14 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
                 if (s, v) not in shifted:
                     shifted[s, v] = np.minimum(base[s], bound - v) + v
             profile = functools.reduce(np.minimum, [shifted[s, v] for s, v in zip(subset, values)])
-            block[n - n0] = profile
+            new_rows.append(profile)
             labels.append(fresh_label(f"x{n}", label_set))
             lookup.add(n, profile[s0:].tolist(), s0)  # anchor s0 is at position s0
             log.append(RealizationRecord(round_no, subset, tuple(values), n))
             n += 1
 
-    start = np.hstack([base, block[: n - n0].T])
+    block = np.array(new_rows, dtype=base.dtype).reshape(n - n0, n0)  # new point x step-start point
+    start = np.hstack([base, block.T])
     return replace(a, labels=labels, start=start, round_sizes=[*a.round_sizes, n], log=log)
 
 
@@ -415,10 +420,33 @@ def finite_injectivity_check(
     a: Approximant, over: Sequence[int], k: int, denom: int
 ) -> WitnessReport:
     """Is every 1/denom-grid Katetov function over every <=k subset of the
-    snapshot realized exactly by some current point?
+    snapshot realized, up to one step of the approximant's grid, by some
+    current point? `denom` must be a multiple of `a.denom`.
 
-    The fail witness is the first unrealized (subset, profile) pair in
-    lexicographic order.
+    A function xi over S passes when some point x has max over s in S of
+    |d(x, s) - xi(s)| < 1/a.denom. This is the finite-scale form of the
+    theorem that the maximal equivariant compactification of the Urysohn
+    sphere, its space of 1-types S_1, is its Gromov compactification, every
+    type a limit of distance profiles d(x, .) ("Maximal equivariant
+    compactification of the Urysohn spaces and other metric structures"). At
+    denom = a.denom it is exact realization, and at any multiple the
+    verdict is that one, subset by subset. So the walk, the lookup, the
+    counts and the witness are all on the approximant's own grid, and
+    `params` echoes `denom`. Work in units of 1/a.denom, in which d and the
+    bound are integers:
+    - An own-grid pass gives a fine pass. The coordinatewise ceiling of a
+      fine Katetov function xi is again Katetov (Katetov 1988, "On
+      universal metric spaces"): |ceil a - ceil b| <= d(s, t) when
+      |a - b| <= d(s, t), since d(s, t) is an integer; ceil a + ceil b >=
+      a + b >= d(s, t); and ceil a <= bound. A point realizing ceil(xi)
+      exactly lies within ceil(xi(s)) - xi(s) < 1 of xi at every s.
+    - An own-grid fail gives a fine fail. The unrealized own-grid profile
+      eta is itself a fine Katetov function, and the only own-grid vector
+      strictly within one step of eta at every s is eta, which no point
+      realizes.
+
+    The fail witness is the first unrealized (subset, profile) pair on the
+    own grid, in lexicographic order, its values Fraction(v, a.denom).
     """
     if k < 0 or denom < 1:
         raise PreconditionError(f"need k >= 0 and denom >= 1, got k={k}, denom={denom}")
@@ -426,20 +454,18 @@ def finite_injectivity_check(
         raise DenominatorMismatchError(
             f"check denominator {denom} not divisible by the approximant's {a.denom}"
         )
-    factor = denom // a.denom
     over = check_points(a.n_points, sorted(set(over)), "snapshot")
-    rows = a._distances(over, range(a.n_points))
-    lookup = _Realizations(over, rows, factor)
-    among = [[v * factor for v in row] for row in rows[:, over].tolist()]
+    rows = a._distances(over, np.arange(a.n_points))
+    lookup = _Realizations(over, rows)
 
     n_subsets = n_functions = 0
     witness = None
-    for subset, profiles in _profile_walk(among, over, k, a.bound_scaled * factor):
+    for subset, profiles in _profile_walk(rows, over, k, a.bound_scaled):
         n_subsets += 1
         for values in profiles:
             n_functions += 1
             if not lookup.realized(subset, values):
-                witness = {"subset": list(subset), "values": [Fraction(v, denom) for v in values]}
+                witness = {"subset": list(subset), "values": [Fraction(v, a.denom) for v in values]}
                 break
         if witness is not None:
             break
@@ -641,7 +667,7 @@ def back_and_forth_extend(st: BFState, z: int) -> BFState:
                 f"profile value {Fraction(v, grid.denom)} at point {w} is off the 1/{ap.denom} grid"
             )
     want = np.array([v // f for v in profile], dtype=ap.start.dtype)
-    hits = np.flatnonzero((ap._distances(keep, range(ap.n_points)) == want[:, None]).all(axis=0))
+    hits = np.flatnonzero((ap._distances(keep, np.arange(ap.n_points)) == want[:, None]).all(axis=0))
     if not hits.size:
         raise UnsaturatedError("no existing point realizes the transported profile")
     return BFState.create(ap, st.pairs + ((z, int(hits[0])),), st.eps)

@@ -105,6 +105,10 @@ CORPUS = [
     ("urysohn build --seed-space BROKEN --rounds 1", 2, EMPTY),
     ("urysohn check APPROX --k 1 --round 0", 0, "471f8227f4691ddf0c6b8ca59b4cf5310f5c679a0af6ae72b4bea57505733e86"),
     ("urysohn check APPROX --k 2 --round 1 --denom 2", 1, "bf481385142b8c54f4c15e3ddbd3168f6dbdbe28e42797481b4aebdd5dcf1ad1"),
+    # a finer check grid reads the approximant's own: the verdict, counts and
+    # witness of the --denom 2 row, and a pass where the own grid passes
+    ("urysohn check APPROX --k 2 --round 1 --denom 4", 1, "418586fa99fc94c30cf634e0ef3c855fa8a91a6aa8293d12b6eddae87c41be50"),
+    ("urysohn check APPROX --k 1 --round 0 --denom 4", 0, "229632c8e495e852b71f26547b554fee0e8242cf8f3bbd74822e68512ae4f755"),
     ("urysohn check APPROX --k 0", 2, EMPTY),
     ("urysohn check APPROX_BROKEN --k 1", 2, EMPTY),
     ("urysohn ma SPACE --x 0 --y 1 --f 2 --delta 1/2", 0, "54a8e397cef32326be4c16cf85c5b6a3d6401e81f7a70ad692550467022216b0"),

@@ -232,6 +232,20 @@ def test_reads_of_a_grown_approximant_build_no_square(round4):
     assert all(peak < n * n // 4 for peak in peaks.values()), peaks
 
 
+def test_a_round_from_a_grown_approximant_walks_its_rows_as_they_are(round4):
+    # round 5 reads round 4's 4274 x 4274 square (18.3 MB) as its
+    # step-start matrix; a walk over it as Python lists would hold 8 bytes
+    # a pointer, 146 MB more
+    n = round4.n_points
+
+    def step():
+        with pytest.raises(BudgetExceededError):
+            fraisse_step(round4, budget=n + 1)
+
+    _, peak = traced_peak(step)
+    assert peak < 2 * n * n, peak
+
+
 def test_the_saturate_sequence_builds_no_square(round3):
     # the benchmark's saturate pass: round 4, the check of its step-start
     # snapshot and a 300-point restriction, each below a quarter of the
@@ -418,19 +432,19 @@ def test_back_and_forth_probe_on_object_dtype():
     assert st.pairs == ((0, 0), (1, 3))
 
 
-def reference_injectivity(rows, over, k, factor, bound):
-    """finite_injectivity_check on plain lists, as the oracle: returns the
-    verdict, the witness (subset, scaled values) and the (subsets, functions)
-    counts."""
+def reference_injectivity(rows, over, k, bound):
+    """finite_injectivity_check at the approximant's own denominator on
+    plain lists, as the oracle: returns the verdict, the witness (subset,
+    scaled values) and the (subsets, functions) counts."""
     over = sorted(set(over))
     index = {s: {} for s in over}
     for s in over:
         for p in range(len(rows)):
-            index[s].setdefault(rows[s][p] * factor, set()).add(p)
+            index[s].setdefault(rows[s][p], set()).add(p)
     subsets = sorted(sub for size in range(1, k + 1) for sub in itertools.combinations(over, size))
     n_functions = 0
     for n_subsets, subset in enumerate(subsets, 1):
-        sub_matrix = [[rows[i][j] * factor for j in subset] for i in subset]
+        sub_matrix = [[rows[i][j] for j in subset] for i in subset]
         for values in _grid_profiles(sub_matrix, bound):
             n_functions += 1
             candidates = None
@@ -442,22 +456,67 @@ def reference_injectivity(rows, over, k, factor, bound):
     return "pass", None, (len(subsets), n_functions)
 
 
+def finer_grid_oracle(rows, over, k, factor, bound):
+    """The check's reading of a grid `factor` times finer, by brute force
+    over every fine grid vector: a fine Katetov function xi over a subset
+    passes when some point x has max over s of |factor * d(x, s) - xi(s)| <
+    factor, that is, lies within one step of the approximant's grid.
+    Returns the first subset in lexicographic order with a fine function
+    that fails, or None."""
+    over = sorted(set(over))
+    for subset in sorted(sub for size in range(1, k + 1) for sub in itertools.combinations(over, size)):
+        d = [[factor * rows[s][t] for t in subset] for s in subset]
+        pairs = list(itertools.combinations(range(len(subset)), 2))
+        for xi in itertools.product(range(factor * bound + 1), repeat=len(subset)):
+            if any(not abs(xi[i] - xi[j]) <= d[i][j] <= xi[i] + xi[j] for i, j in pairs):
+                continue  # not Katetov
+            if not any(max(abs(factor * row[s] - v) for s, v in zip(subset, xi)) < factor for row in rows):
+                return list(subset)
+    return None
+
+
+def assert_check_reads_the_own_grid(a, over, k, factor):
+    """The check at denom factor * a.denom: its verdict is the finer-grid
+    oracle's, its counts and witness are the own-grid reference's, and no
+    point lies within one approximant step of the witness."""
+    rows = a.matrix.tolist()
+    rep = urysohn.finite_injectivity_check(a, over, k, factor * a.denom)
+    verdict, witness, counts = reference_injectivity(rows, over, k, a.bound_scaled)
+    assert rep.params["denom"] == factor * a.denom
+    assert rep.verdict == verdict
+    assert (rep.counts["subsets"], rep.counts["functions"]) == counts
+    if factor > 1:
+        failing = finer_grid_oracle(rows, over, k, factor, a.bound_scaled)
+        assert failing == (None if witness is None else witness[0])
+    if witness is not None:
+        subset, values = witness
+        assert rep.witness == {"subset": subset, "values": [F(v, a.denom) for v in values]}
+        step = F(1, a.denom)
+        for x in range(a.n_points):
+            assert max(abs(a.dist(x, s) - v) for s, v in zip(subset, rep.witness["values"])) >= step
+    return rep.verdict
+
+
 @pytest.mark.parametrize("rounds", [1, 2])
 @pytest.mark.parametrize("over", [[0, 2, 3], [1, 2], [0, 3], [5, 1, 4, 4], [1, 3, 4, 5]])
-@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("factor", [1, 2, 3])
 def test_injectivity_on_arbitrary_snapshot_matches_reference(rounds, over, factor):
     a = Approximant.from_space(two_points(F(1, 2)), 2, 2)
     for _ in range(rounds):
         a = fraisse_step(a)
-    rows = a.matrix.tolist()
     for k in (1, 2, 3):
-        rep = urysohn.finite_injectivity_check(a, over, k, 2 * factor)
-        verdict, witness, counts = reference_injectivity(rows, over, k, factor, a.bound_scaled * factor)
-        assert rep.verdict == verdict
-        assert (rep.counts["subsets"], rep.counts["functions"]) == counts
-        if witness is not None:
-            subset, values = witness
-            assert rep.witness == {"subset": subset, "values": [F(v, 2 * factor) for v in values]}
+        assert_check_reads_the_own_grid(a, over, k, factor)
+
+
+def test_a_finer_check_grid_reads_the_own_grid_verdict_on_random_seeds():
+    # the seed points, unsaturated at round 0 and saturated at round 1
+    verdicts = []
+    for seed in range(4):
+        a = Approximant.from_space(random_metric_space(random.Random(seed), 3, 4, 2), 2, 2)
+        for a in (a, fraisse_step(a)):
+            for k, factor in itertools.product((1, 2), (2, 3)):
+                verdicts.append(assert_check_reads_the_own_grid(a, a.snapshot(0), k, factor))
+    assert verdicts.count("fail") == verdicts.count("pass") == 16
 
 
 def test_approximant_equality_is_identity():
