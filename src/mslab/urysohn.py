@@ -31,11 +31,12 @@ into one contiguous array when that input is a strided view. Fancy
 indexing wraps negative indices, so every index goes through
 `check_points` first.
 
-A saturation round and the injectivity check give their walk
-(`_profile_walk`) and their lookup (`_Realizations`) the same anchor rows
-on the approximant's own 1/denom grid: the round its step-start matrix,
-the check its snapshot's rows. The check reads a finer denominator on
-that grid too (`finite_injectivity_check` proves the reading).
+A saturation round and the injectivity check are one walk (`_Walk`) over
+anchor rows on the approximant's own 1/denom grid, which yields each grid
+Katetov profile that no point realizes: a round adds a point at each, and
+the check is a round's walk over the snapshot, stopped at its first
+unrealized profile. The check reads a finer denominator on that grid too
+(`finite_injectivity_check` proves the reading).
 
 The explicit extension operations (ma_extension, uwmt_extension,
 prop53_extension, nonproper_witness, injectivity_chain) each build a small
@@ -65,7 +66,6 @@ exactly, and keeps the displacement d(z_i, z'_i) = d(x, y).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -282,73 +282,80 @@ def _subsets_lex(points: Sequence[int], max_size: int):
     return grow((), 0)
 
 
-class _Realizations:
-    """The realization lookup: per anchor point, scaled value -> the set of
-    points at that distance from it, as a Python-int bitmask (bit p is
-    point p). A profile over a subset of the anchors is realized by the
-    points in every mask of its values.
+class _Walk:
+    """A saturation walk and its realization lookup over the anchor points.
 
-    Its anchor rows are the ones its walk (`_profile_walk`) reads, so a
-    value is looked up as the walk yields it. A lookup read in
-    lexicographic subset order reads no anchor below the first point of its
-    current subset again, so `add` indexes a new point only from that
-    anchor's position on: the masks of the retired anchors go stale, and
-    nothing reads them."""
+    Iterating yields every (subset, values) pair that no point realizes, in
+    lexicographic order: a non-empty subset of at most max_size of the
+    anchors, then a grid Katetov profile over it. The walk counts the
+    `subsets` and `functions` (profiles) it reads, the yielded ones
+    included. The anchors are in increasing order, rows[i] holds the scaled
+    distances from anchors[i] to every point, and d(s, t) is read as the
+    Python int rows.item(i, t): a numpy uint8 scalar would wrap in
+    `katetov_interval`'s arithmetic.
 
-    def __init__(self, anchors: Sequence[int], rows: np.ndarray):
-        # rows[i] holds the distances from anchors[i] to every point
-        self._by_anchor: dict[int, dict[int, int]] = {}
-        for s, row in zip(anchors, rows):
-            self._by_anchor[s] = {
-                v: int.from_bytes(np.packbits(row == v, bitorder="little").tobytes(), "little")
-                for v in np.unique(row).tolist()
-            }
-
-    def add(self, point: int, values: Sequence[int], since: int):
-        """Index a new point by its distances to the anchors from position
-        `since` on, in anchor order; the anchors before it are retired."""
-        bit = 1 << point
-        for per, v in zip(itertools.islice(self._by_anchor.values(), since, None), values):
-            per[v] = per.get(v, 0) | bit
-
-    def realized(self, subset: Sequence[int], values: Sequence[int]) -> bool:
-        """Does some point lie at the given distances from the subset?"""
-        mask = -1
-        for s, v in zip(subset, values):
-            mask &= self._by_anchor[s].get(v, 0)
-            if not mask:
-                return False
-        return True
-
-
-def _profile_walk(rows: np.ndarray, points: Sequence[int], max_size: int, bound: int):
-    """(subset, its grid Katetov profiles) for every non-empty subset of at
-    most max_size of the sorted points, in lexicographic order. rows[i]
-    holds the scaled distances from points[i] to every point, and d(s, t)
-    is read as the Python int rows.item(pos[s], t): a numpy uint8 scalar
-    rows[i][j] would wrap in `katetov_interval`'s arithmetic.
+    The lookup holds, per anchor, scaled value -> the set of points at that
+    distance from it, as a Python-int bitmask (bit p is point p); a profile
+    is realized by the points in every mask of its values. `add` indexes a
+    point added at a yield, so the walk's later profiles see it. No anchor
+    below the first point of the current subset is read again, so `add`
+    indexes the point only from that anchor on: the masks of the retired
+    anchors go stale, and nothing reads them.
 
     The profiles of a subset depend only on its sub-matrix and the bound,
     and subsets of two points have at most bound + 1 sub-matrices, so the
     walk enumerates each distinct sub-matrix once. It keeps a sub-matrix's
-    profiles only once the caller has read all of them: a caller that stops
-    early (a check at its witness, a round at its budget) may face far more
-    profiles than it reads, 2**66 + 1 over one point past uint64."""
-    pos = {s: i for i, s in enumerate(points)}
-    kept: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
-    for subset in _subsets_lex(points, max_size):
-        sub = tuple([tuple([rows.item(pos[s], t) for t in subset]) for s in subset])
-        profiles = kept.get(sub)
-        yield subset, _keep_when_read(sub, bound, kept) if profiles is None else profiles
+    profiles only once all of them are read: a caller that stops early (a
+    check at its witness, a round at its budget) may face far more profiles
+    than it reads, 2**66 + 1 over one point past uint64."""
 
+    def __init__(self, rows: np.ndarray, anchors: Sequence[int], max_size: int, bound: int):
+        self._rows, self._anchors, self._max_size, self._bound = rows, anchors, max_size, bound
+        self._masks = [
+            {
+                v: int.from_bytes(np.packbits(row == v, bitorder="little").tobytes(), "little")
+                for v in np.unique(row).tolist()
+            }
+            for row in rows
+        ]
+        self._first = 0  # the position of the current subset's first anchor
+        self.subsets = self.functions = 0
 
-def _keep_when_read(sub: tuple[tuple[int, ...], ...], bound: int, kept: dict):
-    """The profiles of `sub`, stored in `kept` once the last one is read."""
-    read = []
-    for values in _grid_profiles(sub, bound):
-        read.append(values)
-        yield values
-    kept[sub] = tuple(read)
+    def __iter__(self):
+        rows, bound = self._rows, self._bound
+        pos = {s: i for i, s in enumerate(self._anchors)}
+        kept: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
+
+        def keep_when_read(sub):
+            read = []
+            for values in _grid_profiles(sub, bound):
+                read.append(values)
+                yield values
+            kept[sub] = tuple(read)
+
+        for subset in _subsets_lex(self._anchors, self._max_size):
+            self.subsets += 1
+            at = [pos[s] for s in subset]
+            self._first = at[0]
+            masks = [self._masks[i] for i in at]
+            sub = tuple([tuple([rows.item(i, t) for t in subset]) for i in at])
+            profiles = kept.get(sub)
+            for values in keep_when_read(sub) if profiles is None else profiles:
+                self.functions += 1
+                mask = -1
+                for per, v in zip(masks, values):
+                    mask &= per.get(v, 0)
+                    if not mask:
+                        yield subset, values
+                        break
+
+    def add(self, point: int, row: np.ndarray):
+        """Index a new point by its distances to the anchors, in anchor
+        order, from the current subset's first anchor on."""
+        bit = 1 << point
+        first = self._first
+        for per, v in zip(self._masks[first:], row[first:].tolist()):
+            per[v] = per.get(v, 0) | bit
 
 
 def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
@@ -364,24 +371,25 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     profile, so relabelling the seed can change how many points a round
     adds (from 36 to 42 points in round 1 for one small seed at denom 2).
 
-    The round reads only the step-start rows: the completion reads the
-    subset's rows, and the lookup reads the new point's distances to the
-    anchors from the subset's first point on (`_Realizations`), over
-    profiles that the walk enumerates once per distinct sub-matrix
-    (`_profile_walk`). So the walk collects each new point's distances to
-    the step-start points only, stacked once after it into a new x
-    step-start block, and the round keeps the step-start points' full rows,
-    the step-start matrix beside the transposed block, as `start`. A new
-    point's row is the free amalgam of its record (Katetov 1988) over those
-    rows, for step-start and new points alike, and is derived when read
-    (`Approximant._distances`). No array of the round has n x n entries.
+    The round is the walk (`_Walk`) over the step-start points, adding a
+    point at each profile it yields; the injectivity check over those
+    points is that walk, stopped at its first unrealized profile. The
+    round reads only the step-start rows: the completion reads the
+    subset's rows, and the walk's lookup reads the new point's distances
+    to the step-start points. So the round collects only those distances,
+    stacked once after the walk into a new x step-start block, and keeps
+    the step-start points' full rows, the step-start matrix beside the
+    transposed block, as `start`. A new point's row is the free amalgam of
+    its record (Katetov 1988) over those rows, for step-start and new
+    points alike, and is derived when read (`Approximant._distances`). No
+    array of the round has n x n entries.
     """
     base = a.matrix  # read only: distances among step-start points never change
     n0 = n = a.n_points
     bound = a.bound_scaled
     labels, log = list(a.labels), list(a.log)
     label_set = set(labels)
-    lookup = _Realizations(range(n0), base)
+    walk = _Walk(base, range(n0), a.subset_bound, bound)
     new_rows = []  # each new point's distances to the step-start points
     # (s, v) -> the row min(bound, v + d(s, w)) over the step-start points
     # w; at most subset_bound rows per new point, so at most subset_bound
@@ -389,27 +397,23 @@ def fraisse_step(a: Approximant, budget: int = DEFAULT_BUDGET) -> Approximant:
     shifted: dict[tuple[int, int], np.ndarray] = {}
 
     round_no = a.rounds + 1
-    for subset, profiles in _profile_walk(base, range(n0), a.subset_bound, bound):
-        s0 = subset[0]
-        for values in profiles:
-            if lookup.realized(subset, values):
-                continue
-            if n + 1 > budget:
-                raise BudgetExceededError(
-                    f"saturation would exceed the {budget}-point budget at round {round_no}"
-                )
-            # metric.katetov_completion over the step-start points, one row
-            # per anchor; v + min(d, bound - v) is never above bound, so the
-            # sum cannot wrap in a narrow dtype
-            for s, v in zip(subset, values):
-                if (s, v) not in shifted:
-                    shifted[s, v] = np.minimum(base[s], bound - v) + v
-            profile = functools.reduce(np.minimum, [shifted[s, v] for s, v in zip(subset, values)])
-            new_rows.append(profile)
-            labels.append(fresh_label(f"x{n}", label_set))
-            lookup.add(n, profile[s0:].tolist(), s0)  # anchor s0 is at position s0
-            log.append(RealizationRecord(round_no, subset, tuple(values), n))
-            n += 1
+    for subset, values in walk:
+        if n + 1 > budget:
+            raise BudgetExceededError(
+                f"saturation would exceed the {budget}-point budget at round {round_no}"
+            )
+        # metric.katetov_completion over the step-start points, one row
+        # per anchor; v + min(d, bound - v) is never above bound, so the
+        # sum cannot wrap in a narrow dtype
+        for s, v in zip(subset, values):
+            if (s, v) not in shifted:
+                shifted[s, v] = np.minimum(base[s], bound - v) + v
+        profile = functools.reduce(np.minimum, [shifted[s, v] for s, v in zip(subset, values)])
+        new_rows.append(profile)
+        labels.append(fresh_label(f"x{n}", label_set))
+        walk.add(n, profile)
+        log.append(RealizationRecord(round_no, subset, tuple(values), n))
+        n += 1
 
     block = np.array(new_rows, dtype=base.dtype).reshape(n - n0, n0)  # new point x step-start point
     start = np.hstack([base, block.T])
@@ -430,10 +434,11 @@ def finite_injectivity_check(
     type a limit of distance profiles d(x, .) ("Maximal equivariant
     compactification of the Urysohn spaces and other metric structures"). At
     denom = a.denom it is exact realization, and at any multiple the
-    verdict is that one, subset by subset. So the walk, the lookup, the
-    counts and the witness are all on the approximant's own grid, and
-    `params` echoes `denom`. Work in units of 1/a.denom, in which d and the
-    bound are integers:
+    verdict is that one, subset by subset. So the check is a round's walk
+    (`_Walk`) over the snapshot on the approximant's own grid, stopped at
+    its first unrealized profile: the verdict, the counts and the witness
+    come from that walk, and `params` echoes `denom`. Work in units of
+    1/a.denom, in which d and the bound are integers:
     - An own-grid pass gives a fine pass. The coordinatewise ceiling of a
       fine Katetov function xi is again Katetov (Katetov 1988, "On
       universal metric spaces"): |ceil a - ceil b| <= d(s, t) when
@@ -455,26 +460,15 @@ def finite_injectivity_check(
             f"check denominator {denom} not divisible by the approximant's {a.denom}"
         )
     over = check_points(a.n_points, sorted(set(over)), "snapshot")
-    rows = a._distances(over, np.arange(a.n_points))
-    lookup = _Realizations(over, rows)
-
-    n_subsets = n_functions = 0
-    witness = None
-    for subset, profiles in _profile_walk(rows, over, k, a.bound_scaled):
-        n_subsets += 1
-        for values in profiles:
-            n_functions += 1
-            if not lookup.realized(subset, values):
-                witness = {"subset": list(subset), "values": [Fraction(v, a.denom) for v in values]}
-                break
-        if witness is not None:
-            break
+    walk = _Walk(a._distances(over, np.arange(a.n_points)), over, k, a.bound_scaled)
+    hit = next(iter(walk), None)
+    witness = None if hit is None else {"subset": list(hit[0]), "values": [Fraction(v, a.denom) for v in hit[1]]}
     return WitnessReport(
         check="finite-injectivity",
         params={"k": k, "denom": denom, "snapshot_size": len(over)},
         verdict="pass" if witness is None else "fail",
         witness=witness,
-        counts={"subsets": n_subsets, "functions": n_functions, "points": a.n_points},
+        counts={"subsets": walk.subsets, "functions": walk.functions, "points": a.n_points},
     )
 
 

@@ -183,7 +183,25 @@ def test_a_round_enumerates_each_sub_matrix_once(monkeypatch):
     assert a.round_sizes[-1] == 4274 and len(calls) <= a.bound_scaled + 2
     calls.clear()
     rep = urysohn.finite_injectivity_check(a, a.snapshot(3), 2, 2)
-    assert rep.counts["functions"] == 33708 and len(calls) <= a.bound_scaled + 2
+    assert rep.counts["subsets"] == 5671 and rep.counts["functions"] == 33708
+    assert len(calls) <= a.bound_scaled + 2
+
+
+@pytest.mark.parametrize("subset_bound", [1, 2])
+@pytest.mark.parametrize("seed", range(10))
+def test_the_check_is_the_walk_of_a_round_stopped_at_its_first_new_point(seed, subset_bound):
+    # the check over every point passes exactly when the next round adds no
+    # point, and otherwise its witness is the round's first new record
+    space = random_metric_space(random.Random(seed), 2, 4, 3)
+    a = Approximant.from_space(space, space.grid.denom, subset_bound)
+    for _ in range(2):
+        rep = urysohn.finite_injectivity_check(a, range(a.n_points), a.subset_bound, a.denom)
+        b = fraisse_step(a)
+        assert (rep.verdict == "pass") == (b.n_points == a.n_points)
+        if rep.verdict == "fail":
+            first = b.log[len(a.log)]
+            assert rep.witness == {"subset": list(first.subset), "values": [F(v, a.denom) for v in first.values]}
+        a = b
 
 
 def traced_peak(step):
