@@ -37,8 +37,6 @@ from .metric import (
     KatetovFn,
     MetricSpace,
     MetricVerdict,
-    PartialIsometry,
-    amalgamate,
     cap_metric,
     elementary_katetov,
     enumerate_katetov,
@@ -75,7 +73,6 @@ from .urysohn import (
 )
 from .weak import (
     LandmarkSet,
-    gromov_approximant,
     gromov_net_indices,
     proximity_test,
     restrict_katetov,

@@ -54,10 +54,6 @@ class DenominatorMismatchError(PreconditionError):
     pass
 
 
-class EmptyGlueError(PreconditionError):
-    pass
-
-
 # urysohn-lab
 
 class PreconditionAError(PreconditionError):

@@ -25,11 +25,11 @@ bound lifted onto it, and no Fraction of it is read. The metric and Katetov
 calculus reads the grid. `lift(grid, values)` is the one refinement of a
 grid: the grid refined just enough to hold the rational values, and the
 values scaled onto it. `scale_space`, the view branch of `_fraction_grid`
-and every construction whose prescribed value (a profile value, an amalgam
-bound, delta, lambda, eps or a cap) may fall off its grid call it.
+and every construction whose prescribed value (a profile value, delta,
+lambda, eps or a cap) may fall off its grid call it.
 
-Every explicit extension (`with_point`, `amalgamate` and the recipes in
-`urysohn`) is built by two grid helpers. `katetov_completion` is Katetov's
+Every explicit extension (`with_point` and the recipes in `urysohn`) is
+built by two grid helpers. `katetov_completion` is Katetov's
 one-point extension of a partial profile xi over anchors S,
 g(w) = min(bound, min over s in S of xi(s) + d(s, w)); `append_points`
 appends new points, given their profiles and their distances among
@@ -78,7 +78,6 @@ import numpy as np
 from .errors import (
     DenominatorMismatchError,
     DuplicatePointError,
-    EmptyGlueError,
     IndexClashError,
     KatetovViolationError,
     LambdaOutOfRangeError,
@@ -488,76 +487,6 @@ def cap_metric(space: MetricSpace, c: RationalLike) -> MetricSpace:
 
 
 @dataclass(frozen=True)
-class PartialIsometry:
-    """A distance-preserving map between index sets of two spaces."""
-
-    domain: tuple[int, ...]
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(int(i) for i in self.domain))
-        object.__setattr__(self, "image", tuple(int(i) for i in self.image))
-        if len(self.domain) != len(self.image):
-            raise LengthMismatchError("domain and image have different lengths")
-        if len(set(self.domain)) != len(self.domain):
-            raise PreconditionError("duplicate indices in domain")
-        if len(set(self.image)) != len(self.image):
-            raise PreconditionError("duplicate indices in image")
-
-    def check(self, source: MetricSpace, target: MetricSpace) -> MetricVerdict:
-        """Exact distance match on all pairs; witness is the offending pair
-        of positions."""
-        dom = check_points(source.n_points, self.domain, "domain")
-        img = check_points(target.n_points, self.image, "image")
-        sq, s, _ = source.grid
-        tq, t, _ = target.grid
-        for a in range(len(dom)):
-            for b in range(a + 1, len(dom)):
-                if s[dom[a]][dom[b]] * tq != t[img[a]][img[b]] * sq:
-                    return MetricVerdict(False, "not-isometric", (a, b))
-        return MetricVerdict(True)
-
-
-def amalgamate(
-    x_space: MetricSpace,
-    y_space: MetricSpace,
-    glue: PartialIsometry,
-    diam_bound: RationalLike | None = None,
-) -> MetricSpace:
-    """Free amalgam of two spaces over a glued common part.
-
-    The result contains X at its original indices and the non-glued points
-    of Y appended in Y order. Cross distances are the shortest two-leg sums
-    through the glued set, capped at the bound. With an empty glue the
-    bound itself is the cross distance, so it must be given explicitly.
-    """
-    if diam_bound is None:
-        if not glue.domain:
-            raise EmptyGlueError("empty glue needs an explicit diam_bound")
-        diam = max(x_space.diam_bound, y_space.diam_bound)
-    else:
-        diam = as_fraction(diam_bound)
-    if x_space.diam_bound > diam or y_space.diam_bound > diam:
-        raise PreconditionError("both factors must have diameter bound <= the amalgam bound")
-    ok = glue.check(x_space, y_space)
-    if not ok:
-        raise PreconditionError(f"glue is not a partial isometry: positions {ok.witness}")
-
-    glued_in_y = set(glue.image)
-    new_y = [j for j in range(y_space.n_points) if j not in glued_in_y]
-
-    # X's grid refined to hold the bound and Y's grid step, then Y's lifted onto it
-    (denom, x, _), (bound, _) = lift(x_space.grid, [diam, Fraction(1, y_space.grid.denom)])
-    (_, y, _), _ = lift(y_space.grid, [Fraction(1, denom)])
-    x_points = range(x_space.n_points)
-    cross = [katetov_completion(x, glue.domain, [y[img][ja] for img in glue.image], bound, x_points) for ja in new_y]
-    among = [[y[ja][jb] for jb in new_y] for ja in new_y]
-    names = [y_space.labels[j] for j in new_y]
-    out = append_points(x_space.labels, x, x_points, cross, among, names, denom, bound)
-    return require_metric(out, "amalgam invalid")
-
-
-@dataclass(frozen=True)
 class KatetovFn:
     """Exact-rational vector over a MetricSpace satisfying the two-sided
     Katetov inequalities (a one-point extension profile). Construction
@@ -579,9 +508,6 @@ class KatetovFn:
         if not verdict:
             raise KatetovViolationError(f"not Katetov: {verdict.reason} at {verdict.witness}")
         return fn
-
-    def __call__(self, i: int) -> Fraction:
-        return self.values[i]
 
 
 def is_katetov(values: Sequence[RationalLike], space: MetricSpace) -> MetricVerdict:

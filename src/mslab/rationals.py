@@ -49,14 +49,12 @@ class ParseMemo(dict):
     unhashable value raises TypeError at lookup.
     """
 
-    def __init__(self, convert=None):
+    def __init__(self, convert):
         super().__init__()
         self._convert = convert
 
     def __missing__(self, key):
-        value = parse_rational(key)
-        if self._convert is not None:
-            value = self._convert(value)
+        value = self._convert(parse_rational(key))
         if type(key) is str:
             self[key] = value
         return value

@@ -11,8 +11,7 @@ all positive eps.
 Every operation takes the landmark set, which carries its space, and
 returns plain values: `weak_seminorm` the rho_F matrix itself (exact
 Fractions, symmetric, zero on the diagonal, triangle-valid and dominated
-by d entrywise), `gromov_net_indices` a list of point indices and
-`gromov_approximant` a list of Katetov functions over that space.
+by d entrywise) and `gromov_net_indices` a list of point indices.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import EmptySubsetError, IndexClashError, PreconditionError
-from .metric import KatetovFn, MetricSpace, check_points, elementary_katetov, grid_fractions, lift
+from .metric import KatetovFn, MetricSpace, check_points, grid_fractions, lift
 from .rationals import RationalLike, as_fraction
 from .report import WitnessReport
 
@@ -108,12 +107,6 @@ def gromov_net_indices(landmarks: LandmarkSet, eps: RationalLike) -> list[int]:
         if all(_gap(rows, z, r, landmarks.F) >= e for r in reps):
             reps.append(z)
     return reps
-
-
-def gromov_approximant(landmarks: LandmarkSet, eps: RationalLike) -> list[KatetovFn]:
-    """Finite stand-in for the closure of the elementary functions: the
-    elementary Katetov functions of a greedy landmark eps-net."""
-    return [elementary_katetov(landmarks.space, z) for z in gromov_net_indices(landmarks, eps)]
 
 
 def restrict_katetov(fn: KatetovFn, subset: Sequence[int]) -> KatetovFn:

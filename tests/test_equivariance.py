@@ -21,10 +21,7 @@ import numpy as np
 import pytest
 
 from mslab.errors import MslabError
-from mslab.metric import (
-    KatetovFn, MetricSpace, PartialIsometry, amalgamate, cap_metric, extend_by_katetov, is_katetov, katetov_completion,
-    validate_metric,
-)
+from mslab.metric import MetricSpace, cap_metric, is_katetov, katetov_completion, validate_metric
 from mslab.randgen import random_katetov_values, random_ma_request, random_metric_space
 from mslab.urysohn import (
     Approximant, BFState, finite_injectivity_check, fraisse_step, ma_extension, nonproper_witness, prop53_extension,
@@ -211,35 +208,6 @@ def draw_with_point(rng):
 def test_with_point_commutes_with_relabelling():
     kinds = compare(6, draw_with_point, with_point)
     assert "ok" in kinds and len(kinds) > 1, kinds
-
-
-def amalgam(space, y_space, glue, bound):
-    return distances(amalgamate(space, y_space, glue, bound))
-
-
-def draw_amalgam(rng):
-    """X, and a Y that copies some of X's points in a random order plus one
-    new point; the glue matches a prefix of the copies, or a shuffle of it."""
-    space = random_metric_space(rng, 1, 6, 8)
-    n = space.n_points
-    shared = rng.sample(range(n), rng.randint(1, n))
-    y_space = space.restrict(shared)
-    y_space, _ = extend_by_katetov(KatetovFn(y_space, random_katetov_values(rng, y_space, 2 * y_space.grid.denom, False)))
-    g = rng.randint(0, len(shared))
-    image = list(range(g))
-    if rng.random() < 0.3:
-        rng.shuffle(image)  # often no longer a partial isometry
-    bound = rng.choice([None, space.diam_bound, 2 * space.diam_bound, some_level(rng)])
-
-    def relabel(sigma, y_space, glue, bound):
-        return y_space, PartialIsometry([sigma[s] for s in glue.domain], glue.image), bound
-
-    return space, (y_space, PartialIsometry(shared[:g], image), bound), relabel
-
-
-def test_amalgamate_commutes_with_relabelling():
-    kinds = compare(7, draw_amalgam, amalgam)
-    assert {"ok", "EmptyGlueError", "PreconditionError"} <= kinds, kinds
 
 
 def prop53(space, pairs, eps, z):
@@ -455,14 +423,6 @@ def test_cap_metric_commutes_with_rescaling():
     kinds = compare_scaled(15, draw_cap, lambda space, cap: (distances(cap_metric(space, cap)),),
                            lambda c, cap: (cap * c,))
     assert kinds == {"ok", "PreconditionError"}, kinds
-
-
-def test_amalgamate_commutes_with_rescaling():
-    def rescale(c, y_space, glue, bound):
-        return scaled(y_space, c), glue, None if bound is None else bound * c
-
-    kinds = compare_scaled(16, draw_amalgam, lambda *args: (amalgam(*args),), rescale)
-    assert {"ok", "EmptyGlueError", "PreconditionError"} <= kinds, kinds
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,4 +1,4 @@
-"""metric-core: validation, Katetov calculus, amalgams, enumeration."""
+"""metric-core: validation, Katetov calculus, enumeration."""
 
 import copy
 import pickle
@@ -16,8 +16,6 @@ from mslab.cli import main
 from mslab import (
     KatetovFn,
     MetricSpace,
-    PartialIsometry,
-    amalgamate,
     cap_metric,
     elementary_katetov,
     enumerate_katetov,
@@ -31,7 +29,6 @@ from mslab import (
 from mslab.errors import (
     DenominatorMismatchError,
     DuplicatePointError,
-    EmptyGlueError,
     IndexClashError,
     KatetovViolationError,
     LambdaOutOfRangeError,
@@ -509,7 +506,6 @@ def test_every_view_keeps_the_grid_of_its_space(approximants, tmp_path):
         equilateral(),
         equilateral().restrict([2, 0]),
         equilateral().with_point("m", [F(1, 2)] * 3),
-        amalgamate(equilateral(), two_point(F(1, 2)), PartialIsometry((0,), (0,))),
         round1.as_metric_space(),
         round1.restrict_space([0, 2, 3]),
         load_space(path),
@@ -590,47 +586,6 @@ def test_cap_path_metric():
 def test_cap_two_point():
     capped = cap_metric(two_point(F(3), F(3)), F(1, 2))
     assert capped.d[0][1] == F(1, 2)
-
-
-# -- amalgamate ----------------------------------------------------------------
-
-
-def test_amalgamate_two_point_over_one():
-    x = two_point()
-    glued = amalgamate(x, x, PartialIsometry((0,), (0,)), 2)
-    assert glued.n_points == 3
-    assert glued.d[1][2] == 2  # d(b_X, b_Y) = 1 + 1, no cap at bound 2
-    assert validate_metric(glued.d, glued.diam_bound).ok
-
-
-def test_amalgamate_full_overlap_is_identity():
-    x = equilateral()
-    glued = amalgamate(x, x, PartialIsometry((0, 1, 2), (0, 1, 2)), 1)
-    assert glued.d == x.d and glued.labels == x.labels
-
-
-def test_amalgamate_capped_cross_distance():
-    x = MetricSpace(("a", "b"), ((0, 1), (1, 0)), 1)
-    y = MetricSpace(("a", "c"), ((0, 1), (1, 0)), 1)
-    glued = amalgamate(x, y, PartialIsometry((0,), (0,)), 1)
-    assert glued.d[1][2] == 1  # 1 + 1 capped at 1
-
-
-def test_amalgamate_restricts_isometrically():
-    rng = random.Random(5)
-    for _ in range(25):
-        x = random_metric_space(rng, max_points=5, max_denom=8)
-        y = random_metric_space(rng, max_points=5, max_denom=8)
-        bound = max(x.diam_bound, y.diam_bound)
-        glued = amalgamate(x, y, PartialIsometry((), ()), bound)
-        nx = x.n_points
-        assert glued.restrict(range(nx)).d == x.d
-        assert glued.restrict(range(nx, glued.n_points)).d == y.d
-
-
-def test_amalgamate_empty_glue_needs_bound():
-    with pytest.raises(EmptyGlueError):
-        amalgamate(two_point(), two_point(), PartialIsometry((), ()))
 
 
 # -- is_katetov / elementary ---------------------------------------------------

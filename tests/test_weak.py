@@ -12,7 +12,6 @@ from mslab import (
     MetricSpace,
     MetricVerdict,
     elementary_katetov,
-    gromov_approximant,
     gromov_net_indices,
     proximity_test,
     restrict_katetov,
@@ -178,12 +177,6 @@ def test_net_size_nonincreasing_in_eps():
         small = len(gromov_net_indices(land, F(1, 4)))
         large = len(gromov_net_indices(land, F(1, 2)))
         assert large <= small
-
-
-def test_gromov_approximant_returns_elementary_functions():
-    sp = equilateral_unit()
-    fns = gromov_approximant(LandmarkSet(sp, (0,)), F(1, 2))
-    assert all(fn.values in {sp.d[z] for z in range(3)} for fn in fns)
 
 
 def test_restrict_full_set_is_identity():
