@@ -207,7 +207,7 @@ def _load_profile_arg(arg: str) -> banach.RadialProfile:
 
 def cmd_validate(args) -> WitnessReport:
     space = load_space(args.space)
-    verdict = validate_metric(space.grid.rows, space.grid.bound)
+    verdict = _scan(space.grid.rows, space.grid.bound)  # square ints on one grid, as in `_refuse_non_metric`
     return _verdict_report("validate", {"points": space.n_points, "diam": space.diam_bound}, verdict)
 
 

@@ -50,9 +50,11 @@ grid is scanned as it is, and so is an integer ndarray with an int bound,
 such as an approximant's matrix: that is the one shortcut of
 `validate_metric`. The scan itself, `_scan`, forks on size only: below `_NUMPY_MIN_POINTS` points
 it loops over Python ints (`tolist` first), which never overflow; from
-there on it runs numpy on `int_matrix`, the one exact conversion to numpy
-(int64 when every entry fits, else `object` Python ints, and an integer
-ndarray as it is). The symmetry, diagonal, sign and bound
+there on it runs numpy on `int_matrix`, the one exact conversion to numpy,
+one C-level pass over the entries (uint8 through one byte buffer when every
+entry lies in 0..255, else int64 when every entry fits, else `object`
+Python ints; an integer ndarray as it is; a non-integer entry is refused,
+never truncated). The symmetry, diagonal, sign and bound
 checks run first, so the triangle check sees entries in 0..bound, sums of
 two at most 2 * bound, and casts to the narrowest dtype that holds 2 * bound
 (uint8 while 2 * bound < 256, as for the default approximants and the Rado
@@ -65,12 +67,13 @@ and only the first row with a break is scanned for its witness.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, index, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -151,15 +154,31 @@ def _fraction_grid(d: Sequence[Sequence[RationalLike]] | np.ndarray, diam_bound:
 
 
 def int_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """An integer matrix as numpy, exactly: an ndarray as it is (an
-    approximant's matrix), otherwise int64 when every entry fits and
-    `object` dtype holding the Python ints when one does not."""
+    """An integer matrix as numpy, exactly, in one C-level pass over its
+    entries: uint8 through one writable byte buffer when every entry lies in
+    0..255, else int64 when every entry fits, else `object` dtype holding
+    Python ints. An integer ndarray (an approximant's matrix) comes back as
+    it is. A non-integer entry or dtype (a float, a Fraction) raises
+    TypeError; it is never truncated. Empty or ragged rows go to numpy as
+    they are, which raises for ragged ones."""
     if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "biu" and not (
+            rows.dtype == object and all(issubclass(kind, (int, np.integer)) for kind in set(map(type, rows.flat)))
+        ):
+            raise TypeError(f"an integer matrix cannot have dtype {rows.dtype}")
         return rows
-    try:
+    widths = set(map(len, rows))
+    if len(widths) != 1:
         return np.array(rows, dtype=np.int64)
+    shape = (len(rows), widths.pop())
+    try:
+        return np.frombuffer(bytearray(chain.from_iterable(rows)), np.uint8).reshape(shape)
+    except ValueError:  # an entry outside 0..255
+        pass
+    try:
+        return np.frombuffer(array("q", chain.from_iterable(rows)), np.int64).reshape(shape)
     except OverflowError:
-        return np.array(rows, dtype=object)
+        return np.array(list(map(index, chain.from_iterable(rows))), dtype=object).reshape(shape)
 
 
 def _precondition_scan_int(e: Sequence[Sequence[int]], bound: int) -> MetricVerdict | None:
@@ -285,19 +304,27 @@ class Grid(NamedTuple):
 
 
 def _least_grid(denom: int, rows: tuple[tuple[int, ...], ...], bound: int) -> Grid:
-    """The grid reduced by the gcd of its denominator and every scaled value."""
+    """The grid reduced by the gcd of its denominator and every scaled value,
+    taken over the distinct values (`set().union`, one C-level pass)."""
     common = gcd(denom, bound)
     if common > 1:
-        common = gcd(common, *chain.from_iterable(rows))
+        common = gcd(common, *set().union(*rows))
     if common > 1:
         rows = tuple(tuple(v // common for v in row) for row in rows)
     return Grid(denom // common, rows, bound // common)
 
 
+def read_rows(rows: Sequence[Sequence], table) -> tuple[tuple, ...]:
+    """Each row with every entry looked up in `table`, as a tuple: one
+    `itemgetter` call per row. A row shorter than 2 is read by `map`, since
+    itemgetter returns a bare value for one key and refuses zero keys."""
+    return tuple(itemgetter(*row)(table) if len(row) > 1 else tuple(map(table.__getitem__, row)) for row in rows)
+
+
 def grid_fractions(rows: Sequence[Sequence[int]], denom: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The scaled rows as exact Fractions, one made per distinct value."""
-    made = {v: Fraction(v, denom) for v in set(chain.from_iterable(rows))}
-    return tuple(tuple(map(made.__getitem__, row)) for row in rows)
+    """The scaled rows as exact Fractions, one made per distinct value
+    (`set().union`), read row by row (`read_rows`)."""
+    return read_rows(rows, {v: Fraction(v, denom) for v in set().union(*rows)})
 
 
 class FractionMatrix(tuple):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from pathlib import Path
 from typing import Any
@@ -29,7 +28,7 @@ import numpy as np
 
 from .banach import RadialProfile, StepFn2D
 from .errors import MslabError, NonSquareError, PreconditionError
-from .metric import KatetovFn, MetricSpace
+from .metric import KatetovFn, MetricSpace, read_rows
 from .rationals import ParseMemo, format_rational, parse_rational
 from .urysohn import Approximant, RealizationRecord
 
@@ -47,7 +46,7 @@ def _grid_text(values, denom: int):
 def space_to_dict(space: MetricSpace) -> dict:
     """The space formatted straight from its grid."""
     denom, rows, _ = space.grid
-    text = _grid_text(set(chain.from_iterable(rows)), denom)
+    text = _grid_text(set().union(*rows), denom)
     return {
         "points": list(space.labels),
         "diam": format_rational(space.diam_bound),
@@ -68,17 +67,16 @@ def _grid_parser(denom: int) -> ParseMemo:
 
 
 def space_from_dict(data: dict) -> MetricSpace:
-    """Parse a space straight onto its least grid: each distinct value is
-    parsed for the common denominator, then each entry is one lookup."""
+    """Parse a space straight onto its least grid: each distinct value
+    (`set().union`, one C-level pass) is parsed for the common denominator,
+    then each row is read by one lookup call (`read_rows`)."""
     try:
         rows = data["d"]
-        denom = lcm(*(parse_rational(v).denominator for v in {data["diam"], *chain.from_iterable(rows)}))
+        denom = lcm(*(parse_rational(v).denominator for v in set().union([data["diam"]], *rows)))
         grid = _grid_parser(denom)
         if (bound := grid[data["diam"]]) < 0:
             raise FormatError(f"diam must be >= 0, got {data['diam']!r}")
-        return MetricSpace.from_grid(
-            _json_labels(data["points"]), [list(map(grid.__getitem__, row)) for row in rows], denom, bound
-        )
+        return MetricSpace.from_grid(_json_labels(data["points"]), read_rows(rows, grid), denom, bound)
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"bad metric space payload: {exc}") from exc
 
@@ -164,7 +162,7 @@ def approximant_from_dict(data: dict) -> Approximant:
             raise FormatError(f"approximant denominator must be >= 1, got {denom}")
         grid = _grid_parser(denom)
         labels = _json_labels(data["points"])
-        rows = [list(map(grid.__getitem__, row)) for row in data["d"]]
+        rows = read_rows(data["d"], grid)
         subset_bound = _json_int(data["subset_bound"], "subset_bound")
         a = Approximant.from_grid(labels, rows, denom, grid[data["diam"]], subset_bound)
         rounds = _json_int(data.get("rounds", 0), "rounds")

@@ -7,8 +7,9 @@ property). Distances are kept internally as integers on a common 1/denom
 grid, in numpy arrays whose dtype is the smallest that holds the scaled
 diameter bound (uint8 for the default grids, `object` holding Python ints
 past uint64, so huge denominators stay exact). The seed rows enter numpy
-through `metric.int_matrix`, and a matrix is validated as it is, never
-through a MetricSpace.
+through `metric.int_matrix`, in one C-level pass (a byte buffer when every
+entry lies in 0..255, as on the default grids) that refuses a non-integer
+entry, and a matrix is validated as it is, never through a MetricSpace.
 
 An approximant holds its last saturation round as two pieces, never as one
 square: the full rows of the round's step-start points (106 x 4274 for the
@@ -156,9 +157,10 @@ class Approximant:
         cls, labels: Sequence[str], rows: Sequence[Sequence[int]], denom: int, bound_scaled: int, subset_bound: int
     ) -> "Approximant":
         """A round-0 approximant from an n x n matrix of distances already
-        scaled by `denom`, one row per label; each must lie in
-        [0, bound_scaled]. The exact `int_matrix` is range-checked, then
-        narrowed to the bound's dtype."""
+        scaled by `denom`, one row per label; each must be an integer in
+        [0, bound_scaled] (`int_matrix` raises TypeError on any other
+        entry). The exact `int_matrix` is range-checked, then narrowed to
+        the bound's dtype."""
         if subset_bound < 1:
             raise PreconditionError(f"subset bound must be >= 1, got {subset_bound}")
         n = len(labels)

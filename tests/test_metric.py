@@ -417,6 +417,61 @@ def test_validate_entry_past_int64_takes_exact_scan():
     assert (got.reason, got.witness) == ("exceeds-diameter", (5, 20)) == naive_validate(rows, 1)
 
 
+# -- int_matrix ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rows, dtype",
+    [
+        ([[0, 255], [255, 0]], np.uint8),
+        ([(0, 1, 2), (3, 4, 5)], np.uint8),  # rectangular tuple rows keep their shape
+        ([[True, False], [False, True]], np.uint8),
+        ([[0, True], [7, 255]], np.uint8),
+        ([[]], np.uint8),
+        ([[0, 256], [256, 0]], np.int64),
+        ([[0, -1], [-1, 0]], np.int64),
+        ([[0, 2**63 - 1], [True, -(2**63)]], np.int64),
+        ([[0, 2**63], [2**63, 0]], object),
+        ([[-1, 2**70], [True, 0]], object),
+    ],
+)
+def test_int_matrix_holds_every_entry_exactly(rows, dtype):
+    m = metric.int_matrix(rows)
+    want = np.array(rows, dtype=object)
+    assert m.dtype == dtype and m.shape == want.shape and m.flags.writeable
+    assert all(got == exp and type(got) is not bool for got, exp in zip(m.flat, want.flat))
+    if dtype is object:
+        assert all(type(v) is int for v in m.flat)
+
+
+def test_int_matrix_hands_an_integer_ndarray_back_as_it_is():
+    for m in (np.eye(3, dtype=np.uint16), np.eye(3, dtype=bool), np.array([[0, 2**70]], dtype=object)):
+        assert metric.int_matrix(m) is m
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1.5], [1.5, 0]],
+        [[0, 300], [300, 0.0]],  # a float past an entry that needs int64
+        [[0, 2**70], [F(1, 2), 0]],  # a Fraction past an entry that needs object
+        [[0, F(2)], [F(2), 0]],  # integral, but not an int
+        np.array([[0, 1.5], [1.5, 0]]),
+        np.array([[0, F(1, 2)], [F(1, 2), 0]], dtype=object),
+    ],
+)
+def test_int_matrix_refuses_a_non_integer_entry(rows):
+    with pytest.raises(TypeError):
+        metric.int_matrix(rows)
+
+
+def test_int_matrix_refuses_a_ragged_matrix_as_numpy_does():
+    for rows in ([[0, 1], [1]], [[0], [1, 2], [3]], [[0, 1, 2], [1]]):
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
+            metric.int_matrix(rows)
+    assert metric.int_matrix([]).shape == (0,)
+
+
 
 # An approximant matrix with its int bound is scanned as it is. A scaled
 # bound in [2**63, 2**64) gives it dtype uint64, where an int64 cast would
@@ -502,6 +557,8 @@ def test_every_view_keeps_the_grid_of_its_space(approximants, tmp_path):
     _dump_json(space_to_dict(equilateral()), path)
     round1 = approximants["uint8-round1"]
     spaces = [
+        MetricSpace.from_grid((), (), 1, 1),
+        MetricSpace.from_grid(("a",), ((0,),), 2, 1),
         MetricSpace.from_grid(("a", "b"), ((0, 3), (3, 0)), 4, 4),
         equilateral(),
         equilateral().restrict([2, 0]),
@@ -513,6 +570,9 @@ def test_every_view_keeps_the_grid_of_its_space(approximants, tmp_path):
     for space in spaces:
         assert type(space.d) is metric.FractionMatrix and space.d.grid is space.grid
         assert space.d == tuple(tuple(space.dist(i, j) for j in range(space.n_points)) for i in range(space.n_points))
+        denom, rows, _ = space.grid
+        assert all(type(row) is tuple for row in space.d)
+        assert space.d == tuple(tuple(F(v, denom) for v in row) for row in rows)
         for again in (copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
             assert again == space and again.d == space.d and again.d.grid == space.grid
 
@@ -616,6 +676,12 @@ def test_katetov_length_mismatch():
 def test_elementary_spec_values():
     assert elementary_katetov(two_point(), 0).values == (0, 1)
     assert elementary_katetov(equilateral(), 2).values == (F(1, 2), F(1, 2), 0)
+    # one- and two-point rows, against the per-entry Fraction build
+    for space in (MetricSpace(("a",), ((0,),), F(1, 3)), two_point(F(2, 3)), equilateral()):
+        denom, rows, _ = space.grid
+        for z in range(space.n_points):
+            values = elementary_katetov(space, z).values
+            assert type(values) is tuple and values == tuple(F(v, denom) for v in rows[z])
 
 
 # -- extend_by_katetov ---------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mslab import (
@@ -366,6 +367,14 @@ def test_approximant_dist_rejects_an_index_out_of_range(i, j):
 def test_approximant_from_grid_refuses_a_matrix_that_is_not_square(rows):
     with pytest.raises(NonSquareError, match="not 2 x 2"):
         Approximant.from_grid(["a", "b"], rows, 2, 2, 2)
+
+
+@pytest.mark.parametrize("rows", [[[0, 1.5], [1.5, 0]], np.array([[0, 1.5], [1.5, 0]])])
+def test_approximant_from_grid_refuses_a_non_integer_distance(rows):
+    # refused, never truncated: 1.5 read as 1 would give dist(0, 1) = 1/2 where 3/4 was asked
+    with pytest.raises(TypeError):
+        Approximant.from_grid(["a", "b"], rows, 2, 2, 2)
+    assert Approximant.from_grid(["a", "b"], [[0, 1], [1, 0]], 2, 2, 2).dist(0, 1) == Fraction(1, 2)
 
 
 def test_subsets_are_generated_in_lexicographic_order():

@@ -60,9 +60,13 @@ def test_landmark_set_validation():
 
 def test_seminorm_all_landmarks_recovers_metric():
     rng = random.Random(2)
-    for _ in range(40):
-        sp = random_metric_space(rng, max_points=6, max_denom=10)
-        assert weak_seminorm(LandmarkSet(sp, tuple(range(sp.n_points)))) == sp.d
+    spaces = [MetricSpace(("a",), ((0,),), F(1, 3)), MetricSpace(("a", "b"), ((0, F(2, 3)), (F(2, 3), 0)), 1)]
+    spaces += [random_metric_space(rng, max_points=6, max_denom=10) for _ in range(40)]
+    for sp in spaces:
+        rho = weak_seminorm(LandmarkSet(sp, tuple(range(sp.n_points))))
+        denom, rows, _ = sp.grid
+        assert rho == sp.d == tuple(tuple(F(v, denom) for v in row) for row in rows)
+        assert all(type(row) is tuple for row in rho)
 
 
 def test_seminorm_single_landmark_equidistant_pair():
