@@ -472,7 +472,6 @@ def test_int_matrix_refuses_a_ragged_matrix_as_numpy_does():
     assert metric.int_matrix([]).shape == (0,)
 
 
-
 # An approximant matrix with its int bound is scanned as it is. A scaled
 # bound in [2**63, 2**64) gives it dtype uint64, where an int64 cast would
 # wrap every entry from 2**63 on to a negative number.
