@@ -150,6 +150,8 @@ CORPUS = [
     ("disjoint --p 2 --part STEP_PART0", 2, EMPTY),
     ("profile check builtin:vee", 0, "c0329fae547c0589163f7e5d3e14b98a5ce3baf30cae242414f1073a088f1233"),
     ("profile check RADIAL --horizon 4", 0, "1d832aaddb39974b3a650175fe39fc45d9aec1ff8a97129d059b2dbcddd944da"),
+    # the one profile row whose report carries a convexity witness
+    ("profile check builtin:affine-capped-at-two", 0, "c346dc6b8f6ebaea8add303d027f17dc9975ac3ccdc2593bda52ef14c299c64e"),
     ("profile check builtin:nope", 2, EMPTY),
     ("profile agree builtin:flat-then-identity builtin:vee --lo 1 --hi 1", 0, "cae2869054cf4817ca6e82d5e62664cabec9e023aa1eff57a8f76ccb3b97cd04"),
     ("profile agree builtin:flat-then-identity builtin:vee --lo 0 --hi 1", 1, "f96c729c6896cceb13a29627e8e2829bb11ee94e2a8423ff0c1e9bbaf3756217"),
