@@ -11,10 +11,8 @@ structured, reproducible verdict.
 """
 
 from .banach import (
-    AgreementVerdict,
     BUILTIN_PROFILES,
     PNormValue,
-    ProfileCheck,
     RadialProfile,
     RationalVector,
     StepFn2D,

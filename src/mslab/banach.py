@@ -17,9 +17,12 @@ Four independent pieces share this module:
   refused, never approximated;
 * the disjoint-support identity for p-th power integrals, on one
   alignment of x and its parts;
-* piecewise-linear radial profiles with exact slope-based flags
-  (1-Lipschitz, nondecreasing, convex, dominates the identity), the
-  machinery behind the sphere/ball landmark-collision examples.
+* piecewise-linear radial profiles, the machinery behind the
+  sphere/ball landmark-collision examples. `radial_profile_check` reports
+  exact slope-based flags (1-Lipschitz, nondecreasing, convex, h(0),
+  dominates the identity, Katetov-radial) in its `counts` and a
+  convexity witness in its `result`; `profiles_agree_on` passes or fails
+  with the leftmost knot where two profiles differ as its witness.
 """
 
 from __future__ import annotations
@@ -507,37 +510,20 @@ class RadialProfile:
         ]
 
 
-@dataclass(frozen=True)
-class ProfileCheck:
-    lipschitz1: bool
-    nondecreasing: bool
-    convex: bool
-    value_at_0: Fraction
-    dominates_identity: bool
-    katetov_radial: bool
-    convexity_witness: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
-
-    def flags(self) -> dict:
-        return {
-            "lipschitz1": self.lipschitz1,
-            "nondecreasing": self.nondecreasing,
-            "convex": self.convex,
-            "value_at_0": self.value_at_0,
-            "dominates_identity": self.dominates_identity,
-            "katetov_radial": self.katetov_radial,
-        }
-
-
-def radial_profile_check(h: RadialProfile, horizon: RationalLike) -> ProfileCheck:
+def radial_profile_check(h: RadialProfile, horizon: RationalLike) -> WitnessReport:
     """Exact slope-and-breakpoint analysis of a profile on [0, horizon].
 
-    convex means the slope sequence (tail included when the horizon
-    extends past the last breakpoint) is nondecreasing; on a failure the
-    witness is a symmetric midpoint triple (r-s, r, r+s) around the first
-    slope drop together with the gap h(r) - (h(r-s)+h(r+s))/2 > 0.
-    katetov_radial = lipschitz1 and dominates_identity: exactly the
-    conditions under which h(|.|) is a one-point extension profile of any
-    sample of a normed space.
+    The "profile-check" report always passes: it echoes the horizon in
+    `params` and carries six flags in `counts`, namely lipschitz1,
+    nondecreasing, convex, value_at_0 (h(0)), dominates_identity and
+    katetov_radial. convex means the slope sequence (tail included when
+    the horizon extends past the last breakpoint) is nondecreasing. When
+    it is not, `result["convexity_witness"]` is a symmetric midpoint
+    triple (r-s, r, r+s) around the first slope drop together with the
+    gap h(r) - (h(r-s)+h(r+s))/2 > 0; `result` is None for a convex
+    profile. katetov_radial = lipschitz1 and dominates_identity: exactly
+    the conditions under which h(|.|) is a one-point extension profile of
+    any sample of a normed space.
     """
     horizon = as_fraction(horizon)
     bps = h.breakpoints
@@ -552,11 +538,9 @@ def radial_profile_check(h: RadialProfile, horizon: RationalLike) -> ProfileChec
     lipschitz1 = all(abs(s) <= 1 for s in slopes)
     nondecreasing = all(s >= 0 for s in slopes)
 
-    convex = True
     witness = None
     for i in range(len(slopes) - 1):
         if slopes[i + 1] < slopes[i]:
-            convex = False
             b = knots[i + 1]
             left_len = knots[i + 1] - knots[i]
             right_len = knots[i + 2] - knots[i + 1]
@@ -566,14 +550,19 @@ def radial_profile_check(h: RadialProfile, horizon: RationalLike) -> ProfileChec
             break
 
     dominates = all(h.eval(r) >= r for r in knots)
-    return ProfileCheck(
-        lipschitz1=lipschitz1,
-        nondecreasing=nondecreasing,
-        convex=convex,
-        value_at_0=h.values[0],
-        dominates_identity=dominates,
-        katetov_radial=lipschitz1 and dominates,
-        convexity_witness=witness,
+    return WitnessReport(
+        check="profile-check",
+        params={"horizon": horizon},
+        verdict="pass",
+        counts={
+            "lipschitz1": lipschitz1,
+            "nondecreasing": nondecreasing,
+            "convex": witness is None,
+            "value_at_0": h.values[0],
+            "dominates_identity": dominates,
+            "katetov_radial": lipschitz1 and dominates,
+        },
+        result=None if witness is None else {"convexity_witness": witness},
     )
 
 
@@ -591,22 +580,14 @@ def convex_by_midpoint_scan(h: RadialProfile, horizon: RationalLike) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AgreementVerdict:
-    agree: bool
-    witness_r: Fraction | None = None
-    left: Fraction | None = None
-    right: Fraction | None = None
-
-    def __bool__(self) -> bool:
-        return self.agree
-
-
 def profiles_agree_on(
     h1: RadialProfile, h2: RadialProfile, lo: RationalLike, hi: RationalLike
-) -> AgreementVerdict:
-    """Exact piecewise-linear equality on [lo, hi]; the witness is the
-    leftmost knot (breakpoint or interval endpoint) where values differ.
+) -> WitnessReport:
+    """Exact piecewise-linear equality on [lo, hi], as a "profile-agree"
+    report with params lo and hi. It passes when the profiles agree;
+    otherwise it fails with the witness {"r", "left", "right"}: the
+    leftmost knot (breakpoint or interval endpoint) where the values
+    differ, and h1(r) and h2(r) there.
 
     Two piecewise-linear functions equal at every knot of the merged
     breakpoint list are equal on the whole interval, so the knot scan is
@@ -618,11 +599,18 @@ def profiles_agree_on(
     knots = {lo, hi}
     for h in (h1, h2):
         knots.update(b for b in h.breakpoints if lo < b < hi)
+    witness = None
     for r in sorted(knots):
         a, b = h1.eval(r), h2.eval(r)
         if a != b:
-            return AgreementVerdict(False, r, a, b)
-    return AgreementVerdict(True)
+            witness = {"r": r, "left": a, "right": b}
+            break
+    return WitnessReport(
+        check="profile-agree",
+        params={"lo": lo, "hi": hi},
+        verdict="pass" if witness is None else "fail",
+        witness=witness,
+    )
 
 
 # -- the profile gallery -------------------------------------------------------

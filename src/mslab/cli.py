@@ -34,7 +34,7 @@ from .metric import (
 )
 from .randgen import random_disjoint_parts
 from .rationals import parse_rational
-from .report import WitnessReport, jsonable, report_json
+from .report import WitnessReport, report_json
 from .serialization import (
     FormatError,
     approximant_to_dict,
@@ -232,13 +232,13 @@ def cmd_katetov_enumerate(args) -> WitnessReport:
     for fn in enumerate_katetov(space, args.denom):
         total += 1
         if args.limit is None or len(fns) < args.limit:
-            fns.append(list(fn.values))
+            fns.append(fn.values)
     return WitnessReport(
         check="katetov-enumerate",
         params={"denom": args.denom, "limit": args.limit},
         verdict="pass",
         counts={"functions": total},
-        result={"values": jsonable(fns)},
+        result={"values": fns},
     )
 
 
@@ -251,7 +251,7 @@ def cmd_katetov_truncate(args) -> WitnessReport:
         params={"mode": args.mode, "level": args.level},
         verdict="pass",
         counts={} if still is None else {"still_katetov": still.ok},
-        result={"values": jsonable(list(vec))},
+        result={"values": vec},
     )
 
 
@@ -329,7 +329,7 @@ def cmd_weak_seminorm(args) -> WitnessReport:
         check="weak-seminorm",
         params={"landmarks": args.landmarks},
         verdict="pass",
-        result={"matrix": jsonable([list(row) for row in matrix])},
+        result={"matrix": matrix},
     )
 
 
@@ -355,13 +355,13 @@ def cmd_weak_restrict(args) -> WitnessReport:
         check="weak-restrict",
         params={"subset": args.subset},
         verdict="pass",
-        result=jsonable(katetov_to_dict(out)),
+        result=katetov_to_dict(out),
     )
 
 
 def cmd_hilbert(args) -> WitnessReport:
     explicit = (args.u, args.v, args.z)
-    if args.random:
+    if args.random is not None:
         if explicit != (None, None, None):
             raise FormatError("--random N runs random triples; it conflicts with --u/--v/--z")
         return suite.battery_hilbert(args.seed, args.random)
@@ -400,25 +400,11 @@ def cmd_disjoint(args) -> WitnessReport:
 def cmd_profile_check(args) -> WitnessReport:
     h = _load_profile_arg(args.profile)
     horizon = max(h.breakpoints[-1], Fraction(3)) if args.horizon is None else args.horizon
-    chk = banach.radial_profile_check(h, horizon)
-    return WitnessReport(
-        check="profile-check",
-        params={"horizon": horizon},
-        verdict="pass",
-        counts=dict(chk.flags()),
-        result=None if chk.convexity_witness is None else {"convexity_witness": jsonable(list(chk.convexity_witness))},
-    )
+    return banach.radial_profile_check(h, horizon)
 
 
 def cmd_profile_agree(args) -> WitnessReport:
-    h1, h2 = _load_profile_arg(args.first), _load_profile_arg(args.second)
-    verdict = banach.profiles_agree_on(h1, h2, args.lo, args.hi)
-    return WitnessReport(
-        check="profile-agree",
-        params={"lo": args.lo, "hi": args.hi},
-        verdict="pass" if verdict.agree else "fail",
-        witness=None if verdict.agree else {"r": verdict.witness_r, "left": verdict.left, "right": verdict.right},
-    )
+    return banach.profiles_agree_on(_load_profile_arg(args.first), _load_profile_arg(args.second), args.lo, args.hi)
 
 
 def cmd_rado_adj(args) -> WitnessReport:
@@ -579,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_vector)
     p.add_argument("--v", type=_vector)
     p.add_argument("--z", type=_vector)
-    p.add_argument("--random", type=_count, default=0, help="run N random stereographic triples")
+    p.add_argument("--random", type=_at_least(1), default=None, help="run N random stereographic triples")
 
     p = leaf(sub, "lp", cmd_lp, help="step-function separation computation")
     p.add_argument("--p", type=_rational, required=True)
@@ -588,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "disjoint", cmd_disjoint, help="disjoint-support identity")
     p.add_argument("--p", type=_rational, required=True)
     p.add_argument("--n", type=_at_least(1), default=3)
-    p.add_argument("--trials", type=_count, default=200)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--x", default=None, help="step function file (explicit mode)")
     p.add_argument("--part", action="append", default=[], help="part file, repeatable")
 

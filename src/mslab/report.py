@@ -18,7 +18,8 @@ VERDICTS = ("pass", "fail")
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively convert Fractions to canonical 'p/q' strings."""
+    """Recursively convert Fractions to canonical 'p/q' strings. Any other
+    value that JSON cannot hold as it is raises TypeError."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):
@@ -27,7 +28,7 @@ def jsonable(value: Any) -> Any:
         return [jsonable(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    return str(value)
+    raise TypeError(f"no JSON form for {type(value).__name__} value {value!r}")
 
 
 @dataclass

@@ -250,26 +250,26 @@ def battery_profiles() -> WitnessReport:
     }
     for name, want in expected_flags.items():
         h = banach.BUILTIN_PROFILES[name]()
-        got = banach.radial_profile_check(h, horizon).flags()
+        got = banach.radial_profile_check(h, horizon).counts
         if got != want:
             return _fail("profiles", params, {"profile": name, "got": got, "want": want}, {})
         if banach.convex_by_midpoint_scan(h, horizon) != want["convex"]:
             return _fail("profiles", params, {"profile": name, "note": "midpoint scan disagrees"}, {})
 
     capped = banach.profile_affine_capped_at_two()
-    wit = banach.radial_profile_check(capped, horizon).convexity_witness
+    wit = banach.radial_profile_check(capped, horizon).result["convexity_witness"]
     if wit != (HALF, Fraction(1), Fraction(3, 2), Fraction(1, 4)):
         return _fail("profiles", params, {"profile": "affine-capped-at-two", "witness": wit}, {})
 
     flat, vee = banach.profile_flat_then_identity(), banach.profile_vee()
-    if not banach.profiles_agree_on(flat, vee, 1, 1):
+    if not banach.profiles_agree_on(flat, vee, 1, 1).ok:
         return _fail("profiles", params, {"pair": "sphere", "note": "should agree at r=1"}, {})
     if flat.eval(HALF) - vee.eval(HALF) != HALF:
         return _fail("profiles", params, {"pair": "sphere", "note": "gap at 1/2 wrong"}, {})
 
     h1c = banach.profile_half_slope_then_offset()
     h2c = banach.profile_half_slope_then_identity()
-    if not banach.profiles_agree_on(h1c, h2c, 0, 1):
+    if not banach.profiles_agree_on(h1c, h2c, 0, 1).ok:
         return _fail("profiles", params, {"pair": "corrected", "note": "should agree on [0,1]"}, {})
     if h1c.eval(Fraction(3, 2)) - h2c.eval(Fraction(3, 2)) != Fraction(1, 4):
         return _fail("profiles", params, {"pair": "corrected", "note": "gap at 3/2 wrong"}, {})

@@ -622,25 +622,25 @@ def test_gallery_flags_match_hand_derivation():
         "half-slope-then-identity": (True, True, True, True, True),
     }
     for name, (lip, mono, cvx, dom, kat) in expected.items():
-        chk = radial_profile_check(BUILTIN_PROFILES[name](), horizon)
-        assert chk.lipschitz1 is lip, name
-        assert chk.nondecreasing is mono, name
-        assert chk.convex is cvx, name
-        assert chk.dominates_identity is dom, name
-        assert chk.katetov_radial is kat, name
-        assert chk.value_at_0 == 1, name
+        flags = radial_profile_check(BUILTIN_PROFILES[name](), horizon).counts
+        assert flags["lipschitz1"] is lip, name
+        assert flags["nondecreasing"] is mono, name
+        assert flags["convex"] is cvx, name
+        assert flags["dominates_identity"] is dom, name
+        assert flags["katetov_radial"] is kat, name
+        assert flags["value_at_0"] == 1, name
 
 
 def test_capped_profile_convexity_witness():
     chk = radial_profile_check(profile_affine_capped_at_two(), 3)
-    assert chk.convexity_witness == (F(1, 2), F(1), F(3, 2), F(1, 4))
+    assert chk.result["convexity_witness"] == (F(1, 2), F(1), F(3, 2), F(1, 4))
 
 
 def test_midpoint_scan_agrees_with_slope_verdict():
     for name, builder in BUILTIN_PROFILES.items():
         h = builder()
         chk = radial_profile_check(h, 4)
-        assert convex_by_midpoint_scan(h, 4) is chk.convex, name
+        assert convex_by_midpoint_scan(h, 4) is chk.counts["convex"], name
 
 
 def test_flags_stable_under_redundant_breakpoint():
@@ -662,30 +662,30 @@ def test_flags_stable_under_redundant_breakpoint():
                 h.values + (h.eval(h.breakpoints[-1] + step),),
                 h.tail_slope,
             )
-        a = radial_profile_check(h, 4).flags()
-        b = radial_profile_check(refined, 4).flags()
+        a = radial_profile_check(h, 4).counts
+        b = radial_profile_check(refined, 4).counts
         assert a == b, name
 
 
 def test_sphere_pair_agreement_pattern():
     flat, vee = profile_flat_then_identity(), profile_vee()
-    assert profiles_agree_on(flat, vee, 1, 1).agree
+    assert profiles_agree_on(flat, vee, 1, 1).ok
     verdict = profiles_agree_on(flat, vee, 0, 1)
-    assert not verdict.agree and verdict.witness_r == F(1, 2)
-    assert verdict.left - verdict.right == F(1, 2)
+    assert not verdict.ok and verdict.witness["r"] == F(1, 2)
+    assert verdict.witness["left"] - verdict.witness["right"] == F(1, 2)
 
 
 def test_corrected_pair_agreement_pattern():
     h1, h2 = profile_half_slope_then_offset(), profile_half_slope_then_identity()
-    assert profiles_agree_on(h1, h2, 0, 1).agree
+    assert profiles_agree_on(h1, h2, 0, 1).ok
     assert h1.eval(F(3, 2)) - h2.eval(F(3, 2)) == F(1, 4)
     verdict = profiles_agree_on(h1, h2, 0, 2)
-    assert not verdict.agree
+    assert not verdict.ok
 
 
 def test_identical_profiles_agree_everywhere():
     h = profile_affine_plus_one = BUILTIN_PROFILES["affine-plus-one"]()
-    assert profiles_agree_on(h, h, 0, 10).agree
+    assert profiles_agree_on(h, h, 0, 10).ok
 
 
 def test_radial_profile_bridges_to_katetov():

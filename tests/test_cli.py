@@ -38,6 +38,10 @@ BOUNDARY = [
     ["urysohn", "build", "--rounds", "1", "--subset-bound", "-1"],
     ["urysohn", "build", "--rounds", "-3"],
     ["hilbert", "--random", "-1"],
+    # zero random triples was read as no --random at all, and zero trials
+    # passed vacuously with "instances": 0
+    ["hilbert", "--random", "0"],
+    ["disjoint", "--p", "2", "--trials", "0"],
     ["rado", "metric", "--scan", "-3"],
     # the empty space once passed vacuously, and a missing vertex was read as 0
     ["rado", "metric", "--scan", "0"],

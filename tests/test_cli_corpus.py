@@ -148,6 +148,8 @@ CORPUS = [
     ("disjoint --p 3/2 --trials 2 --n 2", 0, "a9a0e25c8d7e0fd0e9c605084c5e2e9109def67d46fda74b6260c3d36eaba975"),
     ("disjoint --p 3 --x STEP_X --part STEP_PART0 --part STEP_PART1", 0, "918dbe935fe3d551c9c12cb96946c04910ed60cdf432a3e0255a4c22752dab39"),
     ("disjoint --p 2 --part STEP_PART0", 2, EMPTY),
+    # zero trials once passed vacuously with "instances": 0
+    ("disjoint --p 2 --trials 0", 2, EMPTY),
     ("profile check builtin:vee", 0, "c0329fae547c0589163f7e5d3e14b98a5ce3baf30cae242414f1073a088f1233"),
     ("profile check RADIAL --horizon 4", 0, "1d832aaddb39974b3a650175fe39fc45d9aec1ff8a97129d059b2dbcddd944da"),
     # the one profile row whose report carries a convexity witness

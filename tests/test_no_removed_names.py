@@ -18,7 +18,7 @@ REMOVED = {
     "MARequest", "KatetovVerdict", "WeakSeminorm", "same_value", "power_sum", "add2d", "landmark_gap",
     "validate_pseudometric", "_INT64_SAFE", "_int64_matrix", "validate_scaled", "_rescale", "_by_columns", "_amalgam",
     "_Realizations", "_profile_walk", "_keep_when_read", "amalgamate", "PartialIsometry", "EmptyGlueError",
-    "gromov_approximant",
+    "gromov_approximant", "ProfileCheck", "AgreementVerdict",
 }
 
 

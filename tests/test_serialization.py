@@ -5,12 +5,14 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslab import Approximant, KatetovFn, MetricSpace, fraisse_step
 from mslab.cli import main
 from mslab.randgen import random_katetov_values, random_metric_space
+from mslab.report import WitnessReport
 from mslab.serialization import (
     FormatError,
     _dump_json,
@@ -382,3 +384,20 @@ def test_zero_denominator_in_a_file_exits_2(kind, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "zero denominator in '1/0'" in captured.err
+
+
+def test_katetov_extend_out_writes_the_space_it_reports(tmp_path, capsys):
+    space = write(tmp_path, space_to_dict(three_points()), "space.json")
+    fn = write(tmp_path, {"space": space, "values": ["1/2", "1/2", "3/4"]}, "fn.json")
+    out = tmp_path / "extended.json"
+    assert main(["katetov", "extend", fn, "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert space_to_dict(load_space(out)) == report["result"]["space"]
+
+
+# A value with no JSON form is refused; it was once written as its str(),
+# so a numpy scalar read "1" and a range "range(0, 3)".
+@pytest.mark.parametrize("value", [np.int64(1), range(3), object()], ids=["int64", "range", "object"])
+def test_report_refuses_a_value_with_no_json_form(value):
+    with pytest.raises(TypeError, match="no JSON form"):
+        WitnessReport(check="c", counts={"n": value}).to_dict()
