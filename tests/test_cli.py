@@ -101,6 +101,8 @@ USAGE_NAMES = [
     (["rado", "basis", "--code", "1:x"], "invalid basis code value: '1:x'"),
     (["lp", "--p", "foo"], "invalid rational value: 'foo'"),
     (["lp", "--p", "3", "--pairings", "x"], "invalid int value: 'x'"),
+    # zero was once read as no --random, and refused as a missing mode
+    (["hilbert", "--random", "0"], "argument --random: must be >= 1, got 0"),
 ]
 
 # sha256 of the stdout of `mslab urysohn build --denom 2 --rounds 2`
